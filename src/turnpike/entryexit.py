@@ -7,10 +7,14 @@ relation
     int_{x_out_b}^{x_in_b} (zeta(s,0)+1)/(s zeta(s,0)) ds + log(-x_out_b/x_in_b) = K,
     K = lam_1 pi / sqrt(-4 lam_0 - lam_1^2),
 
-for x_out_b, then ride the exit fiber back up to the section. The left side
-is strictly decreasing in x_out_b, so a sign-change bracket plus Brent is
-exact business. For n >= 2 no such relation holds; instead the one-sided
-delays z_in, z_out have leading orders eps^(2n-1)/( -int_0^inf v/P dv ) and
+for x_out_b, then ride the exit fiber back up to the section. For a
+constant fast factor g the fibers are exact, since x^2 + 2 g y is conserved
+along them; a callable g is integrated. The left side is strictly
+decreasing in x_out_b, so its signs at the two ends of the exit bracket
+decide whether a root exists, and Brent's method finds it.
+
+For n >= 2 no such relation holds; instead the one-sided delays z_in, z_out
+have leading orders eps^(2n-1)/( -int_0^inf v/P dv ) and
 eps^(2n-1)/( int_-inf^0 v/P dv ), whose mismatch is the obstruction.
 """
 from __future__ import annotations
@@ -53,15 +57,36 @@ class BasePointMap:
     """Fast-fiber projection between the sections y = delta and the line y = 0.
 
     The fibers solve dx/dy = -g(x, y, 0) / x, which is regular while
-    |x| >= x_floor; crossing the floor aborts with a structured error.
+    |x| >= x_floor; crossing the floor aborts with a structured error. For a
+    constant g (g_kind == "constant") the fibers are exact: x^2 + 2 g y is
+    conserved, so x(y1) = sign(x0) sqrt(x0^2 + 2 g (y0 - y1)). x^2 is then
+    linear in y, so |x| can only reach the floor at the end of the run and
+    one check there replaces the ODE's floor event. Callable g is
+    integrated with DOP853 at rtol = tol.
     """
 
     model: SlowFastModel
     tol: float = 1e-13
     x_floor: float = _X_FLOOR
 
+    def _floor_error(self, x0: float, y1: float) -> EntryExitError:
+        return EntryExitError(
+            f"fiber from x = {x0:.6g} reached |x| = {self.x_floor:g} before "
+            f"y = {y1:g}; no base point on this side")
+
     def _solve(self, x0: float, y0: float, y1: float,
                ys: Sequence[float] | None = None):
+        """x at y1 on the fiber through (x0, y0), or at the nodes ys on the way."""
+        if self.model.g_kind == "constant":
+            two_g = 2.0 * self.model.g_params[0]
+            x2_end = x0 * x0 + two_g * (y0 - y1)
+            if x2_end <= self.x_floor ** 2:
+                raise self._floor_error(x0, y1)
+            if ys is None:
+                return math.copysign(math.sqrt(x2_end), x0)
+            return np.copysign(
+                np.sqrt(x0 * x0 + two_g * (y0 - np.asarray(ys, dtype=float))), x0)
+
         g = self.model.g
         floor = self.x_floor
 
@@ -78,31 +103,26 @@ class BasePointMap:
                         t_eval=None if ys is None else np.asarray(ys),
                         dense_output=False)
         if sol.status == 1:  # floor event
-            raise EntryExitError(
-                f"fiber from x = {x0:.6g} reached |x| = {floor:g} before "
-                f"y = {y1:g}; no base point on this side")
+            raise self._floor_error(x0, y1)
         if not sol.success:
             raise EntryExitError(f"fiber integration failed: {sol.message}")
-        return sol
+        return float(sol.y[0][-1]) if ys is None else sol.y[0]
 
     def __call__(self, x_section: float) -> float:
         """Base point: follow the fiber from (x_section, delta) down to y = 0."""
         if abs(x_section) <= self.x_floor:
             raise EntryExitError(f"section point too close to 0: {x_section}")
-        sol = self._solve(x_section, self.model.delta, 0.0)
-        return float(sol.y[0][-1])
+        return self._solve(x_section, self.model.delta, 0.0)
 
     def inverse(self, x_base: float) -> float:
         """Section point: follow the fiber from (x_base, 0) up to y = delta."""
         if abs(x_base) <= self.x_floor:
             raise EntryExitError(f"base point too close to 0: {x_base}")
-        sol = self._solve(x_base, 0.0, self.model.delta)
-        return float(sol.y[0][-1])
+        return self._solve(x_base, 0.0, self.model.delta)
 
     def trace(self, x_section: float, ys: Sequence[float]) -> np.ndarray:
         """x values along the fiber at the requested y nodes (descending)."""
-        sol = self._solve(x_section, self.model.delta, 0.0, ys=ys)
-        return sol.y[0]
+        return self._solve(x_section, self.model.delta, 0.0, ys=ys)
 
 
 def base_point(model: SlowFastModel, x_section: float, *, tol: float = 1e-13) -> float:
@@ -142,9 +162,13 @@ def solve_delta0_n1(model: SlowFastModel, x_in: float,
                     tol: float = 1e-12) -> EntryExitResult:
     """Solve the entry-exit relation for the exit point paired with x_in.
 
-    The root is bracketed by a sign scan of the relation over the base-point
-    image of I_out (expanded 10%), then polished with Brent; the solver never
-    extrapolates outside a verified sign change.
+    The bracket is the base-point image of I_out, widened by 10% and clipped
+    to I and away from the turning point. The relation F is strictly
+    decreasing there (F'(a) = -1/(a zeta(a, 0)) < 0 for a < 0), so the signs
+    of F at the two ends decide whether a root exists; Brent then polishes
+    it. The solver never extrapolates outside a verified sign change.
+    Relation values are memoized per abscissa, so Brent's endpoint calls and
+    the final residual cost no further quadrature.
     """
     if model.n != 1:
         raise EntryExitError("solve_delta0_n1 requires an n = 1 model")
@@ -154,9 +178,12 @@ def solve_delta0_n1(model: SlowFastModel, x_in: float,
         raise EntryExitError(
             f"entry fiber from x_in = {x_in} lands at x_in_b = {x_in_b:.6g} <= 0")
     K = entry_exit_constant(model.p)
+    seen: dict[float, float] = {}
 
     def F(a: float) -> float:
-        return _relation_lhs(model, a, x_in_b, tol) - K
+        if a not in seen:
+            seen[a] = _relation_lhs(model, a, x_in_b, tol) - K
+        return seen[a]
 
     lo = bpm(model.I_out[0])
     hi = bpm(model.I_out[1])
@@ -166,25 +193,18 @@ def solve_delta0_n1(model: SlowFastModel, x_in: float,
     lo = max(model.I[0], lo - 0.1 * span)
     hi = min(-_X_FLOOR * 10.0, hi + 0.1 * span)
 
-    grid = np.linspace(lo, hi, 64)
-    fvals = [F(float(a)) for a in grid]
-    bracket = None
-    for a0, a1, f0, f1 in zip(grid[:-1], grid[1:], fvals[:-1], fvals[1:]):
-        if f0 == 0.0:
-            bracket = (float(a0), float(a0))
-            break
-        if f0 * f1 < 0.0:
-            bracket = (float(a0), float(a1))
-            break
-    if bracket is None:
+    f_lo, f_hi = F(lo), F(hi)
+    if f_lo == 0.0:
+        x_out_b = lo
+    elif f_hi == 0.0:
+        x_out_b = hi
+    elif f_lo * f_hi < 0.0:
+        x_out_b = float(brentq(F, lo, hi, xtol=tol))
+    else:
         raise EntryExitError(
             f"entry-exit relation has no root over the base-point image "
             f"[{lo:.6g}, {hi:.6g}] of I_out (x_in = {x_in}); "
             "exit lies outside the declared exit section")
-    if bracket[0] == bracket[1]:
-        x_out_b = bracket[0]
-    else:
-        x_out_b = float(brentq(F, bracket[0], bracket[1], xtol=tol))
     residual = abs(F(x_out_b))
     x_out = bpm.inverse(x_out_b)
     return EntryExitResult(x_in=x_in, x_in_b=x_in_b, x_out_b=x_out_b,

@@ -181,17 +181,18 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
     internal clock still runs forward from 0.
     """
     cfg = config or IntegratorConfig()
+    # plain floats: numpy scalars slow the pure-Python kernel's arithmetic
     if isinstance(initial, StateXZ):
         mode = 0
-        w0 = initial.z
+        w0 = float(initial.z)
         if w0 < 0.0:
             raise ModelError(f"initial z must be >= 0, got {w0}")
     elif isinstance(initial, StateXY):
         mode = 1
-        w0 = initial.y
+        w0 = float(initial.y)
     else:
         raise ModelError(f"initial must be StateXZ or StateXY, got {type(initial)}")
-    eps = initial.eps
+    eps = float(initial.eps)
     if eps < 0.0:
         raise ModelError(f"eps must be >= 0, got {eps}")
     if time_direction not in (1, -1):
@@ -226,7 +227,7 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
     raw = kernel(mode, model.n, tuple(model.p.lam), eps,
                  zk, tuple(zp), gk, tuple(gp),
                  model.zeta, model.g,
-                 initial.x, w0, float(t_max), float(time_direction),
+                 float(initial.x), w0, float(t_max), float(time_direction),
                  cfg.rel_tol, cfg.abs_tol, float(cfg.max_step), cfg.first_step,
                  tuple(ev_kind), tuple(ev_value), tuple(ev_dir), tuple(ev_term),
                  cfg.event_tol, cfg.max_steps)
@@ -255,6 +256,7 @@ class DulacDiagnostics:
     t_return: float
     n_steps: int
     n_rejected: int
+    n_rhs: int
     err_accum: tuple[float, float]
     trajectory: Trajectory = field(repr=False)
 
@@ -296,6 +298,7 @@ def dulac_map_numeric(model: SlowFastModel, x_in: float, eps: float,
         else float(traj.states[:, 1].min())
     diag = DulacDiagnostics(z_min=z_min, z_at_x0=z_at_x0, t_return=hit.t,
                             n_steps=traj.n_steps, n_rejected=traj.n_rejected,
+                            n_rhs=traj.n_rhs,
                             err_accum=traj.err_accum, trajectory=traj)
     return hit.x, diag
 

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from turnpike.entryexit import (BasePointMap, base_point, canard_slope,
@@ -13,7 +15,7 @@ from turnpike.entryexit import (BasePointMap, base_point, canard_slope,
                                 solve_canard_parameter, solve_delta0_n1)
 from turnpike.errors import EntryExitError
 from turnpike.integrate import log_y_at_x0
-from turnpike.model import PolyP, make_g, make_zeta
+from turnpike.model import PolyP, ddr_model, make_g, make_zeta
 from turnpike.quadrature import whole_line_integral
 
 # frozen reference data for the worked model at x_in = 1.016
@@ -58,6 +60,45 @@ class TestBasePointMap:
             base_point(ddr, 1e-7)
 
 
+def _ode_fibers(model):
+    """The same model with g as a plain callable, so fibers run on solve_ivp."""
+    g = model.g_params[0]
+    return replace(model, g=lambda x, y, eps: g, g_kind=None, g_params=())
+
+
+class TestExactFibers:
+    def test_base_points_match_ode(self, ddr):
+        exact, ode = BasePointMap(ddr), BasePointMap(_ode_fibers(ddr))
+        for x in (1.004, 1.016, 1.3, -1.02, -2.8):
+            assert exact(x) == pytest.approx(ode(x), abs=1e-12)
+
+    def test_inverse_matches_ode(self, ddr):
+        exact, ode = BasePointMap(ddr), BasePointMap(_ode_fibers(ddr))
+        for xb in (X_IN_B_REF, 0.5, -0.2, -2.54):
+            assert exact.inverse(xb) == pytest.approx(ode.inverse(xb), abs=1e-12)
+
+    def test_trace_matches_ode(self, ddr):
+        ys = np.linspace(ddr.delta, 0.0, 21)
+        exact = BasePointMap(ddr).trace(1.016, ys)
+        ode = BasePointMap(_ode_fibers(ddr)).trace(1.016, ys)
+        assert np.max(np.abs(exact - ode)) < 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda bpm: bpm(0.9),
+        lambda bpm: bpm.trace(0.9, [0.5, 0.25, 0.0]),
+        lambda bpm: bpm(1e-7),
+        lambda bpm: bpm.inverse(-1e-7),
+    ])
+    def test_same_errors_as_ode(self, ddr, call):
+        messages = []
+        for model in (ddr, _ode_fibers(ddr)):
+            with pytest.raises(EntryExitError) as ei:
+                call(BasePointMap(model))
+            messages.append(str(ei.value))
+        assert messages[0] == messages[1]
+        assert "no base point" in messages[0] or "too close" in messages[0]
+
+
 class TestEntryExitConstant:
     def test_worked_value(self, ddr):
         assert entry_exit_constant(ddr.p) == pytest.approx(K_REF, rel=1e-15)
@@ -92,9 +133,47 @@ class TestSolveDelta0:
 
     def test_exit_outside_section_errors(self, ddr):
         # near the critical entry depth the exit base point runs off to the
-        # left of I_out's image and the sign scan finds no bracket
+        # left of I_out's image and F has one sign on the whole bracket
         with pytest.raises(EntryExitError, match="outside the declared"):
             solve_delta0_n1(ddr, 1.0269)
+
+
+@st.composite
+def _admissible_ddr(draw):
+    """A ddr model and an entry point whose closed-form exit is admissible.
+
+    P is negative definite (4 lam_0 + lam_1^2 < 0), zeta = -1 + beta x stays
+    negative on I (1 - beta max I > 0), the entry fiber reaches y = 0
+    (x_in^2 > 2 delta), the exit exists (beta (e^K + 1) x_in_b < 1), and
+    I, I_out contain the closed-form exit with room to spare.
+    """
+    lam1 = draw(st.floats(-1.5, 1.5))
+    lam0 = -lam1 * lam1 / 4.0 - draw(st.floats(0.25, 3.0))
+    beta = draw(st.floats(0.1, 2.0))
+    delta = draw(st.floats(0.05, 0.9))
+    eK = math.exp(lam1 * math.pi / math.sqrt(-4.0 * lam0 - lam1 * lam1))
+    x_in_b = draw(st.floats(0.1, 0.9)) / (beta * (eK + 1.0))
+    x_in = math.sqrt(x_in_b * x_in_b + 2.0 * delta)
+    x_out_b = eK * x_in_b / (beta * (eK + 1.0) * x_in_b - 1.0)
+
+    def lift(b):
+        return -math.sqrt(2.0 * delta + b * b)
+
+    m = ddr_model(lam0=lam0, lam1=lam1, beta=beta, delta=delta,
+                  I=(2.0 * x_out_b - 1.0, (x_in_b + 1.0 / beta) / 2.0),
+                  I_in=(x_in, x_in),
+                  I_out=(lift(1.25 * x_out_b), lift(0.8 * x_out_b)))
+    return m, x_in
+
+
+class TestSolveDelta0Property:
+    @given(_admissible_ddr())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_closed_form(self, case):
+        m, x_in = case
+        r = solve_delta0_n1(m, x_in)
+        assert r.x_out == pytest.approx(ddr_delta0_closed_form(m, x_in),
+                                        abs=1e-9)
 
 
 class TestClosedFormGuards:

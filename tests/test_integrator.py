@@ -249,6 +249,13 @@ class TestDulacMap:
         assert 0.0 <= diag.z_min <= diag.z_at_x0 <= ddr.z_delta
         assert diag.t_return == pytest.approx(diag.trajectory.t[-1], abs=1e-9)
         assert diag.n_steps == diag.trajectory.n_steps
+        assert diag.n_rhs == diag.trajectory.n_rhs > diag.n_steps
+
+    def test_numpy_scalar_inputs_run_the_same_passage(self, ddr):
+        x_np, d_np = dulac_map_numeric(ddr, np.float64(1.016), 0.005)
+        x_py, d_py = dulac_map_numeric(ddr, 1.016, 0.005)
+        assert x_np == x_py
+        assert d_np.n_steps == d_py.n_steps
 
     def test_log_y_needs_to_reach_origin(self, ddr):
         with pytest.raises(IntegrationError, match="never reached"):
