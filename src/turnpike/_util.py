@@ -33,10 +33,11 @@ def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
 
 
 def fmt(value) -> str:
-    """17-significant-digit representation: lossless binary64 round trip."""
+    """17-significant-digit representation: lossless binary64 round trip.
+    Other values print with ',' as ';' so a CSV field never splits its row."""
     if isinstance(value, float):
         return f"{value:.17g}"
-    return str(value)
+    return str(value).replace(",", ";")
 
 
 def write_rows(out_path: str | None, header: Sequence[str],

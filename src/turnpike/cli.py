@@ -17,13 +17,12 @@ import numpy as np
 
 from ._util import fmt, parallel_map, write_rows
 from .blowup import theoretical_z2_curve
-from .entryexit import (ddr_delta0_closed_form, predict_delay_nge2,
-                        solve_canard_parameter, solve_delta0_n1)
+from .entryexit import (predict_delay_nge2, solve_canard_parameter,
+                        solve_delta0_n1)
 from .errors import TurnpikeError
-from .integrate import (EventSpec, IntegratorConfig, dulac_map_numeric,
-                        integrate)
-from .model import (PolyP, SlowFastModel, StateXZ, check_hypotheses,
-                    load_model)
+from .integrate import IntegratorConfig, dulac_map_numeric, z_at_x0
+from .model import (PolyP, SlowFastModel, _floats, check_hypotheses,
+                    load_model, parse_kv_file)
 from .quadrature import pv_fast_numeric, pv_fast_quadratic, whole_line_integral
 
 __all__ = ["ExperimentConfig", "main"]
@@ -56,21 +55,10 @@ class ExperimentConfig:
         return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    from .model import parse_kv_file
-
-    return parse_kv_file(path)
-
-
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge precedence: explicit flag > config file > dataclass default."""
-    cfg = _load_config_file(getattr(args, "config", None))
+    """Merge precedence: explicit flag > config file > default."""
+    path = getattr(args, "config", None)
+    cfg = parse_kv_file(path) if path else {}
 
     def pick(flag: str, key: str, cast, default):
         v = getattr(args, flag, None)
@@ -85,7 +73,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         eps=pick("eps", "eps", _floats, ()),
         x_in=pick("x_in", "x_in", _floats, ()),
         x_out=pick("x_out", "x_out", float, None),
-        grid=pick("grid", "grid", int, 25),
+        grid=pick("grid", "grid", int, 5 if args.command == "converge" else 25),
         tol=pick("tol", "tol", float, 1e-8),
         out=pick("out", "out", str, None),
         l_index=pick("l_index", "l", int, 1),
@@ -97,16 +85,14 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _x_in_grid(cfg: ExperimentConfig, model: SlowFastModel,
-               default_grid: int | None = None) -> tuple[float, ...]:
+def _x_in_grid(cfg: ExperimentConfig, model: SlowFastModel) -> tuple[float, ...]:
     if cfg.x_in:
         return cfg.x_in
-    npts = default_grid if default_grid is not None else cfg.grid
-    if npts < 1:
-        raise TurnpikeError(f"grid must be >= 1, got {npts}")
-    if npts == 1:
+    if cfg.grid < 1:
+        raise TurnpikeError(f"grid must be >= 1, got {cfg.grid}")
+    if cfg.grid == 1:
         return ((model.I_in[0] + model.I_in[1]) / 2.0,)
-    return tuple(np.linspace(model.I_in[0], model.I_in[1], npts))
+    return tuple(np.linspace(model.I_in[0], model.I_in[1], cfg.grid))
 
 
 def cmd_pv_check(cfg: ExperimentConfig, lambda0: float, lambda1: float) -> int:
@@ -140,13 +126,13 @@ def cmd_delta0(cfg: ExperimentConfig) -> int:
     failures = 0
     for x_in in _x_in_grid(cfg, model):
         try:
-            r = solve_delta0_n1(model, x_in, tol=min(cfg.tol, 1e-10))
+            r = solve_delta0_n1(model, x_in)
             rows.append((x_in, r.x_in_b, r.x_out_b, r.x_out,
                          r.relation_residual, "ok"))
         except TurnpikeError as exc:
             failures += 1
             rows.append((x_in, math.nan, math.nan, math.nan, math.nan,
-                         f"error: {exc}".replace(",", ";")))
+                         f"error: {exc}"))
     write_rows(cfg.out, ("x_in", "x_in_b", "x_out_b", "x_out",
                          "relation_residual", "status"), rows)
     return 1 if failures else 0
@@ -173,7 +159,7 @@ def _dulac_rows(cfg: ExperimentConfig, model: SlowFastModel):
             x_num, _diag = dulac_map_numeric(model, x_in, eps, icfg)
         except TurnpikeError as exc:
             return (eps, x_in, math.nan, x_th, math.nan,
-                    f"integration-error: {exc}".replace(",", ";"))
+                    f"integration-error: {exc}")
         return (eps, x_in, x_num, x_th, abs(x_num - x_th), "ok")
 
     return xs, parallel_map(run, cells)
@@ -213,8 +199,7 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
         raise TurnpikeError("converge requires an n = 1 model")
     if len(cfg.eps) < 3:
         raise TurnpikeError("converge requires at least 3 eps values")
-    sub = cfg if cfg.x_in or cfg.grid != 25 else replace(cfg, grid=5)
-    xs, rows = _dulac_rows(sub, model)
+    xs, rows = _dulac_rows(cfg, model)
     by_x = {x: [] for x in xs}
     for eps, x_in, _xn, _xt, err, status in rows:
         by_x[x_in].append((eps, err, status))
@@ -242,20 +227,6 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     return 0 if all_pass else 1
 
 
-def _z_at_origin(model: SlowFastModel, x_start: float, eps: float,
-                 icfg: IntegratorConfig, backward: bool) -> float:
-    """z at the first x = 0 crossing, forward from x_in or backward from x_out."""
-    ev = EventSpec(kind="x_crosses_zero",
-                   direction="up" if backward else "down", terminal=True)
-    traj = integrate(model, StateXZ(x=x_start, z=model.z_delta, eps=eps),
-                     [ev], icfg, time_direction=-1 if backward else 1)
-    hits = traj.events_of("x_crosses_zero")
-    if not hits:
-        raise TurnpikeError(
-            f"no x = 0 crossing from x = {x_start} (status {traj.status!r})")
-    return hits[0].w
-
-
 def cmd_nge2(cfg: ExperimentConfig) -> int:
     model = cfg.model()
     if model.n < 2:
@@ -271,11 +242,11 @@ def cmd_nge2(cfg: ExperimentConfig) -> int:
     def run(eps):
         pred = predict_delay_nge2(model.p, eps)
         try:
-            z_in = _z_at_origin(model, x_in, eps, icfg, backward=False)
-            z_out = _z_at_origin(model, x_out, eps, icfg, backward=True)
+            z_in = z_at_x0(model, x_in, eps, icfg)
+            z_out = z_at_x0(model, x_out, eps, icfg, backward=True)
         except TurnpikeError as exc:
             return (eps, math.nan, math.nan, math.nan, math.nan, math.nan,
-                    math.nan, "none", f"error: {exc}".replace(",", ";"))
+                    math.nan, "none", f"error: {exc}")
         rel_in = abs(z_in - pred.z_in) / abs(pred.z_in)
         rel_out = abs(z_out - pred.z_out) / abs(pred.z_out)
         order = "z_in<z_out" if z_in < z_out else (
@@ -312,7 +283,7 @@ def cmd_chart_view(cfg: ExperimentConfig) -> int:
         except TurnpikeError as exc:
             failures += 1
             rows.append((eps, math.nan, math.nan, math.nan,
-                         f"error: {exc}".replace(",", ";")))
+                         f"error: {exc}"))
             continue
         traj = diag.trajectory
         for x, z in traj.states:
@@ -356,12 +327,9 @@ def cmd_canard_solve(cfg: ExperimentConfig) -> int:
     icfg = cfg.integrator()
 
     def gap(poly: PolyP) -> float:
-        m = SlowFastModel(p=poly, zeta=model.zeta, g=model.g, delta=model.delta,
-                          I=model.I, I_in=model.I_in, I_out=model.I_out,
-                          zeta_kind=model.zeta_kind, zeta_params=model.zeta_params,
-                          g_kind=model.g_kind, g_params=model.g_params)
-        z_in = _z_at_origin(m, x_in, eps, icfg, backward=False)
-        z_out = _z_at_origin(m, x_out, eps, icfg, backward=True)
+        m = replace(model, p=poly)
+        z_in = z_at_x0(m, x_in, eps, icfg)
+        z_out = z_at_x0(m, x_out, eps, icfg, backward=True)
         return abs(z_in - z_out)
 
     gap_pert = gap(p_pert)

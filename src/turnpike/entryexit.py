@@ -20,7 +20,7 @@ eps^(2n-1)/( int_-inf^0 v/P dv ), whose mismatch is the obstruction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,9 +29,9 @@ from scipy.optimize import brentq
 
 from .errors import EntryExitError
 from .model import PolyP, SlowFastModel
-from .quadrature import (DEFAULT_TOL, adaptive_quad, pv_fast_half,
-                         pv_fast_quadratic, regular_slow_part,
-                         half_line_integral, whole_line_integral, QuadResult)
+from .quadrature import (DEFAULT_TOL, adaptive_quad, half_line_integral,
+                         pv_fast_half, pv_fast_quadratic, regular_slow_part,
+                         whole_line_integral)
 
 __all__ = [
     "BasePointMap",
@@ -152,6 +152,20 @@ class EntryExitResult:
     relation_residual: float
 
 
+def _root_between(F: Callable[[float], float], lo: float, hi: float,
+                  xtol: float, no_root_msg: str) -> float:
+    """Root of F on [lo, hi] from a sign change of its end values (compared
+    as signs: their product can underflow to 0), or an end where F is 0."""
+    f_lo, f_hi = F(lo), F(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise EntryExitError(no_root_msg)
+    return float(brentq(F, lo, hi, xtol=xtol))
+
+
 def _relation_lhs(model: SlowFastModel, x_out_b: float, x_in_b: float,
                   tol: float) -> float:
     reg = regular_slow_part(model.zeta, x_out_b, x_in_b, tol)
@@ -193,18 +207,11 @@ def solve_delta0_n1(model: SlowFastModel, x_in: float,
     lo = max(model.I[0], lo - 0.1 * span)
     hi = min(-_X_FLOOR * 10.0, hi + 0.1 * span)
 
-    f_lo, f_hi = F(lo), F(hi)
-    if f_lo == 0.0:
-        x_out_b = lo
-    elif f_hi == 0.0:
-        x_out_b = hi
-    elif f_lo * f_hi < 0.0:
-        x_out_b = float(brentq(F, lo, hi, xtol=tol))
-    else:
-        raise EntryExitError(
-            f"entry-exit relation has no root over the base-point image "
-            f"[{lo:.6g}, {hi:.6g}] of I_out (x_in = {x_in}); "
-            "exit lies outside the declared exit section")
+    x_out_b = _root_between(
+        F, lo, hi, tol,
+        f"entry-exit relation has no root over the base-point image "
+        f"[{lo:.6g}, {hi:.6g}] of I_out (x_in = {x_in}); "
+        "exit lies outside the declared exit section")
     residual = abs(F(x_out_b))
     x_out = bpm.inverse(x_out_b)
     return EntryExitResult(x_in=x_in, x_in_b=x_in_b, x_out_b=x_out_b,
@@ -360,19 +367,11 @@ def classical_delta0(h_over_f: Callable[[float], float], x_in: float,
     int_{x_in}^{x_out} (h/f)(s) ds = 0, sought inside `bracket`."""
 
     def A(x_out: float) -> float:
-        r = adaptive_quad(h_over_f, x_in, x_out, max(tol, 1e-13))
-        return r.value
+        return adaptive_quad(h_over_f, x_in, x_out, max(tol, 1e-13)).value
 
-    a, b = bracket
-    fa, fb = A(a), A(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise EntryExitError(
-            f"no sign change of the divergence integral over {bracket}")
-    return float(brentq(A, a, b, xtol=tol))
+    return _root_between(
+        A, bracket[0], bracket[1], tol,
+        f"no sign change of the divergence integral over {bracket}")
 
 
 def log_y_leading_order(model: SlowFastModel, x_in: float, eps: float,

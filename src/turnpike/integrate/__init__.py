@@ -34,6 +34,7 @@ __all__ = [
     "integrate",
     "dulac_map_numeric",
     "log_y_at_x0",
+    "z_at_x0",
     "compiled_kernel_available",
     "active_backend",
 ]
@@ -303,20 +304,29 @@ def dulac_map_numeric(model: SlowFastModel, x_in: float, eps: float,
     return hit.x, diag
 
 
-def log_y_at_x0(model: SlowFastModel, x_in: float, eps: float,
-                config: IntegratorConfig | None = None) -> float:
-    """log y at the x = 0 crossing, measured as -1/z of the (x, z) passage."""
-    events = [EventSpec(kind="x_crosses_zero", direction="down", terminal=True)]
-    traj = integrate(model, StateXZ(x=x_in, z=model.z_delta, eps=eps),
-                     events, config)
+def z_at_x0(model: SlowFastModel, x_start: float, eps: float,
+            config: IntegratorConfig | None = None, *,
+            backward: bool = False) -> float:
+    """z at the first x = 0 crossing of the (x, z) passage from (x_start,
+    z_delta): forward from an entry point, or backward from an exit point."""
+    ev = EventSpec(kind="x_crosses_zero", direction="up" if backward else "down",
+                   terminal=True)
+    traj = integrate(model, StateXZ(x=x_start, z=model.z_delta, eps=eps), [ev],
+                     config, time_direction=-1 if backward else 1)
     hits = traj.events_of("x_crosses_zero")
     if not hits:
         raise IntegrationError(
-            f"trajectory never reached x = 0 (status {traj.status!r})",
+            f"trajectory from x = {x_start} never reached x = 0 "
+            f"(status {traj.status!r})",
             t=float(traj.t[-1]), state=traj.final_state, status=traj.status)
-    z0 = hits[0].w
+    return hits[0].w
+
+
+def log_y_at_x0(model: SlowFastModel, x_in: float, eps: float,
+                config: IntegratorConfig | None = None) -> float:
+    """log y at the x = 0 crossing, measured as -1/z of the (x, z) passage."""
+    z0 = z_at_x0(model, x_in, eps, config)
     if z0 <= 0.0:
         raise IntegrationError(f"z at the crossing is not positive: {z0:g}",
-                               t=hits[0].t, state=(hits[0].x, hits[0].w),
-                               status="degenerate")
+                               state=(0.0, z0), status="degenerate")
     return -1.0 / z0

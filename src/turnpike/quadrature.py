@@ -36,6 +36,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 _SUBDIV_CAP = 10_000  # QUADPACK subintervals per panel; ~1e6 evaluations
+_ZETA_FLOOR = 1e-8  # |zeta(s, 0)| below this makes the slow integral ill-posed
+_SCAN_POINTS = 257  # zeta(., 0) samples checked per regular_slow_part range
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,11 @@ class QuadResult:
 
     def __float__(self) -> float:
         return self.value
+
+    def __add__(self, other: QuadResult) -> QuadResult:
+        return QuadResult(self.value + other.value,
+                          self.abs_error_estimate + other.abs_error_estimate,
+                          self.subdivisions + other.subdivisions)
 
 
 def adaptive_quad(f: Callable[[float], float], a: float, b: float,
@@ -79,61 +86,42 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float,
 
 
 def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
-                      tol: float = DEFAULT_TOL, *, window: float = 1e-6,
-                      zeta_floor: float = 1e-8) -> QuadResult:
+                      tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of r(s) = (zeta(s,0)+1)/(s zeta(s,0)) over [a, b], a <= b.
 
-    r has a removable singularity at s = 0; inside `window` of it the
-    integrand is replaced by its symmetric linear interpolant (error
-    O(window^3)). Raises if |zeta(., 0)| dips below zeta_floor on a scan
-    of the range, since the regularization then loses meaning.
+    r has a removable singularity at s = 0. A range that contains the origin
+    is split there; Gauss-Kronrod rules never sample the ends of a panel.
+    Raises if zeta(., 0) comes within _ZETA_FLOOR of 0 or changes sign on a
+    scan of the range, since the regularization then loses meaning.
     """
     if a > b:
-        r = regular_slow_part(zeta, b, a, tol, window=window, zeta_floor=zeta_floor)
+        r = regular_slow_part(zeta, b, a, tol)
         return QuadResult(-r.value, r.abs_error_estimate, r.subdivisions)
 
-    npts = 257
-    step = (b - a) / (npts - 1) if b > a else 0.0
-    for k in range(npts):
+    step = (b - a) / (_SCAN_POINTS - 1) if b > a else 0.0
+    # zeta(s, 0) * first > _ZETA_FLOOR * |first| says at once that
+    # |zeta(s, 0)| > _ZETA_FLOOR and that zeta has not changed sign since s = a
+    first = zeta(a, 0.0)
+    bound = _ZETA_FLOOR * abs(first)
+    for k in range(_SCAN_POINTS):
         s = a + k * step
-        if abs(zeta(s, 0.0)) < zeta_floor:
+        if zeta(s, 0.0) * first <= bound:
             raise QuadratureError(
-                f"|zeta(s, 0)| < {zeta_floor:g} at s = {s:.6g}; "
+                f"zeta(s, 0) vanishes near s = {s:.6g}; "
                 "regularized slow integral is ill-posed on this range")
 
     def r(s: float) -> float:
+        if s == 0.0:
+            # only sampled when rounding collapses a panel of subnormal
+            # width onto the origin; its weight there is below 1e-300
+            return 0.0
         zs = zeta(s, 0.0)
         return (zs + 1.0) / (s * zs)
 
-    # clip the smoothing window so it never swallows an endpoint base point
-    w = window
-    for endpoint in (a, b):
-        if endpoint != 0.0:
-            w = min(w, abs(endpoint) / 2.0)
-
-    if a > w or b < -w:  # origin not inside [a - w, b + w]: plain quadrature
-        return adaptive_quad(lambda s: r(s), a, b, tol)
-
-    lo = max(a, -w)
-    hi = min(b, w)
-    # linear model of r on [-w, w] from symmetric samples
-    r0 = 0.5 * (r(w) + r(-w))
-    slope = (r(w) - r(-w)) / (2.0 * w)
-    mid = r0 * (hi - lo) + 0.5 * slope * (hi * hi - lo * lo)
-    total = mid
-    err = abs(w) ** 3  # crude bound on the interpolation error
-    subs = 0
-    if a < lo:
-        left = adaptive_quad(lambda s: r(s), a, lo, tol / 2.0)
-        total += left.value
-        err += left.abs_error_estimate
-        subs += left.subdivisions
-    if hi < b:
-        right = adaptive_quad(lambda s: r(s), hi, b, tol / 2.0)
-        total += right.value
-        err += right.abs_error_estimate
-        subs += right.subdivisions
-    return QuadResult(total, err, subs)
+    if a < 0.0 < b:
+        return (adaptive_quad(r, a, 0.0, tol / 2.0)
+                + adaptive_quad(r, 0.0, b, tol / 2.0))
+    return adaptive_quad(r, a, b, tol)
 
 
 def pv_slow(zeta: Callable[[float, float], float], x_out_b: float, x_in_b: float,
@@ -163,9 +151,20 @@ def pv_fast_quadratic(lam0: float, lam1: float) -> float:
     return -lam1 * math.pi / math.sqrt(disc)
 
 
-def _check_negative_definite(p: PolyP) -> None:
+def _core_plus_tail(p: PolyP, side: str, tail: Callable[[float], float],
+                    tol: float) -> QuadResult:
+    """int v/P dv over the unit half-interval on `side`, plus `tail`, the
+    integrand over |v| >= 1 under u = 1/v, over the same half-interval."""
     if not p.is_negative_definite():
         raise QuadratureError("P is not negative definite on the reals")
+    if side == "pos":
+        lo, hi = 0.0, 1.0
+    elif side == "neg":
+        lo, hi = -1.0, 0.0
+    else:
+        raise QuadratureError(f"side must be 'pos' or 'neg', got {side!r}")
+    return (adaptive_quad(lambda v: v / p(v), lo, hi, tol / 2.0)
+            + adaptive_quad(tail, lo, hi, tol / 2.0))
 
 
 def pv_fast_half(p: PolyP, side: str, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -177,21 +176,10 @@ def pv_fast_half(p: PolyP, side: str, tol: float = DEFAULT_TOL) -> QuadResult:
     """
     if p.n != 1:
         raise QuadratureError("pv_fast_half applies to n = 1 only")
-    _check_negative_definite(p)
     lam0, lam1 = p.lam
-    if side == "pos":
-        lo, hi = 0.0, 1.0
-    elif side == "neg":
-        lo, hi = -1.0, 0.0
-    else:
-        raise QuadratureError(f"side must be 'pos' or 'neg', got {side!r}")
-    core = adaptive_quad(lambda v: v / p(v), lo, hi, tol / 2.0)
     # tail under u = 1/v: (P+v^2)/(v P) dv = (lam0 u + lam1)/Q(u) du, exact division
-    tail = adaptive_quad(lambda u: (lam0 * u + lam1) / p.tail_poly(u), lo, hi,
-                         tol / 2.0)
-    return QuadResult(core.value + tail.value,
-                      core.abs_error_estimate + tail.abs_error_estimate,
-                      core.subdivisions + tail.subdivisions)
+    return _core_plus_tail(p, side, lambda u: (lam0 * u + lam1) / p.tail_poly(u),
+                           tol)
 
 
 def pv_fast_numeric(p: PolyP, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -203,11 +191,7 @@ def pv_fast_numeric(p: PolyP, tol: float = DEFAULT_TOL) -> QuadResult:
     if p.n != 1:
         raise QuadratureError(
             "pv_fast_numeric covers n = 1; use whole_line_integral for n >= 2")
-    pos = pv_fast_half(p, "pos", tol / 2.0)
-    neg = pv_fast_half(p, "neg", tol / 2.0)
-    return QuadResult(pos.value + neg.value,
-                      pos.abs_error_estimate + neg.abs_error_estimate,
-                      pos.subdivisions + neg.subdivisions)
+    return pv_fast_half(p, "pos", tol / 2.0) + pv_fast_half(p, "neg", tol / 2.0)
 
 
 def half_line_integral(p: PolyP, side: str, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -219,35 +203,20 @@ def half_line_integral(p: PolyP, side: str, tol: float = DEFAULT_TOL) -> QuadRes
     if p.n < 2:
         raise QuadratureError(
             "half_line_integral needs n >= 2 (divergent for n = 1)")
-    _check_negative_definite(p)
     k = 2 * p.n - 3
-    if side == "pos":
-        lo, hi = 0.0, 1.0
-    elif side == "neg":
-        lo, hi = -1.0, 0.0
-    else:
-        raise QuadratureError(f"side must be 'pos' or 'neg', got {side!r}")
-    core = adaptive_quad(lambda v: v / p(v), lo, hi, tol / 2.0)
-    tail = adaptive_quad(lambda u: u ** k / p.tail_poly(u), lo, hi, tol / 2.0)
-    return QuadResult(core.value + tail.value,
-                      core.abs_error_estimate + tail.abs_error_estimate,
-                      core.subdivisions + tail.subdivisions)
+    return _core_plus_tail(p, side, lambda u: u ** k / p.tail_poly(u), tol)
 
 
 def whole_line_integral(p: PolyP, tol: float = DEFAULT_TOL) -> QuadResult:
     """int_R v/P dv for n >= 2; its sign classifies the delay asymmetry."""
-    pos = half_line_integral(p, "pos", tol / 2.0)
-    neg = half_line_integral(p, "neg", tol / 2.0)
-    return QuadResult(pos.value + neg.value,
-                      pos.abs_error_estimate + neg.abs_error_estimate,
-                      pos.subdivisions + neg.subdivisions)
+    return (half_line_integral(p, "pos", tol / 2.0)
+            + half_line_integral(p, "neg", tol / 2.0))
 
 
 def classical_sdi(h_over_f: Callable[[float], float], x_in: float, x_out: float,
                   tol: float = DEFAULT_TOL) -> QuadResult:
     """Slow divergence integral int_{x_in}^{x_out} (h/f)(s) ds (signed)."""
     if x_in <= x_out:
-        r = adaptive_quad(h_over_f, x_in, x_out, tol)
-        return r
+        return adaptive_quad(h_over_f, x_in, x_out, tol)
     r = adaptive_quad(h_over_f, x_out, x_in, tol)
     return QuadResult(-r.value, r.abs_error_estimate, r.subdivisions)

@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, CSV output, config merging, determinism."""
+import csv
 import math
 
 import numpy as np
@@ -70,6 +71,14 @@ class TestDelta0:
         assert rows[0][-1] == "ok"
         assert rows[1][-1].startswith("error")
 
+    def test_same_exit_string_as_dulac(self, ddr_path, tmp_path):
+        d, s = tmp_path / "d.csv", tmp_path / "s.csv"
+        assert main(["delta0", "--model", ddr_path, "--x-in", "1.016",
+                     "--out", str(d)]) == 0
+        assert main(["dulac", "--model", ddr_path, "--eps", "0.01",
+                     "--x-in", "1.016", "--out", str(s)]) == 0
+        assert read_csv(d)[1][0][3] == read_csv(s)[1][0][3]
+
     def test_stdout_when_no_out(self, ddr_path, capsys):
         assert main(["delta0", "--model", ddr_path, "--x-in", "1.016"]) == 0
         out = capsys.readouterr().out
@@ -101,6 +110,15 @@ class TestDulac:
         err = {(float(r[0]), float(r[1])): float(r[4]) for r in rows}
         # error shrinks with eps at fixed entry point
         assert err[(0.005, 1.016)] < err[(0.01, 1.016)]
+
+    def test_theory_error_stays_in_its_field(self, ddr_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["dulac", "--model", ddr_path, "--eps", "0.01",
+                     "--x-in", "1.016,1.3", "--out", str(out)]) == 1
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [len(r) for r in rows] == [6, 6, 6]
+        assert rows[2][1] == "1.3"
+        assert rows[2][5].startswith("theory-error")
 
     def test_empty_eps_is_usage_error(self, ddr_path, capsys):
         assert main(["dulac", "--model", ddr_path]) == 2
@@ -149,6 +167,13 @@ class TestConverge:
                           "verdict"]
         assert rows[0][-1] == "pass"
         assert float(rows[0][3]) < 0.2
+
+    def test_grid_default_and_explicit(self, ddr_path, tmp_path):
+        args = ["converge", "--model", ddr_path, "--eps", "0.03,0.04,0.05"]
+        for extra, nrows in (([], 5), (["--grid", "25"], 25)):
+            out = tmp_path / "c.csv"
+            assert main(args + extra + ["--out", str(out)]) == 0
+            assert len(read_csv(out)[1]) == nrows
 
     def test_needs_three_eps(self, ddr_path, capsys):
         assert main(["converge", "--model", ddr_path,

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from turnpike.errors import IntegrationError, ModelError
 from turnpike.integrate import (EventSpec, IntegratorConfig, Trajectory,
                                 active_backend, compiled_kernel_available,
-                                dulac_map_numeric, integrate, log_y_at_x0)
+                                dulac_map_numeric, integrate, log_y_at_x0,
+                                z_at_x0)
 from turnpike.model import StateXY, StateXZ, ddr_model
 
 from conftest import decay_model
@@ -260,6 +261,17 @@ class TestDulacMap:
     def test_log_y_needs_to_reach_origin(self, ddr):
         with pytest.raises(IntegrationError, match="never reached"):
             log_y_at_x0(ddr, 1.016, 0.01, IntegratorConfig(max_time=1.0))
+
+    def test_z_at_x0_both_directions(self, ddr, quartic):
+        assert log_y_at_x0(ddr, 1.016, 0.01) == -1.0 / z_at_x0(ddr, 1.016, 0.01)
+        # int_R v/P < 0 for the quartic: the forward delay stalls lower
+        z_in = z_at_x0(quartic, 1.2, 0.05)
+        z_out = z_at_x0(quartic, -1.2, 0.05, backward=True)
+        assert 0.0 < z_in < z_out
+        with pytest.raises(IntegrationError, match="never reached") as ei:
+            z_at_x0(quartic, -1.2, 0.05, IntegratorConfig(max_time=1.0),
+                    backward=True)
+        assert ei.value.status == "t_end"
 
     def test_nge2_overshoot_never_returns(self, quartic):
         # with int_R v/P < 0 the forward delay undershoots the exit budget:

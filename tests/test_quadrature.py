@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as sint
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turnpike.errors import QuadratureError
 from turnpike.model import PolyP, make_zeta
@@ -65,6 +67,10 @@ class TestAdaptiveQuad:
         r = QuadResult(1.5, 1e-12, 3)
         assert float(r) == 1.5
 
+    def test_sum_adds_every_field(self):
+        r = QuadResult(1.5, 1e-12, 3) + QuadResult(-0.25, 2e-12, 4)
+        assert r == QuadResult(1.25, 3e-12, 7)
+
 
 class TestRegularSlowPart:
     def test_ddr_closed_form(self):
@@ -89,10 +95,12 @@ class TestRegularSlowPart:
         assert r.value == pytest.approx(ref, abs=1e-10)
 
     def test_zeta_floor_guard(self):
-        # zeta = -1 + s vanishes at s = 1
+        # zeta = -1 + s vanishes at s = 1: a scan point of [0.5, 1.5], and
+        # between two scan points of [-1, 1.5]
         zeta = make_zeta("ddr-beta", (1.0,))
-        with pytest.raises(QuadratureError, match="ill-posed"):
-            regular_slow_part(zeta, 0.5, 1.5)
+        for a, b in ((0.5, 1.5), (-1.0, 1.5)):
+            with pytest.raises(QuadratureError, match="ill-posed"):
+                regular_slow_part(zeta, a, b)
 
     def test_pv_slow_combines_log(self):
         zeta = make_zeta("ddr-beta", (1.0,))
@@ -105,6 +113,23 @@ class TestRegularSlowPart:
         zeta = make_zeta("ddr-beta", (1.0,))
         with pytest.raises(QuadratureError):
             pv_slow(zeta, 0.5, 1.0)
+
+
+class TestRegularSlowPartProperty:
+    """r = beta / (beta s - 1) for zeta = -1 + beta s: exact log integral."""
+
+    # exact zeros and |endpoint| < 1e-6, which the removed smoothing window
+    # around the origin used to clip, next to the whole ranges
+    @given(st.floats(0.2, 1.0),
+           st.one_of(st.floats(-3.0, 0.0), st.floats(-1e-6, 0.0), st.just(0.0)),
+           st.one_of(st.floats(0.0, 0.9), st.floats(0.0, 1e-6), st.just(0.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_ddr_log_closed_form(self, beta, a, b):
+        zeta = make_zeta("ddr-beta", (beta,))
+        ref = math.log1p(-beta * b) - math.log1p(-beta * a)
+        fwd = regular_slow_part(zeta, a, b)
+        assert fwd.value == pytest.approx(ref, abs=1e-12)
+        assert regular_slow_part(zeta, b, a).value == -fwd.value
 
 
 class TestFastPrincipalValue:
