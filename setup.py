@@ -1,27 +1,20 @@
 """Build hook for the optional compiled stepping kernel.
 
-The package is fully functional without the extension: turnpike.integrate
-falls back to the pure-Python twin if `turnpike.integrate._dp45` is absent.
--ffp-contract=off keeps the compiled arithmetic bit-identical to the
-interpreter (no fused multiply-adds), so the twins agree step for step.
+dp45.c is plain C with no Python API; it becomes the shared library
+turnpike/integrate/_dp45_lib<EXT_SUFFIX>, which turnpike.integrate loads
+through ctypes. The package is fully functional without it (the build is
+optional): the pure-Python kernel then runs. -ffp-contract=off keeps the
+compiled arithmetic bit-identical to the interpreter (no fused
+multiply-adds), so the two kernels agree step for step.
 """
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "turnpike.integrate._dp45",
-                ["src/turnpike/integrate/_dp45.pyx"],
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-            )
-        ],
-        language_level=3,
+setup(ext_modules=[
+    Extension(
+        "turnpike.integrate._dp45_lib",
+        ["src/turnpike/integrate/dp45.c"],
+        extra_compile_args=["-O3", "-ffp-contract=off"],
+        libraries=["m"],
+        optional=True,
     )
-except ImportError:
-    print("Cython not available; building without the compiled kernel")
-
-setup(ext_modules=ext_modules)
+])

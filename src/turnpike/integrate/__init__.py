@@ -1,10 +1,11 @@
 """Event-driven integration of the slow-fast passage in (x, z) or (x, y).
 
-The stepping kernel exists twice: a Cython extension (`._dp45`) and a pure
-Python twin (`._dp45_py`) with identical semantics. The compiled kernel is
-used automatically when it is importable and the model's zeta/g are builtin
-forms; the TURNPIKE_KERNEL environment variable ('auto', 'compiled',
-'python') overrides the choice.
+The stepping kernel is specified by the pure-Python `._dp45_py`; the C file
+`dp45.c`, bound through ctypes by `._dp45_ctypes`, performs the same
+floating-point operations and agrees with it bit for bit. The compiled
+kernel is used automatically when its library is built and the model's
+zeta/g are builtin forms; the TURNPIKE_KERNEL environment variable ('auto',
+'compiled', 'python') overrides the choice.
 """
 from __future__ import annotations
 
@@ -18,12 +19,9 @@ import numpy as np
 from ..errors import IntegrationError, ModelError
 from ..model import SlowFastModel, StateXY, StateXZ
 
-from . import _dp45_py
+from . import _dp45_ctypes, _dp45_py
 
-try:  # compiled twin is optional
-    from . import _dp45 as _dp45_c
-except ImportError:  # pragma: no cover - depends on build environment
-    _dp45_c = None
+_dp45_c = _dp45_ctypes.load()  # None unless the library is built
 
 __all__ = [
     "IntegratorConfig",

@@ -1,9 +1,11 @@
-"""Pure-Python Dormand-Prince 5(4) kernel.
+"""Pure-Python Dormand-Prince 5(4) kernel, the executable specification.
 
-Twin of the compiled module `turnpike.integrate._dp45`; both expose
-`integrate_kernel` with identical semantics and are expected to agree
-step-for-step. This one additionally accepts arbitrary Python callables
-for zeta and g (kind code -1), which the compiled twin rejects.
+The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) performs the same
+floating-point operations in the same order, so the two agree bit for bit;
+change both together. Squares are written as products in both, since a C
+compiler folds pow(a, 2.0) into a*a while CPython's `a ** 2` calls libm
+pow. Only this kernel accepts Python callables for zeta and g (kind code
+-1).
 
 Implements: FSAL stepping, PI step-size control (0.9 safety, exponents
 0.7/5 and 0.4/5, factor clamped to [0.2, 10]), a quartic dense output,
@@ -102,6 +104,11 @@ def _ev_g(kind, value, x, w):
     return w - value  # kinds 1 and 3
 
 
+def weighted_lam(lam, eps, two_n):
+    """The coefficients lam[i] * eps^(2n - i) of the eps-weighted P."""
+    return [lam[i] * eps ** (two_n - i) for i in range(two_n)]
+
+
 def integrate_kernel(mode, n, lam, eps,
                      zeta_kind, zeta_params, g_kind, g_params,
                      zeta_fn, g_fn,
@@ -116,7 +123,7 @@ def integrate_kernel(mode, n, lam, eps,
     'step_underflow').
     """
     two_n = 2 * n
-    wlam = [lam[i] * eps ** (two_n - i) for i in range(two_n)]
+    wlam = weighted_lam(lam, eps, two_n)
     zp = tuple(zeta_params)
     gp = tuple(g_params)
     nev = len(ev_kind)
@@ -145,15 +152,21 @@ def integrate_kernel(mode, n, lam, eps,
     else:
         sc_x = atol + rtol * abs(x)
         sc_w = atol + rtol * abs(w)
-        d0 = math.sqrt(0.5 * ((x / sc_x) ** 2 + (w / sc_w) ** 2))
-        d1 = math.sqrt(0.5 * ((fx / sc_x) ** 2 + (fw / sc_w) ** 2))
+        ux = x / sc_x
+        uw = w / sc_w
+        d0 = math.sqrt(0.5 * (ux * ux + uw * uw))
+        vx = fx / sc_x
+        vw = fw / sc_w
+        d1 = math.sqrt(0.5 * (vx * vx + vw * vw))
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         x1 = x + h0 * fx
         w1 = w + h0 * fw
         f1x, f1w = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
                         g_kind, gp, g_fn, time_sign, x1, w1)
         n_rhs += 1
-        d2 = math.sqrt(0.5 * (((f1x - fx) / sc_x) ** 2 + ((f1w - fw) / sc_w) ** 2)) / h0
+        vx = (f1x - fx) / sc_x
+        vw = (f1w - fw) / sc_w
+        d2 = math.sqrt(0.5 * (vx * vx + vw * vw)) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -215,7 +228,9 @@ def integrate_kernel(mode, n, lam, eps,
                      + _E6 * k6w + _E7 * k7w)
         sc_x = atol + rtol * max(abs(x), abs(x_new))
         sc_w = atol + rtol * max(abs(w), abs(w_new))
-        err_norm = math.sqrt(0.5 * ((err_x / sc_x) ** 2 + (err_w / sc_w) ** 2))
+        ex = err_x / sc_x
+        ew = err_w / sc_w
+        err_norm = math.sqrt(0.5 * (ex * ex + ew * ew))
 
         # the transformed system lives on z >= 0
         if mode == 0 and w_new < 0.0:

@@ -1,0 +1,449 @@
+/* Compiled Dormand-Prince 5(4) stepper for the slow-fast passage.
+ *
+ * The executable specification is turnpike/integrate/_dp45_py.py: this file
+ * performs the same floating-point operations in the same order, so the two
+ * agree bit for bit. Build it with -ffp-contract=off (no fused multiply-add)
+ * and never with -ffast-math. Python's min/max keep the first argument on
+ * ties and NaN, which py_min/py_max reproduce; squares are products in both
+ * files, because a compiler folds pow(a, 2.0) into a*a while libm pow may
+ * round a*a differently.
+ *
+ * Only the builtin forms are evaluated here: zeta kinds 0 (constant -1),
+ * 1 (ddr-beta, -1 + beta x) and 2 (polynomial, ascending coefficients), and
+ * a constant g. The caller owns every buffer; nothing is allocated and no
+ * state outlives a call, so concurrent calls are safe.
+ */
+#include <math.h>
+#include <stdint.h>
+
+enum {
+    DP45_T_END = 0,
+    DP45_EVENT = 1,
+    DP45_MAX_STEPS = 2,
+    DP45_STEP_UNDERFLOW = 3,
+    DP45_BUFFER_FULL = 4 /* enlarge the node or event buffers and rerun */
+};
+
+#define EXP_UNDERFLOW 745.0
+#define SAFETY 0.9
+#define MIN_FACTOR 0.2
+#define MAX_FACTOR 10.0
+#define ALPHA (0.7 / 5.0)
+#define BETA (0.4 / 5.0)
+
+/* Dormand-Prince 5(4) tableau */
+#define A21 0.2
+#define A31 (3.0 / 40.0)
+#define A32 (9.0 / 40.0)
+#define A41 (44.0 / 45.0)
+#define A42 (-56.0 / 15.0)
+#define A43 (32.0 / 9.0)
+#define A51 (19372.0 / 6561.0)
+#define A52 (-25360.0 / 2187.0)
+#define A53 (64448.0 / 6561.0)
+#define A54 (-212.0 / 729.0)
+#define A61 (9017.0 / 3168.0)
+#define A62 (-355.0 / 33.0)
+#define A63 (46732.0 / 5247.0)
+#define A64 (49.0 / 176.0)
+#define A65 (-5103.0 / 18656.0)
+#define B1 (35.0 / 384.0)
+#define B3 (500.0 / 1113.0)
+#define B4 (125.0 / 192.0)
+#define B5 (-2187.0 / 6784.0)
+#define B6 (11.0 / 84.0)
+#define E1 (-71.0 / 57600.0)
+#define E3 (71.0 / 16695.0)
+#define E4 (-71.0 / 1920.0)
+#define E5 (17253.0 / 339200.0)
+#define E6 (-22.0 / 525.0)
+#define E7 (1.0 / 40.0)
+
+/* dense-output coefficients: u(theta) = u0 + h * sum_j theta^(j+1) * (K^T P)_j */
+static const double P[7][4] = {
+    {1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0},
+    {0.0, 0.0, 0.0, 0.0},
+    {0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0},
+    {0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0},
+    {0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0},
+    {0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0},
+    {0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+     69997945.0 / 29380423.0},
+};
+
+/* The vector field of one run. */
+struct field {
+    int mode; /* 0: (x, z) with y = exp(-1/z); 1: raw (x, y) */
+    int two_n;
+    const double *wlam; /* lam[i] * eps^(2n - i), i < 2n */
+    double eps;
+    int zeta_kind;
+    const double *zeta_params;
+    int n_zeta_params;
+    double g;
+    double sign; /* +1 forward, -1 time-reversed */
+};
+
+static double py_min(double a, double b) { return b < a ? b : a; }
+static double py_max(double a, double b) { return b > a ? b : a; }
+
+static double zeta_eval(const struct field *f, double x)
+{
+    double acc = 0.0;
+    if (f->zeta_kind == 0)
+        return -1.0;
+    if (f->zeta_kind == 1)
+        return -1.0 + f->zeta_params[0] * x;
+    for (int i = f->n_zeta_params - 1; i >= 0; i--)
+        acc = acc * x + f->zeta_params[i];
+    return acc;
+}
+
+static void rhs(const struct field *f, double x, double w,
+                double *dx_out, double *dw_out)
+{
+    double acc = 0.0, fx, y, dx, dw;
+    for (int i = f->two_n - 1; i >= 0; i--)
+        acc = acc * x + f->wlam[i];
+    /* as CPython's float **, which applies pow to |x| (the power is even) */
+    fx = acc + pow(fabs(x), (double)f->two_n) * zeta_eval(f, x);
+    if (f->mode == 0) {
+        if (w <= 0.0 || 1.0 / w > EXP_UNDERFLOW)
+            y = 0.0;
+        else
+            y = exp(-1.0 / w);
+        dx = f->eps * fx + (y != 0.0 ? y * f->g : 0.0);
+        dw = -x * w * w;
+    } else {
+        dx = f->eps * fx + w * f->g;
+        dw = -x * w;
+    }
+    *dx_out = f->sign * dx;
+    *dw_out = f->sign * dw;
+}
+
+static double ev_g(int kind, double value, double x, double w)
+{
+    if (kind == 0)
+        return x;
+    if (kind == 2)
+        return x - value;
+    return w - value; /* kinds 1 and 3 */
+}
+
+static double dense(double base, double h, const double *q, double th)
+{
+    return base + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])));
+}
+
+/* Integrate from (x0, w0) at t = 0 until a terminal event or t_max.
+ *
+ * Nodes go to t, x, w (node_cap entries), step sizes to h and the dense
+ * coefficients (qx[0..3], qw[0..3]) of each step to q (node_cap - 1 and
+ * 8 * (node_cap - 1) entries). Events go to ev_index and ev_txw (t, x, w;
+ * event_cap and 3 * event_cap entries). counts receives the nodes, events,
+ * accepted steps, rejected steps and right-hand-side evaluations, and
+ * err_accum the summed |local error| of x and w. Returns a DP45_* status;
+ * after DP45_BUFFER_FULL the outputs are incomplete.
+ */
+int dp45_integrate(int mode, int n, const double *wlam, double eps,
+                   int zeta_kind, const double *zeta_params, int n_zeta_params,
+                   double g_const,
+                   double x0, double w0, double t_max, double time_sign,
+                   double rtol, double atol, double max_step, double first_step,
+                   int n_ev, const int *ev_kind, const double *ev_value,
+                   const int *ev_dir, const int *ev_term, double event_tol,
+                   int64_t max_steps,
+                   int64_t node_cap, double *ts, double *xs, double *ws,
+                   double *hs, double *qs,
+                   int64_t event_cap, int64_t *ev_index, double *ev_txw,
+                   int64_t *counts, double *err_accum)
+{
+    const struct field f = {mode, 2 * n, wlam, eps, zeta_kind, zeta_params,
+                            n_zeta_params, g_const, time_sign};
+    int64_t n_nodes = 1, n_events = 0, n_steps = 0, n_rejected = 0, n_rhs = 0;
+    double err_acc_x = 0.0, err_acc_w = 0.0;
+    double t = 0.0, x = x0, w = w0, fx, fw, h;
+    double err_prev = 1e-4;
+    int last_rejected = 0, status;
+
+    if (node_cap < 1)
+        return DP45_BUFFER_FULL;
+    ts[0] = 0.0;
+    xs[0] = x0;
+    ws[0] = w0;
+    rhs(&f, x, w, &fx, &fw);
+    n_rhs += 1;
+
+    /* initial step selection (Hairer-style trial Euler step) */
+    if (first_step > 0.0) {
+        h = first_step;
+    } else {
+        double sc_x = atol + rtol * fabs(x);
+        double sc_w = atol + rtol * fabs(w);
+        double ux = x / sc_x, uw = w / sc_w;
+        double d0 = sqrt(0.5 * (ux * ux + uw * uw));
+        double vx = fx / sc_x, vw = fw / sc_w;
+        double d1 = sqrt(0.5 * (vx * vx + vw * vw));
+        double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
+        double x1 = x + h0 * fx, w1 = w + h0 * fw, f1x, f1w, d2, h1;
+        rhs(&f, x1, w1, &f1x, &f1w);
+        n_rhs += 1;
+        vx = (f1x - fx) / sc_x;
+        vw = (f1w - fw) / sc_w;
+        d2 = sqrt(0.5 * (vx * vx + vw * vw)) / h0;
+        if (d1 <= 1e-15 && d2 <= 1e-15)
+            h1 = py_max(1e-6, h0 * 1e-3);
+        else
+            h1 = pow(0.01 / py_max(d1, d2), 0.2);
+        h = py_min(100.0 * h0, h1);
+    }
+    h = py_min(py_min(h, max_step), t_max);
+
+    for (;;) {
+        double k1x, k1w, k2x, k2w, k3x, k3w, k4x, k4w, k5x, k5w, k6x, k6w;
+        double k7x, k7w, ax, aw, x_new, w_new, err_x, err_w, ex, ew, sc_x, sc_w;
+        double err_norm, factor, t_next, qx[4], qw[4], kx[7], kw[7];
+        double terminal_theta = 0.0;
+        int last_step = 0, have_terminal = 0;
+        int64_t n_hits = 0;
+
+        if (t >= t_max) {
+            status = DP45_T_END;
+            break;
+        }
+        if (n_steps >= max_steps) {
+            status = DP45_MAX_STEPS;
+            break;
+        }
+        if (h >= t_max - t) {
+            h = t_max - t;
+            last_step = 1;
+        }
+        if (h < 1e-15 * py_max(fabs(t), 1.0)) {
+            status = DP45_STEP_UNDERFLOW;
+            break;
+        }
+
+        /* stages (k1 = FSAL carry) */
+        k1x = fx;
+        k1w = fw;
+        ax = x + h * A21 * k1x;
+        aw = w + h * A21 * k1w;
+        rhs(&f, ax, aw, &k2x, &k2w);
+        ax = x + h * (A31 * k1x + A32 * k2x);
+        aw = w + h * (A31 * k1w + A32 * k2w);
+        rhs(&f, ax, aw, &k3x, &k3w);
+        ax = x + h * (A41 * k1x + A42 * k2x + A43 * k3x);
+        aw = w + h * (A41 * k1w + A42 * k2w + A43 * k3w);
+        rhs(&f, ax, aw, &k4x, &k4w);
+        ax = x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x);
+        aw = w + h * (A51 * k1w + A52 * k2w + A53 * k3w + A54 * k4w);
+        rhs(&f, ax, aw, &k5x, &k5w);
+        ax = x + h * (A61 * k1x + A62 * k2x + A63 * k3x + A64 * k4x + A65 * k5x);
+        aw = w + h * (A61 * k1w + A62 * k2w + A63 * k3w + A64 * k4w + A65 * k5w);
+        rhs(&f, ax, aw, &k6x, &k6w);
+        x_new = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x);
+        w_new = w + h * (B1 * k1w + B3 * k3w + B4 * k4w + B5 * k5w + B6 * k6w);
+        rhs(&f, x_new, w_new, &k7x, &k7w);
+        n_rhs += 6;
+
+        err_x = h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x
+                     + E6 * k6x + E7 * k7x);
+        err_w = h * (E1 * k1w + E3 * k3w + E4 * k4w + E5 * k5w
+                     + E6 * k6w + E7 * k7w);
+        sc_x = atol + rtol * py_max(fabs(x), fabs(x_new));
+        sc_w = atol + rtol * py_max(fabs(w), fabs(w_new));
+        ex = err_x / sc_x;
+        ew = err_w / sc_w;
+        err_norm = sqrt(0.5 * (ex * ex + ew * ew));
+
+        /* the transformed system lives on z >= 0 */
+        if (mode == 0 && w_new < 0.0) {
+            h *= 0.5;
+            n_rejected += 1;
+            last_rejected = 1;
+            continue;
+        }
+
+        if (err_norm > 1.0) {
+            factor = py_max(MIN_FACTOR, SAFETY * pow(err_norm, -ALPHA));
+            h *= factor;
+            n_rejected += 1;
+            last_rejected = 1;
+            continue;
+        }
+
+        /* accepted: dense coefficients Q = K^T P */
+        kx[0] = k1x; kx[1] = k2x; kx[2] = k3x; kx[3] = k4x;
+        kx[4] = k5x; kx[5] = k6x; kx[6] = k7x;
+        kw[0] = k1w; kw[1] = k2w; kw[2] = k3w; kw[3] = k4w;
+        kw[4] = k5w; kw[5] = k6w; kw[6] = k7w;
+        for (int j = 0; j < 4; j++)
+            qx[j] = qw[j] = 0.0;
+        for (int s = 0; s < 7; s++)
+            for (int j = 0; j < 4; j++) {
+                qx[j] += kx[s] * P[s][j];
+                qw[j] += kw[s] * P[s][j];
+            }
+
+        /* event scan over this step; the hits are staged in the free tail
+         * of the event buffers, local theta in the t slot */
+        for (int ie = 0; ie < n_ev; ie++) {
+            int kind = ev_kind[ie], comp, up;
+            double g0 = ev_g(kind, ev_value[ie], x, w);
+            double g1 = ev_g(kind, ev_value[ie], x_new, w_new);
+            double target, u0, a = 0.0, b = 1.0, ga = g0, th, x_ev, w_ev;
+            const double *q;
+            if (g0 == 0.0)
+                continue;
+            if (!(g1 == 0.0 || (g0 < 0.0) != (g1 < 0.0)))
+                continue;
+            up = g0 < 0.0;
+            if (ev_dir[ie] > 0 && !up)
+                continue;
+            if (ev_dir[ie] < 0 && up)
+                continue;
+            comp = (kind == 0 || kind == 2) ? 0 : 1;
+            target = kind == 0 ? 0.0 : ev_value[ie];
+            q = comp == 0 ? qx : qw;
+            u0 = comp == 0 ? x : w;
+            /* bisection on the dense polynomial, to event_tol in local theta */
+            for (int it = 0; it < 60; it++) {
+                double m = 0.5 * (a + b);
+                double gm = dense(u0, h, q, m) - target;
+                if (gm == 0.0) {
+                    a = b = m;
+                    break;
+                }
+                if ((ga < 0.0) != (gm < 0.0)) {
+                    b = m;
+                } else {
+                    a = m;
+                    ga = gm;
+                }
+                if (b - a < event_tol)
+                    break;
+            }
+            th = 0.5 * (a + b);
+            /* Newton polish on the quartic */
+            for (int it = 0; it < 4; it++) {
+                double gv = dense(u0, h, q, th) - target;
+                double dgv = h * (q[0] + th * (2.0 * q[1] + th * (3.0 * q[2]
+                                  + th * 4.0 * q[3])));
+                double step, tn;
+                if (dgv == 0.0)
+                    break;
+                step = gv / dgv;
+                tn = th - step;
+                if (tn < 0.0 || tn > 1.0)
+                    break;
+                th = tn;
+                if (fabs(step) < 1e-17)
+                    break;
+            }
+            x_ev = dense(x, h, qx, th);
+            w_ev = dense(w, h, qw, th);
+            if (kind == 1 && !(x_ev < 0.0))
+                continue; /* return-section crossing requires x < 0 */
+            if (n_events + n_hits >= event_cap)
+                return DP45_BUFFER_FULL;
+            ev_index[n_events + n_hits] = ie;
+            ev_txw[3 * (n_events + n_hits)] = th;
+            ev_txw[3 * (n_events + n_hits) + 1] = x_ev;
+            ev_txw[3 * (n_events + n_hits) + 2] = w_ev;
+            n_hits++;
+        }
+
+        if (n_hits > 0) {
+            /* stable insertion sort by theta: the hits were staged in event
+             * order, so this is the (theta, index) order of a tuple sort */
+            int64_t *idx = ev_index + n_events;
+            double *txw = ev_txw + 3 * n_events;
+            for (int64_t i = 1; i < n_hits; i++) {
+                int64_t ie = idx[i], j = i - 1;
+                double th = txw[3 * i], xe = txw[3 * i + 1], we = txw[3 * i + 2];
+                while (j >= 0 && txw[3 * j] > th) {
+                    idx[j + 1] = idx[j];
+                    txw[3 * (j + 1)] = txw[3 * j];
+                    txw[3 * (j + 1) + 1] = txw[3 * j + 1];
+                    txw[3 * (j + 1) + 2] = txw[3 * j + 2];
+                    j--;
+                }
+                idx[j + 1] = ie;
+                txw[3 * (j + 1)] = th;
+                txw[3 * (j + 1) + 1] = xe;
+                txw[3 * (j + 1) + 2] = we;
+            }
+            /* keep the hits up to and including the first terminal one */
+            for (int64_t i = 0; i < n_hits; i++) {
+                double th = txw[3 * i];
+                txw[3 * i] = t + th * h;
+                n_events++;
+                if (ev_term[idx[i]]) {
+                    have_terminal = 1;
+                    terminal_theta = th;
+                    break;
+                }
+            }
+        }
+
+        if (n_nodes >= node_cap)
+            return DP45_BUFFER_FULL;
+        t_next = last_step ? t_max : t + h;
+        if (have_terminal) {
+            ts[n_nodes] = t + terminal_theta * h;
+            xs[n_nodes] = dense(x, h, qx, terminal_theta);
+            ws[n_nodes] = dense(w, h, qw, terminal_theta);
+        } else {
+            ts[n_nodes] = t_next;
+            xs[n_nodes] = x_new;
+            ws[n_nodes] = w_new;
+        }
+        hs[n_nodes - 1] = h;
+        for (int j = 0; j < 4; j++) {
+            qs[8 * (n_nodes - 1) + j] = qx[j];
+            qs[8 * (n_nodes - 1) + 4 + j] = qw[j];
+        }
+        n_nodes++;
+        err_acc_x += fabs(err_x);
+        err_acc_w += fabs(err_w);
+        n_steps += 1;
+        if (have_terminal) {
+            status = DP45_EVENT;
+            break;
+        }
+
+        /* PI controller */
+        if (err_norm == 0.0) {
+            factor = MAX_FACTOR;
+        } else {
+            factor = SAFETY * pow(err_norm, -ALPHA) * pow(err_prev, BETA);
+            factor = py_min(MAX_FACTOR, py_max(MIN_FACTOR, factor));
+        }
+        if (last_rejected)
+            factor = py_min(factor, 1.0);
+        t = t_next;
+        x = x_new;
+        w = w_new;
+        fx = k7x;
+        fw = k7w;
+        h = py_min(h * factor, max_step);
+        err_prev = py_max(err_norm, 1e-10);
+        last_rejected = 0;
+    }
+
+    counts[0] = n_nodes;
+    counts[1] = n_events;
+    counts[2] = n_steps;
+    counts[3] = n_rejected;
+    counts[4] = n_rhs;
+    err_accum[0] = err_acc_x;
+    err_accum[1] = err_acc_w;
+    return status;
+}

@@ -1,19 +1,48 @@
-"""Shared fixtures: reference models and a model-file writer."""
+"""Shared fixtures: reference models, a model-file writer, the C kernel."""
 from __future__ import annotations
 
+import importlib
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from turnpike.integrate import _dp45_ctypes
+from turnpike.integrate._dp45_ctypes import CompiledKernel
 from turnpike.model import PolyP, SlowFastModel, ddr_model, make_g, make_zeta
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"
+DP45_C = Path(_dp45_ctypes.__file__).with_name("dp45.c")
 
 
 @pytest.fixture(scope="session")
 def models_dir() -> Path:
     return MODELS_DIR
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory) -> CompiledKernel:
+    """dp45.c built with the flags of setup.py into a temporary directory,
+    so the source tree stays as checked out."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    lib = tmp_path_factory.mktemp("dp45") / "dp45.so"
+    subprocess.run([cc, "-shared", "-fPIC", "-O3", "-ffp-contract=off",
+                    str(DP45_C), "-o", str(lib), "-lm"],
+                   check=True, capture_output=True)
+    return CompiledKernel(lib)
+
+
+@pytest.fixture()
+def use_compiled(compiled_kernel, monkeypatch) -> CompiledKernel:
+    """Install the fixture-built library as turnpike.integrate's compiled
+    kernel; TURNPIKE_KERNEL still chooses between the backends."""
+    monkeypatch.setattr(importlib.import_module("turnpike.integrate"),
+                        "_dp45_c", compiled_kernel)
+    return compiled_kernel
 
 
 @pytest.fixture()

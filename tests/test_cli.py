@@ -134,8 +134,8 @@ class TestDulac:
         assert main(["dulac", "--model", str(path), "--eps", "0.01"]) == 2
         assert "hypotheses" in capsys.readouterr().err
 
-    def test_deterministic_and_thread_invariant(self, ddr_path, tmp_path,
-                                                monkeypatch):
+    @staticmethod
+    def _serial_twice_then_threaded(ddr_path, tmp_path, monkeypatch):
         args = ["dulac", "--model", ddr_path, "--eps", "0.01,0.005",
                 "--x-in", "1.01,1.016"]
         monkeypatch.delenv("TURNPIKE_THREADS", raising=False)
@@ -144,7 +144,24 @@ class TestDulac:
         assert main(args + ["--out", str(b)]) == 0
         monkeypatch.setenv("TURNPIKE_THREADS", "2")
         assert main(args + ["--out", str(c)]) == 0
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        return a.read_bytes(), b.read_bytes(), c.read_bytes()
+
+    def test_deterministic_and_thread_invariant(self, ddr_path, tmp_path,
+                                                monkeypatch):
+        a, b, c = self._serial_twice_then_threaded(ddr_path, tmp_path,
+                                                   monkeypatch)
+        assert a == b == c
+
+    def test_compiled_kernel_is_thread_safe(self, ddr_path, tmp_path,
+                                            monkeypatch, use_compiled):
+        # the C kernel runs without the interpreter lock on two threads
+        monkeypatch.setenv("TURNPIKE_KERNEL", "python")
+        py, _, _ = self._serial_twice_then_threaded(ddr_path, tmp_path,
+                                                    monkeypatch)
+        monkeypatch.setenv("TURNPIKE_KERNEL", "compiled")
+        a, b, c = self._serial_twice_then_threaded(ddr_path, tmp_path,
+                                                   monkeypatch)
+        assert a == b == c == py
 
 
 class TestConverge:

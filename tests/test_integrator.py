@@ -12,9 +12,34 @@ from turnpike.integrate import (EventSpec, IntegratorConfig, Trajectory,
                                 active_backend, compiled_kernel_available,
                                 dulac_map_numeric, integrate, log_y_at_x0,
                                 z_at_x0)
-from turnpike.model import StateXY, StateXZ, ddr_model
+from turnpike.integrate import _EV_DIRS, _EV_KINDS, _dp45_py
+from turnpike.model import StateXY, StateXZ, ddr_model, load_model
 
 from conftest import decay_model
+
+
+def _kernel_args(mode=0, n=1, lam=(-2.0, 1.0), eps=0.01, zeta_kind=0,
+                 zeta_params=(), g_params=(-1.0,), x0=1.0, w0=0.5, t_max=1.0,
+                 time_sign=1.0, rtol=1e-12, atol=1e-12, max_step=math.inf,
+                 first_step=0.0, events=(), event_tol=1e-13, max_steps=10_000):
+    """Positional arguments of integrate_kernel, in its order."""
+    return (mode, n, lam, eps, zeta_kind, zeta_params, 0, g_params,
+            None, None, x0, w0, t_max, time_sign, rtol, atol, max_step,
+            first_step, tuple(_EV_KINDS[e.kind] for e in events),
+            tuple(e.value for e in events),
+            tuple(_EV_DIRS[e.direction] for e in events),
+            tuple(int(e.terminal) for e in events), event_tol, max_steps)
+
+
+def _fingerprint(traj: Trajectory) -> tuple:
+    """Everything a run returns, with floats as their bit patterns."""
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+    return (traj.status, bits(traj.t), bits(traj.states),
+            bits(traj.step_sizes), bits(traj._q),
+            [e.index for e in traj.events],
+            bits([(e.t, e.x, e.w) for e in traj.events]),
+            traj.n_steps, traj.n_rejected, traj.n_rhs, bits(traj.err_accum))
 
 
 @functools.lru_cache(maxsize=1)
@@ -186,26 +211,120 @@ class TestBackends:
                          t_max=1.0)
         assert traj.status == "t_end"
 
-    @pytest.mark.skipif(not compiled_kernel_available(),
-                        reason="compiled kernel not built")
-    def test_compiled_rejects_callable_zeta(self, ddr, monkeypatch):
+    def test_compiled_rejects_callable_zeta(self, ddr, monkeypatch,
+                                            use_compiled):
         monkeypatch.setenv("TURNPIKE_KERNEL", "compiled")
+        assert compiled_kernel_available()
+        assert active_backend(ddr) == "compiled"
         from dataclasses import replace
         soft = replace(ddr, zeta=lambda x, eps: -1.0 + x, zeta_kind=None,
                        zeta_params=())
         with pytest.raises(IntegrationError, match="callable"):
             active_backend(soft)
+        with pytest.raises(ValueError, match="builtin"):
+            use_compiled.integrate_kernel(*_kernel_args(zeta_kind=-1))
 
-    @pytest.mark.skipif(not compiled_kernel_available(),
-                        reason="compiled kernel not built")
-    def test_twins_agree_step_for_step(self, ddr, monkeypatch):
+    def test_twins_agree_step_for_step(self, ddr, monkeypatch, use_compiled):
         monkeypatch.setenv("TURNPIKE_KERNEL", "python")
         x_py, d_py = dulac_map_numeric(ddr, 1.016, 0.01)
         monkeypatch.setenv("TURNPIKE_KERNEL", "compiled")
         x_c, d_c = dulac_map_numeric(ddr, 1.016, 0.01)
-        assert d_py.n_steps == d_c.n_steps
-        assert abs(x_py - x_c) < 1e-13
-        assert d_py.z_at_x0 == pytest.approx(d_c.z_at_x0, rel=1e-10)
+        assert x_py == x_c
+        assert d_py.z_at_x0 == d_c.z_at_x0
+        assert _fingerprint(d_py.trajectory) == _fingerprint(d_c.trajectory)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_canard_n2_twins_agree(self, models_dir, monkeypatch,
+                                   use_compiled, backward):
+        # the passage on which `(u / sc) ** 2` (libm pow) and the compiled
+        # a*a parted, at node 68 in both directions
+        model = load_model(models_dir / "canard_n2.model")
+        x0 = 0.5 * sum(model.I_out if backward else model.I_in)
+        ev = EventSpec(kind="x_crosses_zero",
+                       direction="up" if backward else "down", terminal=True)
+        runs = []
+        for backend in ("python", "compiled"):
+            monkeypatch.setenv("TURNPIKE_KERNEL", backend)
+            runs.append(integrate(model, StateXZ(x=x0, z=model.z_delta,
+                                                 eps=0.1),
+                                  [ev], time_direction=-1 if backward else 1))
+        assert runs[0].status == "event"
+        assert _fingerprint(runs[0]) == _fingerprint(runs[1])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_agree_bitwise(self, compiled_kernel, data):
+        n = data.draw(st.sampled_from((1, 2, 3)), label="n")
+        mode = data.draw(st.sampled_from((0, 1)), label="mode")
+        zk = data.draw(st.sampled_from((0, 1, 2)), label="zeta_kind")
+        coef = st.floats(-2.0, 2.0)
+        zp = {0: (), 1: (data.draw(st.floats(-1.0, 1.0), label="beta"),),
+              2: tuple(data.draw(st.lists(coef, min_size=1, max_size=4),
+                                 label="zeta_poly"))}[zk]
+        kw = dict(
+            mode=mode, n=n, zeta_kind=zk, zeta_params=zp,
+            lam=tuple(data.draw(st.lists(coef, min_size=2 * n,
+                                         max_size=2 * n), label="lam")),
+            eps=data.draw(st.floats(0.0, 0.3), label="eps"),
+            g_params=(data.draw(coef, label="g"),),
+            x0=data.draw(st.floats(-1.5, 1.5), label="x0"),
+            w0=data.draw(st.floats(0.0 if mode == 0 else -1.0, 1.0),
+                         label="w0"),
+            t_max=data.draw(st.floats(0.5, 20.0), label="t_max"),
+            time_sign=data.draw(st.sampled_from((1.0, -1.0)), label="sign"),
+            rtol=data.draw(st.sampled_from((1e-6, 1e-9, 1e-12)), label="rtol"),
+            atol=data.draw(st.sampled_from((1e-6, 1e-9, 1e-12)), label="atol"),
+            max_step=data.draw(st.sampled_from((math.inf, 1.0, 0.05)),
+                               label="max_step"),
+            first_step=data.draw(st.sampled_from((0.0, 1e-3)),
+                                 label="first_step"),
+            event_tol=data.draw(st.sampled_from((1e-13, 1e-8)),
+                                label="event_tol"),
+            max_steps=data.draw(st.sampled_from((300, 7)), label="max_steps"),
+        )
+        # event levels inside the range the event-free path sweeps
+        pilot = _dp45_py.integrate_kernel(*_kernel_args(**kw))
+        spans = {0: (min(pilot["x"]), max(pilot["x"])),
+                 1: (min(pilot["w"]), max(pilot["w"]))}
+        specs = []
+        for _ in range(data.draw(st.integers(0, 5), label="n_events")):
+            kind = data.draw(st.sampled_from(
+                ("x_crosses_zero", "y_reaches_delta_with_x_negative",
+                 "x_reaches_value") + (("z_reaches_value",) if mode == 0
+                                        else ())), label="kind")
+            lo, hi = spans[0 if kind == "x_reaches_value" else 1]
+            frac = data.draw(st.floats(0.05, 0.95), label="level")
+            specs.append(EventSpec(
+                kind=kind, value=lo + frac * (hi - lo),
+                direction=data.draw(st.sampled_from(("any", "up", "down")),
+                                    label="direction"),
+                terminal=data.draw(st.booleans(), label="terminal")))
+        args = _kernel_args(events=specs, **kw)
+        runs = [Trajectory("xz", kw["eps"], k.integrate_kernel(*args), specs)
+                for k in (_dp45_py, compiled_kernel)]
+        assert _fingerprint(runs[0]) == _fingerprint(runs[1])
+
+    def test_full_buffers_rerun_to_the_same_result(self, compiled_kernel,
+                                                   monkeypatch):
+        # start from one-entry buffers: every doubling reruns the passage
+        from turnpike.integrate import _dp45_ctypes
+        monkeypatch.setattr(_dp45_ctypes, "_FIRST_NODE_CAP", 1)
+        monkeypatch.setattr(_dp45_ctypes, "_FIRST_EVENT_CAP", 1)
+        ddr = ddr_model()
+        levels = {"x_crosses_zero": 0.0, "x_reaches_value": 0.5,
+                  "y_reaches_delta_with_x_negative": ddr.z_delta,
+                  "z_reaches_value": 0.5 * ddr.z_delta}
+        specs = [EventSpec(kind=kind, value=value, direction=direction,
+                           terminal=kind.startswith("y") and direction == "up")
+                 for kind, value in levels.items()
+                 for direction in ("any", "up", "down")]
+        args = _kernel_args(events=specs, zeta_kind=1, zeta_params=(1.0,),
+                            eps=0.05, x0=1.016, w0=ddr.z_delta, t_max=1e3)
+        runs = [Trajectory("xz", 0.05, k.integrate_kernel(*args), specs)
+                for k in (_dp45_py, compiled_kernel)]
+        assert runs[0].status == "event"
+        assert {e.spec.kind for e in runs[0].events} == set(levels)
+        assert _fingerprint(runs[0]) == _fingerprint(runs[1])
 
 
 class TestValidation:
