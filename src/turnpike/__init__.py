@@ -24,7 +24,7 @@ from .errors import (ChartError, EntryExitError, IntegrationError, ModelError,
 from .integrate import (DulacDiagnostics, EventHit, EventSpec,
                         IntegratorConfig, Trajectory, active_backend,
                         compiled_kernel_available, dulac_map_numeric,
-                        integrate, log_y_at_x0, z_at_x0)
+                        log_y_at_x0, z_at_x0)
 from .model import (HypothesisReport, PolyP, SlowFastModel, StateXY, StateXZ,
                     check_hypotheses, ddr_model, eval_f_lambda, exp_neg_inv,
                     load_model, make_g, make_zeta, vector_field_xy,
@@ -56,7 +56,7 @@ __all__ = [
     "solve_canard_parameter", "classical_delta0", "log_y_leading_order",
     # integration
     "IntegratorConfig", "EventSpec", "EventHit", "Trajectory",
-    "DulacDiagnostics", "integrate", "dulac_map_numeric", "log_y_at_x0",
+    "DulacDiagnostics", "dulac_map_numeric", "log_y_at_x0",
     "z_at_x0", "compiled_kernel_available", "active_backend",
     # blow-up charts
     "ChartPoint", "to_chart_eps1", "to_chart_z2", "theoretical_z2_curve",

@@ -55,34 +55,36 @@ class ExperimentConfig:
         return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
+# ExperimentConfig field -> (argparse dest, config-file key, parser)
+_CONFIG_SOURCES = {
+    "model_path": ("model", "model", str),
+    "eps": ("eps", "eps", _floats),
+    "x_in": ("x_in", "x_in", _floats),
+    "x_out": ("x_out", "x_out", float),
+    "grid": ("grid", "grid", int),
+    "tol": ("tol", "tol", float),
+    "out": ("out", "out", str),
+    "l_index": ("l_index", "l", int),
+    "target": ("target", "target", float),
+    "perturb": ("perturb", "perturb", float),
+    "eps_max": ("eps_max", "eps_max", float),
+    "rel_tol": ("rel_tol", "rel_tol", float),
+    "abs_tol": ("abs_tol", "abs_tol", float),
+}
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge precedence: explicit flag > config file > default."""
+    """Merge precedence: explicit flag > config file > ExperimentConfig default."""
     path = getattr(args, "config", None)
     cfg = parse_kv_file(path) if path else {}
-
-    def pick(flag: str, key: str, cast, default):
+    chosen = {"grid": 5} if args.command == "converge" else {}
+    for name, (flag, key, cast) in _CONFIG_SOURCES.items():
         v = getattr(args, flag, None)
         if v is not None:
-            return v
-        if key in cfg:
-            return cast(cfg[key])
-        return default
-
-    return ExperimentConfig(
-        model_path=pick("model", "model", str, None),
-        eps=pick("eps", "eps", _floats, ()),
-        x_in=pick("x_in", "x_in", _floats, ()),
-        x_out=pick("x_out", "x_out", float, None),
-        grid=pick("grid", "grid", int, 5 if args.command == "converge" else 25),
-        tol=pick("tol", "tol", float, 1e-8),
-        out=pick("out", "out", str, None),
-        l_index=pick("l_index", "l", int, 1),
-        target=pick("target", "target", float, 0.0),
-        perturb=pick("perturb", "perturb", float, 0.1),
-        eps_max=pick("eps_max", "eps_max", float, 0.05),
-        rel_tol=pick("rel_tol", "rel_tol", float, 1e-12),
-        abs_tol=pick("abs_tol", "abs_tol", float, 1e-12),
-    )
+            chosen[name] = v
+        elif key in cfg:
+            chosen[name] = cast(cfg[key])
+    return ExperimentConfig(**chosen)
 
 
 def _x_in_grid(cfg: ExperimentConfig, model: SlowFastModel) -> tuple[float, ...]:

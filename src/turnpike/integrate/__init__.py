@@ -141,7 +141,7 @@ def compiled_kernel_available() -> bool:
 
 
 def _model_codes(model: SlowFastModel) -> tuple[int, tuple, int, tuple]:
-    zk = _ZETA_CODES.get(model.zeta_kind, -1) if model.zeta_kind else -1
+    zk = _ZETA_CODES.get(model.zeta_kind, -1)
     gk = 0 if model.g_kind == "constant" else -1
     return zk, model.zeta_params, gk, model.g_params
 

@@ -13,7 +13,7 @@ which is what makes passages with exponentially small y computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -144,9 +144,10 @@ class SlowFastModel:
     fast factor; delta in (0, 1) is the section height; I contains 0 and all
     base points; I_in/I_out are the entry/exit section intervals in x.
 
-    zeta_kind/g_kind carry the builtin form (if any) so the compiled kernel
-    can evaluate without Python callbacks; arbitrary callables work too and
-    simply run on the pure-Python path.
+    zeta_kind/zeta_params and g_kind/g_params are read off the `form` that
+    the callables from make_zeta/make_g carry, so the compiled kernel and the
+    exact fibers see the same functions as everything else; other callables
+    leave the kinds None and run on the general paths.
     """
 
     p: PolyP
@@ -156,12 +157,21 @@ class SlowFastModel:
     I: tuple[float, float]
     I_in: tuple[float, float]
     I_out: tuple[float, float]
-    zeta_kind: str | None = None
-    zeta_params: tuple[float, ...] = ()
-    g_kind: str | None = None
-    g_params: tuple[float, ...] = ()
+    zeta_kind: str | None = field(init=False)
+    zeta_params: tuple[float, ...] = field(init=False)
+    g_kind: str | None = field(init=False)
+    g_params: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
+        for name in ("I", "I_in", "I_out"):
+            ends = tuple(float(v) for v in getattr(self, name))
+            if len(ends) != 2:
+                raise ModelError(f"{name} must have exactly two ends, got {ends}")
+            object.__setattr__(self, name, ends)
+        for name in ("zeta", "g"):
+            kind, params = getattr(getattr(self, name), "form", (None, ()))
+            object.__setattr__(self, f"{name}_kind", kind)
+            object.__setattr__(self, f"{name}_params", params)
         if not (0.0 < self.delta < 1.0):
             raise ModelError(f"delta must lie in (0, 1), got {self.delta}")
         if not (self.I[0] < 0.0 < self.I[1]):
@@ -261,15 +271,21 @@ def check_hypotheses(model: SlowFastModel, eps_max: float = 0.05,
 # ---------------------------------------------------------------------------
 # builtin zeta / g factories and the model-file loader
 
+def _with_form(fn, kind: str, params: tuple[float, ...] = ()):
+    """Tag a builtin callable with the (kind, params) it was made from."""
+    fn.form = (kind, params)
+    return fn
+
+
 def make_zeta(kind: str, params: Sequence[float] = ()) -> Callable[[float, float], float]:
     """Builtin zeta forms: 'ddr-beta' (-1 + beta x), 'constant-minus-one', 'poly'."""
     if kind == "ddr-beta":
         if len(params) != 1:
             raise ModelError("zeta 'ddr-beta' needs exactly one parameter beta")
         beta = float(params[0])
-        return lambda x, eps: -1.0 + beta * x
+        return _with_form(lambda x, eps: -1.0 + beta * x, kind, (beta,))
     if kind == "constant-minus-one":
-        return lambda x, eps: -1.0
+        return _with_form(lambda x, eps: -1.0, kind)
     if kind == "poly":
         if not params:
             raise ModelError("zeta 'poly' needs coefficients (c0, c1, ...)")
@@ -283,40 +299,20 @@ def make_zeta(kind: str, params: Sequence[float] = ()) -> Callable[[float, float
                 acc = acc * x + c
             return acc
 
-        return zpoly
+        return _with_form(zpoly, kind, cs)
     raise ModelError(f"unknown zeta kind {kind!r}")
 
 
 def make_g(kind: str, params: Sequence[float] = ()) -> Callable[[float, float, float], float]:
-    """Builtin g forms: 'constant' (needs g_value) and 'ddr' (identically -1)."""
+    """Builtin g forms: 'constant' (needs g_value) and 'ddr' (constant -1)."""
+    if kind == "ddr":
+        kind, params = "constant", (-1.0,)
     if kind == "constant":
         if len(params) != 1:
             raise ModelError("g 'constant' needs exactly one parameter g_value")
         v = float(params[0])
-        return lambda x, y, eps: v
-    if kind == "ddr":
-        return lambda x, y, eps: -1.0
+        return _with_form(lambda x, y, eps: v, kind, (v,))
     raise ModelError(f"unknown g kind {kind!r}")
-
-
-def _build(n: int, lam: Sequence[float], zeta_kind: str, zeta_params: Sequence[float],
-           g_kind: str, g_params: Sequence[float], delta: float,
-           I: Sequence[float], I_in: Sequence[float], I_out: Sequence[float]) -> SlowFastModel:
-    if g_kind == "ddr":
-        g_kind, g_params = "constant", (-1.0,)
-    return SlowFastModel(
-        p=PolyP(n=n, lam=tuple(lam)),
-        zeta=make_zeta(zeta_kind, zeta_params),
-        g=make_g(g_kind, g_params),
-        delta=float(delta),
-        I=(float(I[0]), float(I[1])),
-        I_in=(float(I_in[0]), float(I_in[1])),
-        I_out=(float(I_out[0]), float(I_out[1])),
-        zeta_kind=zeta_kind,
-        zeta_params=tuple(float(p) for p in zeta_params),
-        g_kind=g_kind,
-        g_params=tuple(float(p) for p in g_params),
-    )
 
 
 def ddr_model(lam0: float = -2.0, lam1: float = 1.0, beta: float = 1.0,
@@ -325,8 +321,9 @@ def ddr_model(lam0: float = -2.0, lam1: float = 1.0, beta: float = 1.0,
               I_in: tuple[float, float] = (1.004, 1.016),
               I_out: tuple[float, float] = (-2.8, -1.01)) -> SlowFastModel:
     """The worked n = 1 example: zeta = -1 + beta x, g = -1."""
-    return _build(1, (lam0, lam1), "ddr-beta", (beta,), "ddr", (),
-                  delta, I, I_in, I_out)
+    return SlowFastModel(p=PolyP(n=1, lam=(lam0, lam1)),
+                         zeta=make_zeta("ddr-beta", (beta,)), g=make_g("ddr"),
+                         delta=float(delta), I=I, I_in=I_in, I_out=I_out)
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -351,6 +348,11 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+# model-file key holding the parameters of each builtin zeta / g kind
+_PARAM_KEYS = {"zeta": {"ddr-beta": "beta", "poly": "zeta_coeffs"},
+               "g": {"constant": "g_value"}}
+
+
 def load_model(path: str | Path) -> SlowFastModel:
     """Load a SlowFastModel from a key-value model file."""
     kv = parse_kv_file(path)
@@ -358,31 +360,21 @@ def load_model(path: str | Path) -> SlowFastModel:
     missing = required - kv.keys()
     if missing:
         raise ModelError(f"{path}: missing keys {sorted(missing)}")
+
+    def params(part: str) -> tuple[float, ...]:
+        key = _PARAM_KEYS[part].get(kv[part])
+        if key is None:
+            return ()
+        if key not in kv:
+            raise ModelError(f"{path}: {part} {kv[part]!r} requires key {key}")
+        return _floats(kv[key])
+
     try:
-        n = int(kv["n"])
-        lam = _floats(kv["lambda"])
-        zeta_kind = kv["zeta"]
-        if zeta_kind == "ddr-beta":
-            zeta_params = (float(kv["beta"]),) if "beta" in kv else ()
-            if not zeta_params:
-                raise ModelError(f"{path}: zeta 'ddr-beta' requires key beta")
-        elif zeta_kind == "poly":
-            if "zeta_coeffs" not in kv:
-                raise ModelError(f"{path}: zeta 'poly' requires key zeta_coeffs")
-            zeta_params = _floats(kv["zeta_coeffs"])
-        else:
-            zeta_params = ()
-        g_kind = kv["g"]
-        if g_kind == "constant":
-            if "g_value" not in kv:
-                raise ModelError(f"{path}: g 'constant' requires key g_value")
-            g_params = (float(kv["g_value"]),)
-        else:
-            g_params = ()
-        return _build(n, lam, zeta_kind, zeta_params, g_kind, g_params,
-                      float(kv["delta"]), _floats(kv["I"]),
-                      _floats(kv["I_in"]), _floats(kv["I_out"]))
-    except ModelError:
-        raise
-    except (ValueError, KeyError) as exc:
+        return SlowFastModel(
+            p=PolyP(n=int(kv["n"]), lam=_floats(kv["lambda"])),
+            zeta=make_zeta(kv["zeta"], params("zeta")),
+            g=make_g(kv["g"], params("g")),
+            delta=float(kv["delta"]), I=_floats(kv["I"]),
+            I_in=_floats(kv["I_in"]), I_out=_floats(kv["I_out"]))
+    except ValueError as exc:
         raise ModelError(f"{path}: {exc}") from exc

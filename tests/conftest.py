@@ -1,7 +1,6 @@
 """Shared fixtures: reference models, a model-file writer, the C kernel."""
 from __future__ import annotations
 
-import importlib
 import shutil
 import subprocess
 from pathlib import Path
@@ -40,8 +39,7 @@ def compiled_kernel(tmp_path_factory) -> CompiledKernel:
 def use_compiled(compiled_kernel, monkeypatch) -> CompiledKernel:
     """Install the fixture-built library as turnpike.integrate's compiled
     kernel; TURNPIKE_KERNEL still chooses between the backends."""
-    monkeypatch.setattr(importlib.import_module("turnpike.integrate"),
-                        "_dp45_c", compiled_kernel)
+    monkeypatch.setattr("turnpike.integrate._dp45_c", compiled_kernel)
     return compiled_kernel
 
 
@@ -61,10 +59,6 @@ def build_n2(lam=(-1.0, 0.5, 0.0, 0.0)) -> SlowFastModel:
         I=(-3.0, 3.0),
         I_in=(1.1, 1.3),
         I_out=(-1.3, -1.1),
-        zeta_kind="constant-minus-one",
-        zeta_params=(),
-        g_kind="constant",
-        g_params=(-1.0,),
     )
 
 
@@ -78,10 +72,6 @@ def decay_model() -> SlowFastModel:
         I=(-3.0, 3.0),
         I_in=(1.0, 1.5),
         I_out=(-1.5, -1.0),
-        zeta_kind="constant-minus-one",
-        zeta_params=(),
-        g_kind="constant",
-        g_params=(0.0,),
     )
 
 

@@ -31,9 +31,7 @@ def flat_model(n: int) -> SlowFastModel:
         p=PolyP(n=n, lam=lam),
         zeta=make_zeta("constant-minus-one"),
         g=make_g("constant", (-1.0,)),
-        delta=0.5, I=(-3.0, 3.0), I_in=(1.0, 1.5), I_out=(-1.5, -1.0),
-        zeta_kind="constant-minus-one", zeta_params=(),
-        g_kind="constant", g_params=(-1.0,))
+        delta=0.5, I=(-3.0, 3.0), I_in=(1.0, 1.5), I_out=(-1.5, -1.0))
 
 
 class TestChartMaps:

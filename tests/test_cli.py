@@ -96,6 +96,14 @@ class TestDelta0:
     def test_rejects_nge2_model(self, n2_path):
         assert main(["delta0", "--model", n2_path, "--x-in", "1.2"]) == 2
 
+    @pytest.mark.parametrize("key, value", [("I_in", "1.004"),
+                                            ("I", "-3, 0.9, 7")])
+    def test_interval_without_two_ends(self, write_model, capsys, key, value):
+        path = str(write_model({**DDR_KV, key: value}))
+        assert main(["delta0", "--model", path, "--x-in", "1.016"]) == 2
+        assert f"error: {key} must have exactly two ends" in \
+            capsys.readouterr().err
+
 
 class TestDulac:
     def test_two_by_two_grid(self, ddr_path, tmp_path):

@@ -63,7 +63,7 @@ class TestBasePointMap:
 def _ode_fibers(model):
     """The same model with g as a plain callable, so fibers run on solve_ivp."""
     g = model.g_params[0]
-    return replace(model, g=lambda x, y, eps: g, g_kind=None, g_params=())
+    return replace(model, g=lambda x, y, eps: g)
 
 
 class TestExactFibers:
@@ -182,14 +182,12 @@ class TestClosedFormGuards:
             ddr_delta0_closed_form(quartic, 1.2)
 
     def test_requires_ddr_zeta(self, ddr):
-        bad = replace(ddr, zeta=make_zeta("constant-minus-one"),
-                      zeta_kind="constant-minus-one", zeta_params=())
+        bad = replace(ddr, zeta=make_zeta("constant-minus-one"))
         with pytest.raises(EntryExitError, match="ddr-beta"):
             ddr_delta0_closed_form(bad, 1.016)
 
     def test_requires_g_minus_one(self, ddr):
-        bad = replace(ddr, g=make_g("constant", (-2.0,)),
-                      g_kind="constant", g_params=(-2.0,))
+        bad = replace(ddr, g=make_g("constant", (-2.0,)))
         with pytest.raises(EntryExitError, match="g = -1"):
             ddr_delta0_closed_form(bad, 1.016)
 

@@ -1,6 +1,7 @@
 """Stepper kernel: exact decay oracle, events, dense output, backends, failures."""
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,11 @@ class TestTolerances:
         assert ei.value.status == "max_steps"
 
 
+def test_subpackage_is_not_shadowed():
+    import turnpike.integrate as m
+    assert m is sys.modules["turnpike.integrate"]
+
+
 class TestBackends:
     def test_python_backend_forced(self, ddr, monkeypatch):
         monkeypatch.setenv("TURNPIKE_KERNEL", "python")
@@ -204,8 +210,7 @@ class TestBackends:
     def test_callable_zeta_falls_back_to_python(self, ddr, monkeypatch):
         monkeypatch.delenv("TURNPIKE_KERNEL", raising=False)
         from dataclasses import replace
-        soft = replace(ddr, zeta=lambda x, eps: -1.0 + x, zeta_kind=None,
-                       zeta_params=())
+        soft = replace(ddr, zeta=lambda x, eps: -1.0 + x)
         assert active_backend(soft) == "python"
         traj = integrate(soft, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
                          t_max=1.0)
@@ -217,8 +222,7 @@ class TestBackends:
         assert compiled_kernel_available()
         assert active_backend(ddr) == "compiled"
         from dataclasses import replace
-        soft = replace(ddr, zeta=lambda x, eps: -1.0 + x, zeta_kind=None,
-                       zeta_params=())
+        soft = replace(ddr, zeta=lambda x, eps: -1.0 + x)
         with pytest.raises(IntegrationError, match="callable"):
             active_backend(soft)
         with pytest.raises(ValueError, match="builtin"):

@@ -1,4 +1,5 @@
 """Model layer: guarded exponential, P polynomial, fields, hypotheses, loader."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turnpike.errors import ModelError
+from turnpike.entryexit import base_point
+from turnpike.errors import EntryExitError, ModelError
+from turnpike.integrate import active_backend, dulac_map_numeric
 from turnpike.model import (PolyP, SlowFastModel, StateXY, StateXZ,
                             check_hypotheses, ddr_model, eval_f_lambda,
                             exp_neg_inv, load_model, make_g, make_zeta,
@@ -118,6 +121,60 @@ class TestSlowFastModel:
             s2.y = 2.0
 
 
+class TestBuiltinForms:
+    """zeta_kind/g_kind and their params come only from the callables."""
+
+    def test_direct_construction_reports_kinds(self, use_compiled,
+                                               monkeypatch):
+        monkeypatch.delenv("TURNPIKE_KERNEL", raising=False)
+        m = SlowFastModel(p=PolyP(n=1, lam=(-2.0, 1.0)),
+                          zeta=make_zeta("poly", (-1.0, 0.5)),
+                          g=make_g("constant", (-2.0,)), delta=0.5,
+                          I=(-3.0, 0.9), I_in=(1.004, 1.016),
+                          I_out=(-2.8, -1.01))
+        assert (m.zeta_kind, m.zeta_params) == ("poly", (-1.0, 0.5))
+        assert (m.g_kind, m.g_params) == ("constant", (-2.0,))
+        assert active_backend(m) == "compiled"
+
+    def test_ddr_g_is_constant_minus_one(self):
+        assert make_g("ddr").form == ("constant", (-1.0,))
+        assert make_zeta("ddr-beta", (2,)).form == ("ddr-beta", (2.0,))
+        assert make_zeta("constant-minus-one").form == \
+            ("constant-minus-one", ())
+
+    def test_plain_callables_have_no_kind(self, ddr):
+        m = dataclasses.replace(ddr, zeta=lambda x, eps: -1.0 + x,
+                                g=lambda x, y, eps: -1.0)
+        assert (m.zeta_kind, m.zeta_params, m.g_kind, m.g_params) == \
+            (None, (), None, ())
+
+    def test_kinds_are_not_settable(self, ddr):
+        with pytest.raises(TypeError):
+            SlowFastModel(p=ddr.p, zeta=ddr.zeta, g=ddr.g, delta=0.5,
+                          I=ddr.I, I_in=ddr.I_in, I_out=ddr.I_out,
+                          zeta_kind="poly")
+        with pytest.raises(ValueError):
+            dataclasses.replace(ddr, g_kind=None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ddr.zeta_kind = "poly"
+
+    def test_replaced_zeta_reaches_the_integrator(self, ddr):
+        zeta = make_zeta("constant-minus-one")
+        replaced = dataclasses.replace(ddr, zeta=zeta)
+        fresh = SlowFastModel(p=ddr.p, zeta=zeta, g=make_g("ddr"),
+                              delta=ddr.delta, I=ddr.I, I_in=ddr.I_in,
+                              I_out=ddr.I_out)
+        assert replaced.zeta_kind == "constant-minus-one"
+        assert dulac_map_numeric(replaced, 1.016, 0.005)[0] == \
+            dulac_map_numeric(fresh, 1.016, 0.005)[0]
+
+    def test_replaced_g_reaches_the_fibers(self, ddr):
+        # x^2 + 2 g y = 1.69 - 2 at y = 0: the fiber meets x = 0 first
+        steep = dataclasses.replace(ddr, g=make_g("constant", (-2.0,)))
+        with pytest.raises(EntryExitError, match="no base point"):
+            base_point(steep, 1.3)
+
+
 class TestVectorFields:
     def test_eval_f_lambda_hand_value(self, ddr):
         # f(0.1, 0.01) = -2 eps^2 + eps x + x^2 (-1 + x) = -0.0082
@@ -166,9 +223,7 @@ class TestHypotheses:
             p=PolyP(n=1, lam=(-2.0, 1.0)),
             zeta=make_zeta("poly", (-1.0, 2.0)),
             g=make_g("constant", (-1.0,)), delta=0.5,
-            I=(-1.0, 0.9), I_in=(1.002, 1.016), I_out=(-0.9, -0.5),
-            zeta_kind="poly", zeta_params=(-1.0, 2.0),
-            g_kind="constant", g_params=(-1.0,))
+            I=(-1.0, 0.9), I_in=(1.002, 1.016), I_out=(-0.9, -0.5))
         rep = check_hypotheses(m)
         assert not rep.passed
         assert rep.witness is not None and rep.witness[0] == "zeta"
@@ -244,6 +299,17 @@ class TestLoader:
     def test_lam_count_mismatch(self, write_model):
         with pytest.raises(ModelError, match="2n"):
             load_model(write_model({**DDR_KV, "lambda": "-2, 1, 3"}))
+
+    @pytest.mark.parametrize("key, value", [("I_in", "1.004"),
+                                            ("I", "-3, 0.9, 7"),
+                                            ("I_out", "")])
+    def test_interval_needs_two_ends(self, write_model, key, value):
+        with pytest.raises(ModelError, match=f"{key} must have exactly two"):
+            load_model(write_model({**DDR_KV, key: value}))
+
+    def test_ddr_g_kind(self, write_model):
+        m = load_model(write_model({**DDR_KV, "g": "ddr"}))
+        assert (m.g_kind, m.g_params) == ("constant", (-1.0,))
 
     def test_shipped_models_load(self, models_dir):
         assert load_model(models_dir / "ddr.model").n == 1
