@@ -20,7 +20,7 @@ from .entryexit import (BasePointMap, DelayPrediction, EntryExitResult,
                         section_from_base, solve_canard_parameter,
                         solve_delta0_n1)
 from .errors import (ChartError, EntryExitError, IntegrationError, ModelError,
-                     QuadratureError, TurnpikeError)
+                     QuadratureError, RootError, TurnpikeError)
 from .integrate import (DulacDiagnostics, EventHit, EventSpec,
                         IntegratorConfig, Trajectory, active_backend,
                         compiled_kernel_available, dulac_map_numeric,
@@ -29,7 +29,7 @@ from .model import (HypothesisReport, PolyP, SlowFastModel, StateXY, StateXZ,
                     check_hypotheses, ddr_model, eval_f_lambda, exp_neg_inv,
                     load_model, make_g, make_zeta, vector_field_xy,
                     vector_field_xz)
-from .quadrature import (QuadResult, adaptive_quad, classical_sdi,
+from .quadrature import (QuadResult, adaptive_quad, brentq, classical_sdi,
                          half_line_integral, pv_fast_half, pv_fast_numeric,
                          pv_fast_quadratic, pv_slow, regular_slow_part,
                          whole_line_integral)
@@ -39,14 +39,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "TurnpikeError", "ModelError", "QuadratureError", "EntryExitError",
-    "ChartError", "IntegrationError",
+    "TurnpikeError", "ModelError", "QuadratureError", "RootError",
+    "EntryExitError", "ChartError", "IntegrationError",
     # model
     "PolyP", "SlowFastModel", "StateXY", "StateXZ", "HypothesisReport",
     "exp_neg_inv", "eval_f_lambda", "vector_field_xy", "vector_field_xz",
     "check_hypotheses", "load_model", "make_zeta", "make_g", "ddr_model",
     # quadrature
-    "QuadResult", "adaptive_quad", "regular_slow_part", "pv_slow",
+    "QuadResult", "adaptive_quad", "brentq", "regular_slow_part", "pv_slow",
     "pv_fast_quadratic", "pv_fast_half", "pv_fast_numeric",
     "half_line_integral", "whole_line_integral", "classical_sdi",
     # entry-exit

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ChartError
 from .model import SlowFastModel
-from .quadrature import DEFAULT_TOL, adaptive_quad
+from .quadrature import DEFAULT_TOL, adaptive_quad, brentq
 
 __all__ = [
     "ChartPoint",
@@ -127,7 +126,7 @@ def chart1_exit(model: SlowFastModel, x_in_b: float, eps1: float,
             raise ChartError(f"no exit above x = 0 for eps1 = {eps1:g}")
     else:
         raise ChartError(f"could not bracket the exit for eps1 = {eps1:g}")
-    return float(brentq(R, lo, hi, xtol=1e-15))
+    return brentq(R, lo, hi, xtol=1e-15)
 
 
 def overlay_xz2(traj, eps: float | None = None) -> np.ndarray:

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import EntryExitError
 from .model import PolyP, SlowFastModel
-from .quadrature import (DEFAULT_TOL, adaptive_quad, half_line_integral,
-                         pv_fast_half, pv_fast_quadratic, regular_slow_part,
-                         whole_line_integral)
+from .quadrature import (DEFAULT_TOL, adaptive_quad, brentq,
+                         half_line_integral, pv_fast_half, pv_fast_quadratic,
+                         regular_slow_part, whole_line_integral)
 
 __all__ = [
     "BasePointMap",
@@ -62,7 +60,8 @@ class BasePointMap:
     conserved, so x(y1) = sign(x0) sqrt(x0^2 + 2 g (y0 - y1)). x^2 is then
     linear in y, so |x| can only reach the floor at the end of the run and
     one check there replaces the ODE's floor event. Callable g is
-    integrated with DOP853 at rtol = tol.
+    integrated with DOP853 at rtol = tol, by SciPy's solve_ivp, which is
+    imported there, on first use, and nowhere else.
     """
 
     model: SlowFastModel
@@ -86,6 +85,8 @@ class BasePointMap:
                 return math.copysign(math.sqrt(x2_end), x0)
             return np.copysign(
                 np.sqrt(x0 * x0 + two_g * (y0 - np.asarray(ys, dtype=float))), x0)
+
+        from scipy.integrate import solve_ivp  # only callable g gets here
 
         g = self.model.g
         floor = self.x_floor
@@ -163,7 +164,7 @@ def _root_between(F: Callable[[float], float], lo: float, hi: float,
         return hi
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise EntryExitError(no_root_msg)
-    return float(brentq(F, lo, hi, xtol=xtol))
+    return brentq(F, lo, hi, xtol=xtol)
 
 
 def _relation_lhs(model: SlowFastModel, x_out_b: float, x_in_b: float,
@@ -353,7 +354,7 @@ def solve_canard_parameter(p: PolyP, l_index: int, target: float = 0.0,
         step *= 1.6
     else:
         raise EntryExitError("could not bracket the canard balance in lam_l")
-    root = float(brentq(W, lo, hi, xtol=1e-14))
+    root = brentq(W, lo, hi, xtol=1e-14)
     slope = canard_slope(with_l(root), l_index, tol)
     if abs(slope) < 1e-10:
         raise EntryExitError(

@@ -5,6 +5,7 @@ __all__ = [
     "TurnpikeError",
     "ModelError",
     "QuadratureError",
+    "RootError",
     "EntryExitError",
     "IntegrationError",
     "ChartError",
@@ -21,6 +22,10 @@ class ModelError(TurnpikeError):
 
 class QuadratureError(TurnpikeError):
     """Quadrature did not converge or hit a precondition guard."""
+
+
+class RootError(TurnpikeError):
+    """Bracketed root solve failed (no sign change, NaN, no convergence)."""
 
 
 class EntryExitError(TurnpikeError):

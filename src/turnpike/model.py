@@ -285,6 +285,8 @@ def make_zeta(kind: str, params: Sequence[float] = ()) -> Callable[[float, float
         beta = float(params[0])
         return _with_form(lambda x, eps: -1.0 + beta * x, kind, (beta,))
     if kind == "constant-minus-one":
+        if params:
+            raise ModelError("zeta 'constant-minus-one' takes no parameters")
         return _with_form(lambda x, eps: -1.0, kind)
     if kind == "poly":
         if not params:
@@ -306,6 +308,8 @@ def make_zeta(kind: str, params: Sequence[float] = ()) -> Callable[[float, float
 def make_g(kind: str, params: Sequence[float] = ()) -> Callable[[float, float, float], float]:
     """Builtin g forms: 'constant' (needs g_value) and 'ddr' (constant -1)."""
     if kind == "ddr":
+        if params:
+            raise ModelError("g 'ddr' takes no parameters")
         kind, params = "constant", (-1.0,)
     if kind == "constant":
         if len(params) != 1:
@@ -366,7 +370,7 @@ def load_model(path: str | Path) -> SlowFastModel:
         if key is None:
             return ()
         if key not in kv:
-            raise ModelError(f"{path}: {part} {kv[part]!r} requires key {key}")
+            raise ModelError(f"{part} {kv[part]!r} requires key {key}")
         return _floats(kv[key])
 
     try:
@@ -376,5 +380,5 @@ def load_model(path: str | Path) -> SlowFastModel:
             g=make_g(kv["g"], params("g")),
             delta=float(kv["delta"]), I=_floats(kv["I"]),
             I_in=_floats(kv["I_in"]), I_out=_floats(kv["I_out"]))
-    except ValueError as exc:
+    except (ValueError, ModelError) as exc:
         raise ModelError(f"{path}: {exc}") from exc

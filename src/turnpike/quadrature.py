@@ -9,21 +9,26 @@ removed analytically before any quadrature runs:
 * fast side: the tail over |v| >= 1 maps under u = 1/v onto [-1, 1] with
   integrand (Q(u)+1)/(u Q(u)), where Q(u) = u^(2n) P(1/u); (Q(u)+1)/u is a
   polynomial (exact division), so nothing singular is ever sampled.
+
+The adaptive rule (globally adaptive Gauss-Kronrod 7/15, as QUADPACK's qag)
+and the bracketed root finder the solvers share (Brent's method, ported
+from SciPy's brentq.c) live here, so the run-time path needs numpy alone.
 """
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import scipy.integrate as _sint
-
-from .errors import QuadratureError
+from .errors import QuadratureError, RootError
 from .model import PolyP
 
 __all__ = [
     "QuadResult",
     "adaptive_quad",
+    "brentq",
     "pv_slow",
     "pv_fast_quadratic",
     "pv_fast_numeric",
@@ -35,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-_SUBDIV_CAP = 10_000  # QUADPACK subintervals per panel; ~1e6 evaluations
+_SUBDIV_CAP = 10_000  # panels per integral; ~3e5 evaluations
 _ZETA_FLOOR = 1e-8  # |zeta(s, 0)| below this makes the slow integral ill-posed
 _SCAN_POINTS = 257  # zeta(., 0) samples checked per regular_slow_part range
 
@@ -56,33 +61,201 @@ class QuadResult:
                           self.subdivisions + other.subdivisions)
 
 
+# Gauss-Kronrod 7/15 abscissae on [0, 1] (descending) and weights, QUADPACK qk15;
+# the Gauss points are the odd-indexed abscissae, the centre 0 included
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649)
+_WGK_CENTRE = 0.209482141084727828012999174891714
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975)
+_WG_CENTRE = 0.417959183673469387755102040816327
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+def _qk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Kronrod 15-point value on [a, b] (b < a allowed) and QUADPACK's error
+    estimate: |K15 - G7| scaled by the integrand's variation over the panel."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    resg = fc * _WG_CENTRE
+    resk = fc * _WGK_CENTRE
+    resabs = abs(resk)
+    fvals = []
+    for j in range(7):
+        absc = hlgth * _XGK[j]
+        f1 = f(centr - absc)
+        f2 = f(centr + absc)
+        fvals.append((f1, f2))
+        resk += _WGK[j] * (f1 + f2)
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+        if j % 2:
+            resg += _WG[j // 2] * (f1 + f2)
+    reskh = 0.5 * resk
+    resasc = _WGK_CENTRE * abs(fc - reskh)
+    for w, (f1, f2) in zip(_WGK, fvals):
+        resasc += w * (abs(f1 - reskh) + abs(f2 - reskh))
+    dhlgth = abs(hlgth)
+    resabs *= dhlgth
+    resasc *= dhlgth
+    err = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        err = max(50.0 * _EPMACH * resabs, err)
+    return resk * hlgth, err
+
+
 def adaptive_quad(f: Callable[[float], float], a: float, b: float,
                   tol: float = DEFAULT_TOL, *, initial_panels: int = 1) -> QuadResult:
     """Adaptive integral of f over [a, b] with |error| <= tol (absolute).
 
-    initial_panels splits [a, b] evenly before adapting; results are
-    invariant (to tol) under panel refinement, which the tests exercise.
+    Globally adaptive Gauss-Kronrod 7/15 (QUADPACK qag): the panel with the
+    largest error estimate is bisected until the estimates sum to at most
+    tol, the partition reaches _SUBDIV_CAP panels, or the worst panel is
+    too narrow to bisect; the last two raise. f is called on floats only.
+    b < a gives the negated integral. initial_panels splits [a, b] evenly
+    before adapting; results are invariant (to tol) under panel refinement,
+    which the tests exercise. `subdivisions` counts the final panels.
     """
     if initial_panels < 1:
         raise QuadratureError("initial_panels must be >= 1")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
-    total = 0.0
-    err = 0.0
-    subs = 0
-    edges = [a + (b - a) * k / initial_panels for k in range(initial_panels + 1)]
-    ptol = tol / initial_panels
+    edges = [a + (b - a) * k / initial_panels for k in range(initial_panels)] + [b]
+    heap = []  # (-error, start, end, value) of each panel
+    errsum = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, abserr, info = _sint.quad(f, lo, hi, epsabs=ptol, epsrel=0.0,
-                                       limit=_SUBDIV_CAP, full_output=True)[:3]
-        if abserr > ptol or math.isnan(val):
-            raise QuadratureError(
-                f"integral on [{lo}, {hi}] did not reach tol={ptol:g} "
-                f"(estimate {abserr:g} after {info['last']} subdivisions)")
-        total += val
-        err += abserr
-        subs += int(info["last"])
-    return QuadResult(total, err, subs)
+        val, err = _qk15(f, lo, hi)
+        heap.append((-err, lo, hi, val))
+        errsum += err
+    heapq.heapify(heap)
+    while math.isfinite(errsum):
+        if errsum <= tol:
+            # the running sum drifts by rounding: confirm it before stopping
+            errsum = math.fsum(-e for e, _lo, _hi, _v in heap)
+            if errsum <= tol:
+                break
+        if len(heap) >= _SUBDIV_CAP:
+            break
+        neg_err, lo, hi, _ = heap[0]
+        mid = 0.5 * (lo + hi)
+        if (max(abs(lo), abs(hi))
+                <= (1.0 + 100.0 * _EPMACH) * (abs(mid) + 1000.0 * _UFLOW)):
+            break  # QUADPACK's ier = 3: width at the rounding level of the ends
+        v1, e1 = _qk15(f, lo, mid)
+        v2, e2 = _qk15(f, mid, hi)
+        heapq.heapreplace(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        errsum += e1 + e2 + neg_err
+    total = math.fsum(v for _e, _lo, _hi, v in heap)
+    errsum = math.fsum(-e for e, _lo, _hi, _v in heap)
+    if not errsum <= tol or math.isnan(total):
+        raise QuadratureError(
+            f"integral on [{a}, {b}] did not reach tol={tol:g} "
+            f"(estimate {errsum:g} after {len(heap)} subdivisions)")
+    return QuadResult(total, errsum, len(heap))
+
+
+def brentq(f: Callable[[float], float], a: float, b: float,
+           xtol: float = 2e-12, rtol: float = 4.0 * _EPMACH,
+           maxiter: int = 100) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign (Brent, 1973).
+
+    A line-for-line port of SciPy's brentq.c with its defaults: it takes the
+    same iterates, so it returns the same root, bit for bit, for equal f
+    values. The result lies within about xtol + rtol |x| of a sign change
+    of f. Raises RootError where SciPy raises ValueError (bad tolerances, a
+    NaN value, no sign change) or RuntimeError (no convergence within
+    maxiter iterations).
+    """
+    if xtol <= 0.0:
+        raise RootError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4.0 * _EPMACH:
+        raise RootError(f"rtol too small ({rtol:g} < {4.0 * _EPMACH:g})")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise RootError(f"the function value at x={x} is NaN; "
+                            "Brent's method cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise RootError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C gets inf or NaN here, and either fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = call(xcur)
+    raise RootError(
+        f"Brent's method did not converge after {maxiter} iterations, "
+        f"value is {xcur!r}")
 
 
 def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,

@@ -1,6 +1,11 @@
 """Command-line surface: exit codes, CSV output, config merging, determinism."""
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,8 +106,14 @@ class TestDelta0:
     def test_interval_without_two_ends(self, write_model, capsys, key, value):
         path = str(write_model({**DDR_KV, key: value}))
         assert main(["delta0", "--model", path, "--x-in", "1.016"]) == 2
-        assert f"error: {key} must have exactly two ends" in \
+        assert f"error: {path}: {key} must have exactly two ends" in \
             capsys.readouterr().err
+
+    def test_polynomial_error_names_the_file(self, write_model, capsys):
+        path = str(write_model({**DDR_KV, "lambda": "-2, 1, 3"}))
+        assert main(["delta0", "--model", path, "--x-in", "1.016"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: lam must have 2n = 2 entries, got 3\n"
 
 
 class TestDulac:
@@ -295,3 +306,43 @@ class TestConfigFile:
     def test_defaults_without_config(self):
         cfg = ExperimentConfig()
         assert cfg.grid == 25 and cfg.tol == 1e-8 and cfg.eps == ()
+
+
+class TestRunTimeDependencies:
+    """numpy is the only third-party import on the run-time path: scipy is
+    a test dependency, reached by the program only for a callable g."""
+
+    SCRIPT = """
+import contextlib, io, json, os, sys
+from turnpike.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+    def test_commands_never_import_scipy(self, models_dir, tmp_path):
+        ddr, quartic, canard = (str(models_dir / f"{m}.model")
+                                for m in ("ddr", "quartic_n2", "canard_n2"))
+        calls = [
+            ["hypotheses", "--model", ddr],
+            ["pv-check", "--", "-2", "1"],
+            ["delta0", "--model", ddr],
+            ["dulac", "--model", ddr, "--eps", "0.01", "--x-in", "1.016"],
+            ["chart-view", "--model", ddr, "--eps", "0.01", "--x-in", "1.016",
+             "--out", str(tmp_path / "chart.csv")],
+            ["nge2", "--model", quartic, "--eps", "0.05"],
+            ["canard-solve", "--model", canard, "--l", "1"],
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(calls)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["codes"] == [0] * len(calls)
+        assert report["scipy"] == []

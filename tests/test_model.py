@@ -142,6 +142,14 @@ class TestBuiltinForms:
         assert make_zeta("constant-minus-one").form == \
             ("constant-minus-one", ())
 
+    def test_parameterless_kinds_reject_parameters(self):
+        with pytest.raises(ModelError, match="takes no parameters"):
+            make_zeta("constant-minus-one", (5.0,))
+        with pytest.raises(ModelError, match="takes no parameters"):
+            make_g("ddr", (7.0,))
+        with pytest.raises(ModelError, match="exactly one"):
+            make_g("constant", (-1.0, 2.0))
+
     def test_plain_callables_have_no_kind(self, ddr):
         m = dataclasses.replace(ddr, zeta=lambda x, eps: -1.0 + x,
                                 g=lambda x, y, eps: -1.0)
@@ -306,6 +314,28 @@ class TestLoader:
     def test_interval_needs_two_ends(self, write_model, key, value):
         with pytest.raises(ModelError, match=f"{key} must have exactly two"):
             load_model(write_model({**DDR_KV, key: value}))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("lambda", "-2, 1, 3", "lam must have 2n = 2 entries, got 3"),
+        ("I_in", "1.004", "I_in must have exactly two ends, got (1.004,)"),
+        ("zeta_coeffs", "-0.5, 1", "zeta 'poly' must have c0 = -1"),
+    ])
+    def test_errors_name_the_file(self, write_model, key, value, message):
+        kv = {**DDR_KV, key: value}
+        if key == "zeta_coeffs":
+            kv["zeta"] = "poly"
+        path = write_model(kv)
+        with pytest.raises(ModelError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_missing_parameter_key_names_the_file_once(self, write_model):
+        kv = dict(DDR_KV)
+        del kv["beta"]
+        path = write_model(kv)
+        with pytest.raises(ModelError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: zeta 'ddr-beta' requires key beta"
 
     def test_ddr_g_kind(self, write_model):
         m = load_model(write_model({**DDR_KV, "g": "ddr"}))

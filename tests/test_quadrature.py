@@ -1,18 +1,22 @@
 """Quadrature layer against closed forms and independent integration routes."""
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.integrate as sint
-from hypothesis import given, settings
+import scipy.optimize as sopt
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from turnpike.errors import QuadratureError
+import turnpike.quadrature as quadrature
+from turnpike.errors import QuadratureError, RootError, TurnpikeError
 from turnpike.model import PolyP, make_zeta
-from turnpike.quadrature import (QuadResult, adaptive_quad, classical_sdi,
-                                 half_line_integral, pv_fast_half,
-                                 pv_fast_numeric, pv_fast_quadratic, pv_slow,
-                                 regular_slow_part, whole_line_integral)
+from turnpike.quadrature import (QuadResult, adaptive_quad, brentq,
+                                 classical_sdi, half_line_integral,
+                                 pv_fast_half, pv_fast_numeric,
+                                 pv_fast_quadratic, pv_slow, regular_slow_part,
+                                 whole_line_integral)
 
 # entry-exit constant of the worked quadratic P = -2 + v - v^2: pi / sqrt(7)
 PV_DDR = -1.1874104117237259
@@ -60,8 +64,38 @@ class TestAdaptiveQuad:
             adaptive_quad(math.sin, 0.0, 1.0, initial_panels=0)
 
     def test_nonintegrable_singularity_raises(self):
-        with pytest.raises(QuadratureError):
+        # the panel at the origin keeps the largest error until it is too
+        # narrow to bisect, long before the subdivision cap
+        with pytest.raises(QuadratureError) as info:
             adaptive_quad(lambda s: 1.0 / s, 0.0, 1.0, 1e-10)
+        msg = str(info.value)
+        assert msg.startswith("integral on [0.0, 1.0] did not reach tol=1e-10")
+        estimate = float(msg.split("(estimate ")[1].split()[0])
+        count = int(msg.split(" after ")[1].split()[0])
+        assert math.isfinite(estimate) and estimate > 1e-10
+        assert 1 < count < quadrature._SUBDIV_CAP
+
+    def test_subdivision_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_SUBDIV_CAP", 4)
+        with pytest.raises(QuadratureError, match="after 4 subdivisions"):
+            adaptive_quad(lambda s: math.sin(40.0 * s), 0.0, 10.0, 1e-12)
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(QuadratureError, match="did not reach"):
+            adaptive_quad(lambda s: math.nan, 0.0, 1.0)
+
+    def test_subdivisions_count_final_panels(self):
+        assert adaptive_quad(lambda s: s * s, 0.0, 1.0).subdivisions == 1
+        assert adaptive_quad(lambda s: s * s, 0.0, 1.0,
+                             initial_panels=3).subdivisions == 3
+        assert adaptive_quad(math.sqrt, 0.0, 1.0, 1e-12).subdivisions > 3
+
+    def test_reversed_interval_negates_exactly(self):
+        f = lambda s: math.exp(-s) * math.cos(3.0 * s)
+        fwd = adaptive_quad(f, 0.0, 2.0, 1e-12)
+        rev = adaptive_quad(f, 2.0, 0.0, 1e-12)
+        assert rev == QuadResult(-fwd.value, fwd.abs_error_estimate,
+                                 fwd.subdivisions)
 
     def test_float_conversion(self):
         r = QuadResult(1.5, 1e-12, 3)
@@ -70,6 +104,96 @@ class TestAdaptiveQuad:
     def test_sum_adds_every_field(self):
         r = QuadResult(1.5, 1e-12, 3) + QuadResult(-0.25, 2e-12, 4)
         assert r == QuadResult(1.25, 3e-12, 7)
+
+
+# smooth integrand families f(s; p, q), |f| <= 25 on the sampled ranges: an
+# absolute tol of 1e-11 stays above the rounding floor of both rules
+SMOOTH = (
+    lambda p, q: lambda s: math.exp(-p * s * s) * math.cos(q * s + p),
+    lambda p, q: lambda s: 1.0 / (1.0 + p * (s - q) ** 2),
+    lambda p, q: lambda s: s * math.tanh(p * (s - q)),
+    lambda p, q: lambda s: math.sqrt(1.0 + p * s * s) + math.sin(q * s) ** 2,
+    lambda p, q: lambda s: math.log(2.0 + math.cos(p * s + q)),
+)
+
+
+class TestAdaptiveQuadAgainstQuadpack:
+    """adaptive_quad against scipy's QUADPACK (qags, 21-point rule with
+    extrapolation), an independent implementation, on random smooth
+    integrands over random intervals in either orientation."""
+
+    @given(st.integers(0, len(SMOOTH) - 1), st.floats(0.1, 5.0),
+           st.floats(-2.0, 2.0), st.floats(-4.0, 4.0), st.floats(1e-3, 6.0),
+           st.booleans(), st.sampled_from((1e-6, 1e-9, 1e-11)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadpack(self, family, p, q, a, width, reverse, tol):
+        f = SMOOTH[family](p, q)
+        lo, hi = (a + width, a) if reverse else (a, a + width)
+        got = adaptive_quad(f, lo, hi, tol)
+        ref, ref_err = sint.quad(f, lo, hi, epsabs=1e-14, epsrel=0.0,
+                                 limit=500)
+        assert ref_err < 1e-12
+        assert abs(got.value - ref) <= tol
+        assert got.abs_error_estimate <= tol
+
+
+class TestBrentq:
+    """The port of scipy's brentq.c against scipy itself."""
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           st.floats(0.1, 5.0), st.floats(-1.0, 1.0), st.floats(-5.0, 5.0),
+           st.floats(-5.0, 5.0),
+           st.sampled_from((2e-12, 1e-15, 1e-10, 1e-6, 1e-2, 0.5)))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_scipy(self, roots, scale, shift, a, b, xtol):
+        r0, r1, r2 = roots
+
+        def cubic(x):
+            return scale * (x - r0) * (x - r1) * (x - r2) + shift
+
+        fa, fb = cubic(a), cubic(b)
+        assume(fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0))
+        ref, info = sopt.brentq(cubic, a, b, xtol=xtol, full_output=True,
+                                disp=False)
+        if not info.converged:  # a multiple root can exhaust maxiter
+            with pytest.raises(RootError, match=re.escape(f"value is {ref!r}")):
+                brentq(cubic, a, b, xtol=xtol)
+            return
+        got = brentq(cubic, a, b, xtol=xtol)
+        assert got == ref
+        assert type(got) is float
+
+    def test_bit_identical_on_underflowing_values(self):
+        # products of the end values underflow to 0: signs are compared
+        for f in (lambda x: 1e-200 * (x - 0.3),
+                  lambda x: 1e-300 * (x - 0.3) ** 3,
+                  lambda x: math.ldexp(x - 0.1, -1070)):
+            assert brentq(f, 0.0, 1.0, xtol=1e-15) == \
+                sopt.brentq(f, 0.0, 1.0, xtol=1e-15)
+
+    def test_zero_at_an_end(self):
+        assert brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(RootError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        assert issubclass(RootError, TurnpikeError)
+        assert not issubclass(RootError, ValueError)
+
+    def test_bad_tolerances_raise(self):
+        with pytest.raises(RootError, match="xtol"):
+            brentq(math.sin, 3.0, 3.5, xtol=0.0)
+        with pytest.raises(RootError, match="rtol"):
+            brentq(math.sin, 3.0, 3.5, rtol=1e-17)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(RootError, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0)
+
+    def test_no_convergence_raises(self):
+        with pytest.raises(RootError, match="did not converge after 3"):
+            brentq(math.sin, 3.0, 3.5, xtol=1e-15, maxiter=3)
 
 
 class TestRegularSlowPart:
