@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 _T = TypeVar("_T")
@@ -28,6 +27,8 @@ def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
     workers = thread_count()
     if workers <= 0 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 

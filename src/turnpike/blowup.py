@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ChartError
 from .model import SlowFastModel
 from .quadrature import DEFAULT_TOL, adaptive_quad, brentq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ChartPoint",
@@ -87,22 +89,32 @@ def theoretical_z2_curve(model: SlowFastModel, x_in_b: float, x,
 
     Diverges at x_in_b; evaluation is refused within 1e-4 of it (callers
     assert divergence through growth, not through a value at the pole).
-    Accepts a scalar or an array of x values.
+    Accepts a scalar, which gives a float, or an array of x values, which
+    gives an array.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        if not (0.0 < xi <= x_in_b - _EDGE_GAP):
-            raise ChartError(
-                f"x = {xi:g} outside (0, x_in_b - {_EDGE_GAP:g}] with "
-                f"x_in_b = {x_in_b:g}")
-        d = _passage_integral(model, x_in_b, float(xi), tol)
-        if d <= 0.0:
-            raise ChartError(
-                f"passage integral non-positive at x = {xi:g}; "
-                "zeta is not negative on the range")
-        out[i] = 1.0 / d
-    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    if isinstance(x, (int, float)):
+        return _z2_point(model, x_in_b, float(x), tol)
+    import numpy as np
+
+    xs = np.asarray(x, dtype=float)
+    out = np.array([_z2_point(model, x_in_b, float(xi), tol)
+                    for xi in xs.ravel()]).reshape(xs.shape)
+    return float(out) if xs.ndim == 0 else out
+
+
+def _z2_point(model: SlowFastModel, x_in_b: float, x: float,
+              tol: float) -> float:
+    """z2 at one x, with the range and sign checks of theoretical_z2_curve."""
+    if not (0.0 < x <= x_in_b - _EDGE_GAP):
+        raise ChartError(
+            f"x = {x:g} outside (0, x_in_b - {_EDGE_GAP:g}] with "
+            f"x_in_b = {x_in_b:g}")
+    d = _passage_integral(model, x_in_b, x, tol)
+    if d <= 0.0:
+        raise ChartError(
+            f"passage integral non-positive at x = {x:g}; "
+            "zeta is not negative on the range")
+    return 1.0 / d
 
 
 def chart1_exit(model: SlowFastModel, x_in_b: float, eps1: float,
@@ -140,4 +152,6 @@ def overlay_xz2(traj, eps: float | None = None) -> np.ndarray:
     e = traj.eps if eps is None else eps
     if e <= 0.0:
         raise ChartError(f"eps must be positive, got {e}")
+    import numpy as np
+
     return np.column_stack([traj.states[:, 0], traj.states[:, 1] / e])

@@ -12,8 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import Sequence
 
 from ._util import fmt, parallel_map, write_rows
 from .blowup import theoretical_z2_curve
@@ -21,8 +20,8 @@ from .entryexit import (predict_delay_nge2, solve_canard_parameter,
                         solve_delta0_n1)
 from .errors import TurnpikeError
 from .integrate import IntegratorConfig, dulac_map_numeric, z_at_x0
-from .model import (PolyP, SlowFastModel, _floats, check_hypotheses,
-                    load_model, parse_kv_file)
+from .model import (PolyP, SlowFastModel, _floats, _linspace,
+                    check_hypotheses, load_model, parse_kv_file)
 from .quadrature import pv_fast_numeric, pv_fast_quadratic, whole_line_integral
 
 __all__ = ["ExperimentConfig", "main"]
@@ -94,7 +93,7 @@ def _x_in_grid(cfg: ExperimentConfig, model: SlowFastModel) -> tuple[float, ...]
         raise TurnpikeError(f"grid must be >= 1, got {cfg.grid}")
     if cfg.grid == 1:
         return ((model.I_in[0] + model.I_in[1]) / 2.0,)
-    return tuple(np.linspace(model.I_in[0], model.I_in[1], cfg.grid))
+    return tuple(_linspace(model.I_in[0], model.I_in[1], cfg.grid))
 
 
 def cmd_pv_check(cfg: ExperimentConfig, lambda0: float, lambda1: float) -> int:
@@ -183,12 +182,17 @@ def cmd_dulac(cfg: ExperimentConfig) -> int:
     return 0 if all(r[5] == "ok" for r in rows) else 1
 
 
-def _fit_remainder(eps: np.ndarray, err: np.ndarray) -> tuple[float, float, float]:
+def _fit_remainder(eps: Sequence[float],
+                   err: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares fit err ~ a eps log(1/eps) + b eps; returns (a, b, rel).
 
     rel is the residual norm over the data norm, the fit-quality number the
     convergence verdict is based on.
     """
+    import numpy as np
+
+    eps = np.array(eps)
+    err = np.array(err)
     A = np.column_stack([eps * np.log(1.0 / eps), eps])
     coef, *_ = np.linalg.lstsq(A, err, rcond=None)
     resid = float(np.linalg.norm(A @ coef - err))
@@ -214,9 +218,9 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
             out_rows.append((x_in, math.nan, math.nan, math.nan, "error"))
             all_pass = False
             continue
-        eps = np.array([e for e, _err, _s in cells])
-        err = np.array([er for _e, er, _s in cells])
-        if float(err.max()) < saturation:
+        eps = [e for e, _err, _s in cells]
+        err = [er for _e, er, _s in cells]
+        if all(e < saturation for e in err):
             out_rows.append((x_in, math.nan, math.nan, 0.0, "saturated"))
             continue
         a, b, rel = _fit_remainder(eps, err)

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import EntryExitError
 from .model import PolyP, SlowFastModel
 from .quadrature import (DEFAULT_TOL, adaptive_quad, brentq,
                          half_line_integral, pv_fast_half, pv_fast_quadratic,
                          regular_slow_part, whole_line_integral)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BasePointMap",
@@ -83,9 +84,12 @@ class BasePointMap:
                 raise self._floor_error(x0, y1)
             if ys is None:
                 return math.copysign(math.sqrt(x2_end), x0)
+            import numpy as np
+
             return np.copysign(
                 np.sqrt(x0 * x0 + two_g * (y0 - np.asarray(ys, dtype=float))), x0)
 
+        import numpy as np
         from scipy.integrate import solve_ivp  # only callable g gets here
 
         g = self.model.g

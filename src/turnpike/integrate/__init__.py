@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import IntegrationError, ModelError
 from ..model import SlowFastModel, StateXY, StateXZ
 
@@ -96,6 +94,8 @@ class Trajectory:
 
     def __init__(self, mode: str, eps: float, raw: dict,
                  specs: Sequence[EventSpec]):
+        import numpy as np
+
         self.mode = mode
         self.eps = eps
         self.status: str = raw["status"]
@@ -119,6 +119,8 @@ class Trajectory:
         return [e for e in self.events if e.spec.kind == kind]
 
     def __call__(self, t):
+        import numpy as np
+
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(ts < self.t[0] - 1e-12) or np.any(ts > self.t[-1] + 1e-12):
             raise ValueError("dense evaluation outside the integrated range")

@@ -11,8 +11,6 @@ import ctypes
 import sysconfig
 from pathlib import Path
 
-import numpy as np
-
 from ._dp45_py import weighted_lam
 
 __all__ = ["CompiledKernel", "load"]
@@ -63,6 +61,8 @@ class CompiledKernel:
 
         zeta_fn and g_fn are ignored: only the builtin forms are compiled.
         """
+        import numpy as np
+
         if zeta_kind not in (0, 1, 2) or g_kind != 0:
             raise ValueError("compiled kernel requires builtin zeta/g forms")
         if zeta_kind == 1 and len(zeta_params) < 1:

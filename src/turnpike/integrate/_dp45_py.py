@@ -58,42 +58,50 @@ _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
 
 
-def _zeta_eval(zk, zp, zfn, x, eps):
-    if zk == 0:
-        return -1.0
-    if zk == 1:
-        return -1.0 + zp[0] * x
-    if zk == 2:
+def _make_rhs(mode, two_n, wlam, eps, zk, zp, zfn, gk, gp, gfn, sign):
+    """The signed right-hand side (x, w) -> (x', w') of the (x, z) or (x, y)
+    system, with the model's kinds and coefficients bound once."""
+    rlam = tuple(reversed(wlam))
+    rzp = tuple(reversed(zp))
+    beta = zp[0] if zk == 1 else 0.0
+    gval = gp[0] if gk == 0 else 0.0
+
+    def rhs(x, w):
         acc = 0.0
-        for i in range(len(zp) - 1, -1, -1):
-            acc = acc * x + zp[i]
-        return acc
-    return zfn(x, eps)
-
-
-def _g_eval(gk, gp, gfn, x, y, eps):
-    if gk == 0:
-        return gp[0]
-    return gfn(x, y, eps)
-
-
-def _rhs(mode, two_n, wlam, eps, zk, zp, zfn, gk, gp, gfn, sign, x, w):
-    """Signed right-hand side of the (x, z) or (x, y) system."""
-    acc = 0.0
-    for i in range(two_n - 1, -1, -1):
-        acc = acc * x + wlam[i]
-    f = acc + x ** two_n * _zeta_eval(zk, zp, zfn, x, eps)
-    if mode == 0:  # (x, z), y = exp(-1/z)
-        if w <= 0.0 or 1.0 / w > _EXP_UNDERFLOW:
-            y = 0.0
+        for c in rlam:
+            acc = acc * x + c
+        if zk == 1:
+            zeta = -1.0 + beta * x
+        elif zk == 0:
+            zeta = -1.0
+        elif zk == 2:
+            zeta = 0.0
+            for c in rzp:
+                zeta = zeta * x + c
         else:
-            y = math.exp(-1.0 / w)
-        dx = eps * f + (y * _g_eval(gk, gp, gfn, x, y, eps) if y != 0.0 else 0.0)
-        dw = -x * w * w
-    else:  # raw (x, y)
-        dx = eps * f + w * _g_eval(gk, gp, gfn, x, w, eps)
-        dw = -x * w
-    return sign * dx, sign * dw
+            zeta = zfn(x, eps)
+        f = acc + x ** two_n * zeta
+        if mode == 0:  # (x, z), y = exp(-1/z)
+            if w <= 0.0 or 1.0 / w > _EXP_UNDERFLOW:
+                y = 0.0
+            else:
+                y = math.exp(-1.0 / w)
+            if y != 0.0:
+                dx = eps * f + y * (gval if gk == 0 else gfn(x, y, eps))
+            else:
+                dx = eps * f + 0.0
+            dw = -x * w * w
+        else:  # raw (x, y)
+            dx = eps * f + w * (gval if gk == 0 else gfn(x, w, eps))
+            dw = -x * w
+        return sign * dx, sign * dw
+
+    return rhs
+
+
+def _dense(base, h, q0, q1, q2, q3, th):
+    """Quartic dense output of one component at step-local time th."""
+    return base + h * th * (q0 + th * (q1 + th * (q2 + th * q3)))
 
 
 def _ev_g(kind, value, x, w):
@@ -127,6 +135,11 @@ def integrate_kernel(mode, n, lam, eps,
     zp = tuple(zeta_params)
     gp = tuple(g_params)
     nev = len(ev_kind)
+    rhs = _make_rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
+                    g_kind, gp, g_fn, time_sign)
+    ((p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23),
+     (p30, p31, p32, p33), (p40, p41, p42, p43), (p50, p51, p52, p53),
+     (p60, p61, p62, p63)) = _P
 
     ts = [0.0]
     xs = [x0]
@@ -142,8 +155,7 @@ def integrate_kernel(mode, n, lam, eps,
     t = 0.0
     x = x0
     w = w0
-    fx, fw = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                  g_kind, gp, g_fn, time_sign, x, w)
+    fx, fw = rhs(x, w)
     n_rhs += 1
 
     # initial step selection (Hairer-style trial Euler step)
@@ -161,8 +173,7 @@ def integrate_kernel(mode, n, lam, eps,
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         x1 = x + h0 * fx
         w1 = w + h0 * fw
-        f1x, f1w = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                        g_kind, gp, g_fn, time_sign, x1, w1)
+        f1x, f1w = rhs(x1, w1)
         n_rhs += 1
         vx = (f1x - fx) / sc_x
         vw = (f1w - fw) / sc_w
@@ -198,28 +209,22 @@ def integrate_kernel(mode, n, lam, eps,
         k1x, k1w = fx, fw
         ax = x + h * _A21 * k1x
         aw = w + h * _A21 * k1w
-        k2x, k2w = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                        g_kind, gp, g_fn, time_sign, ax, aw)
+        k2x, k2w = rhs(ax, aw)
         ax = x + h * (_A31 * k1x + _A32 * k2x)
         aw = w + h * (_A31 * k1w + _A32 * k2w)
-        k3x, k3w = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                        g_kind, gp, g_fn, time_sign, ax, aw)
+        k3x, k3w = rhs(ax, aw)
         ax = x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x)
         aw = w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w)
-        k4x, k4w = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                        g_kind, gp, g_fn, time_sign, ax, aw)
+        k4x, k4w = rhs(ax, aw)
         ax = x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x + _A54 * k4x)
         aw = w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w)
-        k5x, k5w = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                        g_kind, gp, g_fn, time_sign, ax, aw)
+        k5x, k5w = rhs(ax, aw)
         ax = x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x + _A64 * k4x + _A65 * k5x)
         aw = w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w)
-        k6x, k6w = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                        g_kind, gp, g_fn, time_sign, ax, aw)
+        k6x, k6w = rhs(ax, aw)
         x_new = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x + _B6 * k6x)
         w_new = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
-        k7x, k7w = _rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                        g_kind, gp, g_fn, time_sign, x_new, w_new)
+        k7x, k7w = rhs(x_new, w_new)
         n_rhs += 6
 
         err_x = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
@@ -246,27 +251,26 @@ def integrate_kernel(mode, n, lam, eps,
             last_rejected = True
             continue
 
-        # accepted: dense coefficients Q = K^T P
-        kx = (k1x, k2x, k3x, k4x, k5x, k6x, k7x)
-        kw = (k1w, k2w, k3w, k4w, k5w, k6w, k7w)
-        qx = [0.0, 0.0, 0.0, 0.0]
-        qw = [0.0, 0.0, 0.0, 0.0]
-        for s in range(7):
-            ps = _P[s]
-            cx = kx[s]
-            cw = kw[s]
-            for j in range(4):
-                qx[j] += cx * ps[j]
-                qw[j] += cw * ps[j]
-
-        def _dense(th, comp, _qx=qx, _qw=qw, _x=x, _w=w, _h=h):
-            q = _qx if comp == 0 else _qw
-            base = _x if comp == 0 else _w
-            return base + _h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
+        # accepted: dense coefficients Q = K^T P, summed over the rows of _P
+        qx0 = (0.0 + k1x * p00 + k2x * p10 + k3x * p20 + k4x * p30
+               + k5x * p40 + k6x * p50 + k7x * p60)
+        qx1 = (0.0 + k1x * p01 + k2x * p11 + k3x * p21 + k4x * p31
+               + k5x * p41 + k6x * p51 + k7x * p61)
+        qx2 = (0.0 + k1x * p02 + k2x * p12 + k3x * p22 + k4x * p32
+               + k5x * p42 + k6x * p52 + k7x * p62)
+        qx3 = (0.0 + k1x * p03 + k2x * p13 + k3x * p23 + k4x * p33
+               + k5x * p43 + k6x * p53 + k7x * p63)
+        qw0 = (0.0 + k1w * p00 + k2w * p10 + k3w * p20 + k4w * p30
+               + k5w * p40 + k6w * p50 + k7w * p60)
+        qw1 = (0.0 + k1w * p01 + k2w * p11 + k3w * p21 + k4w * p31
+               + k5w * p41 + k6w * p51 + k7w * p61)
+        qw2 = (0.0 + k1w * p02 + k2w * p12 + k3w * p22 + k4w * p32
+               + k5w * p42 + k6w * p52 + k7w * p62)
+        qw3 = (0.0 + k1w * p03 + k2w * p13 + k3w * p23 + k4w * p33
+               + k5w * p43 + k6w * p53 + k7w * p63)
 
         # event scan over this step
         terminal_theta = None
-        terminal_idx = -1
         step_hits = []
         for ie in range(nev):
             kind = ev_kind[ie]
@@ -287,14 +291,17 @@ def integrate_kernel(mode, n, lam, eps,
                 continue
             if d < 0 and up:
                 continue
-            comp = 0 if kind in (0, 2) else 1
+            if kind in (0, 2):
+                base, q0, q1, q2, q3 = x, qx0, qx1, qx2, qx3
+            else:
+                base, q0, q1, q2, q3 = w, qw0, qw1, qw2, qw3
             target = 0.0 if kind == 0 else ev_value[ie]
             # bisection on the dense polynomial, to event_tol in local theta
             a, b = 0.0, 1.0
             ga = g0
             for _ in range(60):
                 m = 0.5 * (a + b)
-                gm = _dense(m, comp) - target
+                gm = _dense(base, h, q0, q1, q2, q3, m) - target
                 if gm == 0.0:
                     a = b = m
                     break
@@ -307,10 +314,9 @@ def integrate_kernel(mode, n, lam, eps,
                     break
             th = 0.5 * (a + b)
             # Newton polish on the quartic
-            q = qx if comp == 0 else qw
             for _ in range(4):
-                gv = _dense(th, comp) - target
-                dgv = h * (q[0] + th * (2.0 * q[1] + th * (3.0 * q[2] + th * 4.0 * q[3])))
+                gv = _dense(base, h, q0, q1, q2, q3, th) - target
+                dgv = h * (q0 + th * (2.0 * q1 + th * (3.0 * q2 + th * 4.0 * q3)))
                 if dgv == 0.0:
                     break
                 step = gv / dgv
@@ -320,8 +326,8 @@ def integrate_kernel(mode, n, lam, eps,
                 th = tn
                 if abs(step) < 1e-17:
                     break
-            x_ev = _dense(th, 0)
-            w_ev = _dense(th, 1)
+            x_ev = _dense(x, h, qx0, qx1, qx2, qx3, th)
+            w_ev = _dense(w, h, qw0, qw1, qw2, qw3, th)
             if kind == 1 and not (x_ev < 0.0):
                 continue  # return-section crossing requires x < 0
             step_hits.append((th, ie, x_ev, w_ev))
@@ -334,18 +340,17 @@ def integrate_kernel(mode, n, lam, eps,
                 events.append((ie, t + th * h, x_ev, w_ev))
                 if ev_term[ie]:
                     terminal_theta = th
-                    terminal_idx = ie
                     break
 
         if terminal_theta is not None:
             t_ev = t + terminal_theta * h
-            x_ev = _dense(terminal_theta, 0)
-            w_ev = _dense(terminal_theta, 1)
+            x_ev = _dense(x, h, qx0, qx1, qx2, qx3, terminal_theta)
+            w_ev = _dense(w, h, qw0, qw1, qw2, qw3, terminal_theta)
             ts.append(t_ev)
             xs.append(x_ev)
             ws.append(w_ev)
             hs.append(h)
-            qs.append((qx[0], qx[1], qx[2], qx[3], qw[0], qw[1], qw[2], qw[3]))
+            qs.append((qx0, qx1, qx2, qx3, qw0, qw1, qw2, qw3))
             err_acc_x += abs(err_x)
             err_acc_w += abs(err_w)
             n_steps += 1
@@ -357,7 +362,7 @@ def integrate_kernel(mode, n, lam, eps,
         xs.append(x_new)
         ws.append(w_new)
         hs.append(h)
-        qs.append((qx[0], qx[1], qx[2], qx[3], qw[0], qw[1], qw[2], qw[3]))
+        qs.append((qx0, qx1, qx2, qx3, qw0, qw1, qw2, qw3))
         err_acc_x += abs(err_x)
         err_acc_w += abs(err_w)
         n_steps += 1

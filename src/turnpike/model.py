@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ModelError
 
 __all__ = [
@@ -81,7 +79,7 @@ class PolyP:
 
     def __call__(self, v):
         """Evaluate P(v); accepts scalars or arrays (Horner form)."""
-        acc = np.multiply(v, 0.0) - 1.0
+        acc = v * 0.0 - 1.0
         for c in reversed(self.lam):
             acc = acc * v + c
         return acc
@@ -92,7 +90,7 @@ class PolyP:
         Q(u) = lam_0 u^(2n) + lam_1 u^(2n-1) + ... + lam_{2n-1} u - 1.
         Used to map integrals over |v| >= 1 onto u = 1/v in [-1, 1].
         """
-        acc = np.multiply(u, 0.0)
+        acc = u * 0.0
         for c in self.lam:
             acc = (acc + c) * u
         return acc - 1.0
@@ -108,7 +106,16 @@ class PolyP:
         return self.max_over_reals() < 0.0
 
     def max_over_reals(self) -> float:
-        """Global maximum of P over the reals (finite: leading term -v^2n)."""
+        """Global maximum of P over the reals (finite: leading term -v^2n).
+
+        For n = 1 that is P at the one critical point lam_1 / 2, the root
+        np.roots returns for P' = -2 v + lam_1; for n >= 2 numpy finds the
+        roots of P'.
+        """
+        if self.n == 1:
+            return self(self.lam[1] / 2.0)
+        import numpy as np
+
         # roots of P' (degree 2n-1, odd, so at least one real critical point);
         # np.roots wants highest degree first: P' = -2n v^(2n-1) + ... + lam_1
         dcoeffs = [-(2.0 * self.n)] + [
@@ -200,13 +207,24 @@ def eval_f_lambda(model: SlowFastModel, x: float, eps: float) -> float:
     Exact for eps = 0 as well (limit x^(2n) zeta(x, 0)); this expanded form
     avoids the 0/0 of the rescaled P(x/eps) representation.
     """
-    lam = model.p.lam
+    return _f_values(model, (x,), eps)[0]
+
+
+def _f_values(model: SlowFastModel, xs: Sequence[float],
+              eps: float) -> list[float]:
+    """eval_f_lambda at each x of xs, the coefficients weighted once."""
     two_n = 2 * model.p.n
-    acc = 0.0
     # Horner in x with eps-weighted coefficients eps^(2n-i) lam_i
-    for i in range(two_n - 1, -1, -1):
-        acc = acc * x + lam[i] * eps ** (two_n - i)
-    return acc + x ** two_n * float(model.zeta(x, eps))
+    wlam = [model.p.lam[i] * eps ** (two_n - i)
+            for i in range(two_n - 1, -1, -1)]
+    zeta = model.zeta
+    out = []
+    for x in xs:
+        acc = 0.0
+        for c in wlam:
+            acc = acc * x + c
+        out.append(acc + x ** two_n * float(zeta(x, eps)))
+    return out
 
 
 def vector_field_xy(model: SlowFastModel, s: StateXY) -> tuple[float, float]:
@@ -237,30 +255,52 @@ class HypothesisReport:
     witness: tuple[str, float, float, float] | None
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) as a list of floats, bit for bit:
+    start + i * step, with the last point exactly stop."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if num < 2:
+        return [start + 0.0 * delta for _ in range(num)]
+    div = num - 1
+    step = delta / div
+    if step == 0.0:  # numpy's route for a step that underflows
+        pts = [start + i / div * delta for i in range(num)]
+    else:
+        pts = [start + i * step for i in range(num)]
+    pts[-1] = stop
+    return pts
+
+
+def _peak(vals: list[float]) -> tuple[float, int]:
+    """(max, index of its first occurrence), as numpy's max and argmax:
+    the first NaN, if any, wins."""
+    i = next((k for k, v in enumerate(vals) if v != v), None)
+    if i is None:
+        i = vals.index(max(vals))
+    return vals[i], i
+
+
 def check_hypotheses(model: SlowFastModel, eps_max: float = 0.05,
                      grid: int = 201) -> HypothesisReport:
     """Verify negativity of zeta(., 0) on I, of P on R, and of f on I x (0, eps_max]."""
-    xs = np.linspace(model.I[0], model.I[1], grid)
-    zvals = np.array([float(model.zeta(x, 0.0)) for x in xs])
-    zmax = float(zvals.max())
+    xs = _linspace(model.I[0], model.I[1], grid)
+    zmax, iz = _peak([float(model.zeta(x, 0.0)) for x in xs])
     witness = None
     if zmax >= 0.0:
-        xw = float(xs[int(zvals.argmax())])
-        witness = ("zeta", xw, 0.0, zmax)
+        witness = ("zeta", xs[iz], 0.0, zmax)
 
     pmax = model.p.max_over_reals()
     if witness is None and pmax >= 0.0:
         witness = ("P", math.nan, math.nan, pmax)
 
     f_margin = math.inf
-    eps_grid = np.linspace(eps_max / grid, eps_max, grid)
-    for eps in eps_grid:
-        fvals = np.array([eval_f_lambda(model, float(x), float(eps)) for x in xs])
-        fmax = float(fvals.max())
+    for eps in _linspace(eps_max / grid, eps_max, grid):
+        fmax, i_f = _peak(_f_values(model, xs, eps))
         if -fmax < f_margin:
             f_margin = -fmax
             if fmax >= 0.0 and witness is None:
-                witness = ("f", float(xs[int(fvals.argmax())]), float(eps), fmax)
+                witness = ("f", xs[i_f], eps, fmax)
 
     c = min(-zmax, -pmax)
     passed = zmax < 0.0 and pmax < 0.0 and f_margin > 0.0

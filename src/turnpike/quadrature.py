@@ -12,10 +12,13 @@ removed analytically before any quadrature runs:
 
 The adaptive rule (globally adaptive Gauss-Kronrod 7/15, as QUADPACK's qag)
 and the bracketed root finder the solvers share (Brent's method, ported
-from SciPy's brentq.c) live here, so the run-time path needs numpy alone.
+from SciPy's brentq.c) live here, in pure Python: the theory layer runs on
+floats alone, and numpy is imported only by the integrating, array and fit
+paths.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import sys
@@ -258,6 +261,46 @@ def brentq(f: Callable[[float], float], a: float, b: float,
         f"value is {xcur!r}")
 
 
+def _zeta_guard(zeta: Callable[[float, float], float], a: float,
+                b: float) -> None:
+    """Raise if zeta(s, 0) comes within _ZETA_FLOOR of 0 or changes sign on
+    the _SCAN_POINTS-point scan s = a + k step of [a, b], a <= b.
+
+    zeta(s, 0) * first > _ZETA_FLOOR * |first| says at once that
+    |zeta(s, 0)| > _ZETA_FLOOR and that zeta has not changed sign since
+    s = a. The builtin forms need no full scan: for 'constant-minus-one'
+    the product is 1, and for 'ddr-beta' (-1 + beta s) * first is monotone
+    in k, rounding included, so the failing k form a prefix or a suffix of
+    the scan: its two ends and a bisection find the first one, and the
+    error names the s the scan would.
+    """
+    kind = getattr(zeta, "form", (None, ()))[0]
+    if kind == "constant-minus-one":
+        return
+    step = (b - a) / (_SCAN_POINTS - 1) if b > a else 0.0
+    first = zeta(a, 0.0)
+    bound = _ZETA_FLOOR * abs(first)
+
+    def fails(k: int) -> bool:
+        return zeta(a + k * step, 0.0) * first <= bound
+
+    if kind == "ddr-beta":
+        last = _SCAN_POINTS - 1
+        if fails(0):
+            bad = 0
+        elif not fails(last):
+            return
+        else:  # k = 0 passes, so the failing k are a suffix
+            bad = bisect.bisect_left(range(last), True, key=fails)
+    else:
+        bad = next((k for k in range(_SCAN_POINTS) if fails(k)), None)
+        if bad is None:
+            return
+    raise QuadratureError(
+        f"zeta(s, 0) vanishes near s = {a + bad * step:.6g}; "
+        "regularized slow integral is ill-posed on this range")
+
+
 def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
                       tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of r(s) = (zeta(s,0)+1)/(s zeta(s,0)) over [a, b], a <= b.
@@ -271,17 +314,7 @@ def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
         r = regular_slow_part(zeta, b, a, tol)
         return QuadResult(-r.value, r.abs_error_estimate, r.subdivisions)
 
-    step = (b - a) / (_SCAN_POINTS - 1) if b > a else 0.0
-    # zeta(s, 0) * first > _ZETA_FLOOR * |first| says at once that
-    # |zeta(s, 0)| > _ZETA_FLOOR and that zeta has not changed sign since s = a
-    first = zeta(a, 0.0)
-    bound = _ZETA_FLOOR * abs(first)
-    for k in range(_SCAN_POINTS):
-        s = a + k * step
-        if zeta(s, 0.0) * first <= bound:
-            raise QuadratureError(
-                f"zeta(s, 0) vanishes near s = {s:.6g}; "
-                "regularized slow integral is ill-posed on this range")
+    _zeta_guard(zeta, a, b)
 
     def r(s: float) -> float:
         if s == 0.0:

@@ -309,19 +309,35 @@ class TestConfigFile:
 
 
 class TestRunTimeDependencies:
-    """numpy is the only third-party import on the run-time path: scipy is
-    a test dependency, reached by the program only for a callable g."""
+    """numpy is the only third-party import on the run-time path, and only
+    the integrating, array and fit paths import it: scipy is a test
+    dependency, reached by the program only for a callable g."""
 
     SCRIPT = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, sys
 from turnpike.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(main(argv))
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:  # --help
+            codes.append(exc.code)
+print(json.dumps({"codes": codes, "third_party": sorted(
+    {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})}))
 """
+
+    def run_calls(self, calls):
+        """Exit codes of the calls, run in turn in one fresh interpreter,
+        and the third-party packages it imported."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(calls)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
 
     def test_commands_never_import_scipy(self, models_dir, tmp_path):
         ddr, quartic, canard = (str(models_dir / f"{m}.model")
@@ -336,13 +352,19 @@ print(json.dumps({"codes": codes, "scipy": sorted(
             ["nge2", "--model", quartic, "--eps", "0.05"],
             ["canard-solve", "--model", canard, "--l", "1"],
         ]
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(calls)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        report = self.run_calls(calls)
         assert report["codes"] == [0] * len(calls)
-        assert report["scipy"] == []
+        assert report["third_party"] == ["numpy"]
+
+    def test_theory_commands_never_import_numpy(self, models_dir):
+        ddr = str(models_dir / "ddr.model")
+        calls = [
+            ["--help"],
+            ["hypotheses", "--model", ddr],
+            ["pv-check", "--", "-2", "1"],
+            ["delta0", "--model", ddr],
+            ["delta0", "--model", ddr, "--x-in", "1.004,1.01,1.016"],
+        ]
+        report = self.run_calls(calls)
+        assert report["codes"] == [0] * len(calls)
+        assert report["third_party"] == []

@@ -11,7 +11,7 @@ from turnpike.entryexit import base_point
 from turnpike.errors import EntryExitError, ModelError
 from turnpike.integrate import active_backend, dulac_map_numeric
 from turnpike.model import (PolyP, SlowFastModel, StateXY, StateXZ,
-                            check_hypotheses, ddr_model, eval_f_lambda,
+                            _linspace, check_hypotheses, ddr_model, eval_f_lambda,
                             exp_neg_inv, load_model, make_g, make_zeta,
                             vector_field_xy, vector_field_xz)
 
@@ -84,6 +84,37 @@ class TestPolyP:
         p = PolyP(n=2, lam=(-0.5, 1.0, 2.0, -0.3))
         vs = np.linspace(-5, 5, 200001)
         assert p.max_over_reals() == pytest.approx(float(p(vs).max()), abs=1e-6)
+
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_quadratic_max_is_the_np_roots_value(self, lam0, lam1):
+        # negative definite: 4 lam0 + lam1^2 < 0
+        lam0 = -abs(lam0) - lam1 * lam1 / 4.0 - 1e-3
+        p = PolyP(n=1, lam=(lam0, lam1))
+        roots = np.roots([-2.0, lam1])
+        ref = float(np.max(p(roots[np.abs(roots.imag) < 1e-9].real)))
+        got = p.max_over_reals()
+        assert type(got) is float
+        assert math.copysign(1.0, got) == math.copysign(1.0, ref)
+        assert got == ref
+
+
+class TestLinspace:
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+           st.one_of(st.integers(0, 3), st.integers(4, 300)))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_numpy(self, start, stop, num):
+        got = _linspace(start, stop, num)
+        ref = np.linspace(start, stop, num)
+        assert all(type(v) is float for v in got)
+        assert np.array(got, dtype=float).tobytes() == ref.tobytes()
+
+    def test_underflowing_step(self):
+        # step = delta / div rounds to 0: numpy scales (i / div) by delta
+        for start, stop, num in ((0.0, 5e-324, 3), (-1e-323, 0.0, 7),
+                                 (2.0, 2.0, 5)):
+            assert np.array(_linspace(start, stop, num)).tobytes() == \
+                np.linspace(start, stop, num).tobytes()
 
 
 class TestSlowFastModel:
@@ -241,6 +272,49 @@ class TestHypotheses:
         rep = check_hypotheses(m)
         assert not rep.passed
         assert rep.witness is not None
+
+    @staticmethod
+    def numpy_reference(model, eps_max, grid):
+        """The check as numpy arrays compute it."""
+        xs = np.linspace(model.I[0], model.I[1], grid)
+        zvals = np.array([float(model.zeta(x, 0.0)) for x in xs])
+        zmax = float(zvals.max())
+        witness = None
+        if zmax >= 0.0:
+            witness = ("zeta", float(xs[int(zvals.argmax())]), 0.0, zmax)
+        pmax = model.p.max_over_reals()
+        if witness is None and pmax >= 0.0:
+            witness = ("P", math.nan, math.nan, pmax)
+        f_margin = math.inf
+        for eps in np.linspace(eps_max / grid, eps_max, grid):
+            fvals = np.array([eval_f_lambda(model, float(x), float(eps))
+                              for x in xs])
+            fmax = float(fvals.max())
+            if -fmax < f_margin:
+                f_margin = -fmax
+                if fmax >= 0.0 and witness is None:
+                    witness = ("f", float(xs[int(fvals.argmax())]),
+                               float(eps), fmax)
+        return (zmax < 0.0 and pmax < 0.0 and f_margin > 0.0,
+                min(-zmax, -pmax), f_margin, witness)
+
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+           st.floats(-3.0, 1.0), st.floats(-1.0, 2.0), st.floats(1e-3, 0.5),
+           st.floats(-3.0, -0.05), st.floats(0.05, 3.0),
+           st.integers(2, 40), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_report_equals_the_numpy_computation(self, zc, lam0, lam1, eps_max,
+                                                 lo, hi, grid, nan_spot):
+        zeta = make_zeta("poly", (-1.0, *zc))
+        if nan_spot:  # numpy's max and argmax pick the first NaN
+            def zeta(x, eps, base=zeta):
+                return math.nan if 0.0 < x < 0.5 else base(x, eps)
+        m = SlowFastModel(p=PolyP(n=1, lam=(lam0, lam1)), zeta=zeta,
+                          g=make_g("ddr"), delta=0.5, I=(lo, hi),
+                          I_in=(1.002, 1.016), I_out=(-0.9, -0.5))
+        rep = check_hypotheses(m, eps_max=eps_max, grid=grid)
+        got = (rep.passed, rep.c, rep.f_margin, rep.witness)
+        assert repr(got) == repr(self.numpy_reference(m, eps_max, grid))
 
 
 class TestLoader:

@@ -2,11 +2,12 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as sint
 import scipy.optimize as sopt
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import turnpike.quadrature as quadrature
@@ -107,31 +108,38 @@ class TestAdaptiveQuad:
 
 
 # smooth integrand families f(s; p, q), |f| <= 25 on the sampled ranges: an
-# absolute tol of 1e-11 stays above the rounding floor of both rules
+# absolute tol of 1e-11 stays above the rounding floor of both rules. `m` is
+# the math module for adaptive_quad and mpmath for the reference.
 SMOOTH = (
-    lambda p, q: lambda s: math.exp(-p * s * s) * math.cos(q * s + p),
-    lambda p, q: lambda s: 1.0 / (1.0 + p * (s - q) ** 2),
-    lambda p, q: lambda s: s * math.tanh(p * (s - q)),
-    lambda p, q: lambda s: math.sqrt(1.0 + p * s * s) + math.sin(q * s) ** 2,
-    lambda p, q: lambda s: math.log(2.0 + math.cos(p * s + q)),
+    lambda m, p, q: lambda s: m.exp(-p * s * s) * m.cos(q * s + p),
+    lambda m, p, q: lambda s: 1.0 / (1.0 + p * (s - q) ** 2),
+    lambda m, p, q: lambda s: s * m.tanh(p * (s - q)),
+    lambda m, p, q: lambda s: m.sqrt(1.0 + p * s * s) + m.sin(q * s) ** 2,
+    lambda m, p, q: lambda s: m.log(2.0 + m.cos(p * s + q)),
 )
 
 
 class TestAdaptiveQuadAgainstQuadpack:
-    """adaptive_quad against scipy's QUADPACK (qags, 21-point rule with
-    extrapolation), an independent implementation, on random smooth
-    integrands over random intervals in either orientation."""
+    """adaptive_quad, QUADPACK's qag algorithm, on random smooth integrands
+    over random intervals in either orientation, against mpmath's
+    tanh-sinh quadrature at 30 digits, an independent implementation whose
+    error lies far below every tol tested."""
 
     @given(st.integers(0, len(SMOOTH) - 1), st.floats(0.1, 5.0),
            st.floats(-2.0, 2.0), st.floats(-4.0, 4.0), st.floats(1e-3, 6.0),
            st.booleans(), st.sampled_from((1e-6, 1e-9, 1e-11)))
     @settings(max_examples=200, deadline=None)
+    # scipy's quad, the former reference, missed its own 1e-12 error bound here
+    @example(family=3, p=5.0, q=0.0, a=1.6875, width=5.625, reverse=False,
+             tol=1e-6)
     def test_matches_quadpack(self, family, p, q, a, width, reverse, tol):
-        f = SMOOTH[family](p, q)
+        f = SMOOTH[family](math, p, q)
         lo, hi = (a + width, a) if reverse else (a, a + width)
         got = adaptive_quad(f, lo, hi, tol)
-        ref, ref_err = sint.quad(f, lo, hi, epsabs=1e-14, epsrel=0.0,
-                                 limit=500)
+        with mpmath.workdps(30):
+            ref, ref_err = mpmath.quad(SMOOTH[family](mpmath, p, q), [lo, hi],
+                                       error=True)
+            ref, ref_err = float(ref), float(ref_err)
         assert ref_err < 1e-12
         assert abs(got.value - ref) <= tol
         assert got.abs_error_estimate <= tol
@@ -254,6 +262,65 @@ class TestRegularSlowPartProperty:
         fwd = regular_slow_part(zeta, a, b)
         assert fwd.value == pytest.approx(ref, abs=1e-12)
         assert regular_slow_part(zeta, b, a).value == -fwd.value
+
+
+class TestZetaGuard:
+    """The builtin forms skip the 257-point zeta scan of regular_slow_part;
+    it must still raise exactly when the scan would, naming the same s."""
+
+    @staticmethod
+    def scan(zeta, a, b):
+        """The full scan: the message for the first failing point, or None."""
+        n = quadrature._SCAN_POINTS
+        step = (b - a) / (n - 1) if b > a else 0.0
+        first = zeta(a, 0.0)
+        bound = quadrature._ZETA_FLOOR * abs(first)
+        for k in range(n):
+            s = a + k * step
+            if zeta(s, 0.0) * first <= bound:
+                return (f"zeta(s, 0) vanishes near s = {s:.6g}; "
+                        "regularized slow integral is ill-posed on this range")
+        return None
+
+    @staticmethod
+    def guard(zeta, a, b):
+        try:
+            quadrature._zeta_guard(zeta, a, b)
+        except QuadratureError as exc:
+            return str(exc)
+        return None
+
+    @given(st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, 1.0, -0.5))),
+           st.floats(-3.0, 3.0),
+           st.one_of(st.floats(0.0, 4.0), st.just(0.0), st.floats(0.0, 1e-9)),
+           st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_ddr_beta_guard_matches_the_scan(self, beta, a, width, on_zero):
+        if on_zero and beta != 0.0:
+            a = 1.0 / beta - width / 2.0  # zeta's zero inside or at the range
+        zeta = make_zeta("ddr-beta", (beta,))
+        b = a + width
+        assert self.guard(zeta, a, b) == self.scan(zeta, a, b)
+
+    def test_ddr_beta_guard_names_the_scan_point(self):
+        zeta = make_zeta("ddr-beta", (1.0,))
+        for a, b in ((0.5, 1.5), (-1.0, 1.5), (1.0, 2.0), (0.0, 0.999999999)):
+            msg = self.scan(zeta, a, b)
+            assert msg is not None and self.guard(zeta, a, b) == msg
+
+    @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e6))
+    @settings(max_examples=100, deadline=None)
+    def test_constant_zeta_never_raises(self, a, width):
+        zeta = make_zeta("constant-minus-one")
+        assert self.guard(zeta, a, a + width) is None
+        assert self.scan(zeta, a, a + width) is None
+
+    def test_other_zeta_scans(self):
+        # the poly form and plain callables keep the full scan
+        for zeta in (make_zeta("poly", (-1.0, 0.0, 1.0)),
+                     lambda s, eps: -1.0 + s * s):
+            assert self.guard(zeta, -2.0, 0.5) == self.scan(zeta, -2.0, 0.5)
+            assert "near s = -0.994141" in self.guard(zeta, -2.0, 0.5)
 
 
 class TestFastPrincipalValue:
