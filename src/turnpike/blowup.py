@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ChartError
+from .errors import ChartError, QuadratureError
 from .model import SlowFastModel
-from .quadrature import DEFAULT_TOL, adaptive_quad, brentq
+from .quadrature import DEFAULT_TOL, adaptive_quad, brentq, regular_slow_part
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,22 +65,24 @@ def _passage_integral(model: SlowFastModel, x_in_b: float, x: float,
                       tol: float) -> float:
     """int_{x_in_b}^{x} ds / (s^(2n-1) zeta(s, 0)) for 0 < x < x_in_b.
 
-    Split as an exact power/log part plus the quadrature of the bounded-at-0
-    correction (zeta + 1) / (s^(2n-1) zeta).
+    Split as an exact power/log part plus the bounded-at-0 correction
+    (zeta + 1) / (s^(2n-1) zeta); for n = 1 that is the regular slow part.
     """
     n = model.n
     zeta = model.zeta
     if n == 1:
-        exact = math.log(x_in_b / x)
-    else:
-        exact = (x ** (2 - 2 * n) - x_in_b ** (2 - 2 * n)) / (2 * n - 2)
+        try:
+            reg = regular_slow_part(zeta, x_in_b, x, tol)
+        except QuadratureError as exc:
+            raise ChartError(f"zeta is not negative on the range: {exc}") from exc
+        return math.log(x_in_b / x) + reg.value
+    exact = (x ** (2 - 2 * n) - x_in_b ** (2 - 2 * n)) / (2 * n - 2)
 
     def corr(s: float) -> float:
         zs = zeta(s, 0.0)
         return (zs + 1.0) / (s ** (2 * n - 1) * zs)
 
-    c = adaptive_quad(corr, x_in_b, x, tol)
-    return exact + c.value
+    return exact + adaptive_quad(corr, x_in_b, x, tol).value
 
 
 def theoretical_z2_curve(model: SlowFastModel, x_in_b: float, x,

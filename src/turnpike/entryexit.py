@@ -27,7 +27,7 @@ from .errors import EntryExitError
 from .model import PolyP, SlowFastModel
 from .quadrature import (DEFAULT_TOL, adaptive_quad, brentq,
                          half_line_integral, pv_fast_half, pv_fast_quadratic,
-                         regular_slow_part, whole_line_integral)
+                         pv_slow, regular_slow_part, whole_line_integral)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -171,23 +171,17 @@ def _root_between(F: Callable[[float], float], lo: float, hi: float,
     return brentq(F, lo, hi, xtol=xtol)
 
 
-def _relation_lhs(model: SlowFastModel, x_out_b: float, x_in_b: float,
-                  tol: float) -> float:
-    reg = regular_slow_part(model.zeta, x_out_b, x_in_b, tol)
-    return reg.value + math.log(-x_out_b / x_in_b)
-
-
 def solve_delta0_n1(model: SlowFastModel, x_in: float,
                     tol: float = 1e-12) -> EntryExitResult:
     """Solve the entry-exit relation for the exit point paired with x_in.
 
     The bracket is the base-point image of I_out, widened by 10% and clipped
-    to I and away from the turning point. The relation F is strictly
-    decreasing there (F'(a) = -1/(a zeta(a, 0)) < 0 for a < 0), so the signs
-    of F at the two ends decide whether a root exists; Brent then polishes
-    it. The solver never extrapolates outside a verified sign change.
-    Relation values are memoized per abscissa, so Brent's endpoint calls and
-    the final residual cost no further quadrature.
+    to I and away from the turning point; an empty bracket raises. The
+    relation F is strictly decreasing there (F'(a) = -1/(a zeta(a, 0)) < 0
+    for a < 0), so the signs of F at the two ends decide whether a root
+    exists; Brent then polishes it. The solver never extrapolates outside a
+    verified sign change. Relation values are memoized per abscissa, so
+    Brent's endpoint calls and the final residual cost no further work.
     """
     if model.n != 1:
         raise EntryExitError("solve_delta0_n1 requires an n = 1 model")
@@ -201,16 +195,17 @@ def solve_delta0_n1(model: SlowFastModel, x_in: float,
 
     def F(a: float) -> float:
         if a not in seen:
-            seen[a] = _relation_lhs(model, a, x_in_b, tol) - K
+            seen[a] = pv_slow(model.zeta, a, x_in_b, tol).value - K
         return seen[a]
 
-    lo = bpm(model.I_out[0])
-    hi = bpm(model.I_out[1])
-    if lo > hi:
-        lo, hi = hi, lo
-    span = hi - lo
-    lo = max(model.I[0], lo - 0.1 * span)
-    hi = min(-_X_FLOOR * 10.0, hi + 0.1 * span)
+    image = sorted((bpm(model.I_out[0]), bpm(model.I_out[1])))
+    span = image[1] - image[0]
+    lo = max(model.I[0], image[0] - 0.1 * span)
+    hi = min(-_X_FLOOR * 10.0, image[1] + 0.1 * span)
+    if lo >= hi:
+        raise EntryExitError(
+            f"base-point image [{image[0]:.6g}, {image[1]:.6g}] of I_out does "
+            f"not meet I = {model.I} left of the turning point (x_in = {x_in})")
 
     x_out_b = _root_between(
         F, lo, hi, tol,

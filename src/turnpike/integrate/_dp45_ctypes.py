@@ -1,40 +1,26 @@
 """ctypes binding of the compiled stepper `dp45.c`.
 
-setup.py builds `dp45.c` into the shared library `_dp45_lib<EXT_SUFFIX>`
-next to this module; `load()` binds it when it is there. The library
-takes no Python objects and ctypes releases the interpreter lock for the
-call, so passages on several threads run in parallel.
+setup.py builds `dp45.c` into `_dp45_lib<EXT_SUFFIX>` next to this module
+(EXT_SUFFIX is the first of EXTENSION_SUFFIXES); `load()` binds it, with
+ctypes, when it is there. The library takes no Python objects and ctypes
+releases the interpreter lock for the call, so passages on several
+threads run in parallel.
 """
 from __future__ import annotations
 
-import ctypes
-import sysconfig
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 from ._dp45_py import weighted_lam
 
 __all__ = ["CompiledKernel", "load"]
 
-_LIBRARY = Path(__file__).with_name(
-    "_dp45_lib" + sysconfig.get_config_var("EXT_SUFFIX"))
+_LIBRARY = Path(__file__).with_name("_dp45_lib" + EXTENSION_SUFFIXES[0])
 
 _STATUS = ("t_end", "event", "max_steps", "step_underflow")
 _BUFFER_FULL = 4
 _FIRST_NODE_CAP = 4096
 _FIRST_EVENT_CAP = 16
-
-_int, _i64, _dbl, _ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-_ARGTYPES = [
-    _int, _int, _ptr, _dbl,              # mode, n, wlam, eps
-    _int, _ptr, _int, _dbl,              # zeta kind, params, count; g
-    _dbl, _dbl, _dbl, _dbl,              # x0, w0, t_max, time_sign
-    _dbl, _dbl, _dbl, _dbl,              # rtol, atol, max_step, first_step
-    _int, _ptr, _ptr, _ptr, _ptr, _dbl,  # events: count, kind, value, dir, term; tol
-    _i64,                                # max_steps
-    _i64, _ptr, _ptr, _ptr, _ptr, _ptr,  # node_cap, t, x, w, h, q
-    _i64, _ptr, _ptr,                    # event_cap, index, (t, x, w)
-    _ptr, _ptr,                          # counts, err_accum
-]
 
 
 class CompiledKernel:
@@ -45,9 +31,22 @@ class CompiledKernel:
     """
 
     def __init__(self, path: Path | str):
-        fn = ctypes.CDLL(str(path)).dp45_integrate
-        fn.argtypes = _ARGTYPES
-        fn.restype = ctypes.c_int
+        from ctypes import (CDLL, c_double as dbl, c_int as int_,
+                            c_int64 as i64, c_void_p as ptr)
+
+        fn = CDLL(str(path)).dp45_integrate
+        fn.argtypes = [
+            int_, int_, ptr, dbl,           # mode, n, wlam, eps
+            int_, ptr, int_, dbl,           # zeta kind, params, count; g
+            dbl, dbl, dbl, dbl,             # x0, w0, t_max, time_sign
+            dbl, dbl, dbl, dbl,             # rtol, atol, max_step, first_step
+            int_, ptr, ptr, ptr, ptr, dbl,  # events: count, kind, value, dir, term; tol
+            i64,                            # max_steps
+            i64, ptr, ptr, ptr, ptr, ptr,   # node_cap, t, x, w, h, q
+            i64, ptr, ptr,                  # event_cap, index, (t, x, w)
+            ptr, ptr,                       # counts, err_accum
+        ]
+        fn.restype = int_
         self._fn = fn
 
     def integrate_kernel(self, mode, n, lam, eps,

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["integrate_kernel", "BACKEND"]
-
-BACKEND = "python"
+__all__ = ["integrate_kernel"]
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5, _C6 = 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0

@@ -18,7 +18,6 @@ paths.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import sys
@@ -261,6 +260,12 @@ def brentq(f: Callable[[float], float], a: float, b: float,
         f"value is {xcur!r}")
 
 
+def _ill_posed(s: float) -> QuadratureError:
+    return QuadratureError(
+        f"zeta(s, 0) vanishes near s = {s:.6g}; "
+        "regularized slow integral is ill-posed on this range")
+
+
 def _zeta_guard(zeta: Callable[[float, float], float], a: float,
                 b: float) -> None:
     """Raise if zeta(s, 0) comes within _ZETA_FLOOR of 0 or changes sign on
@@ -268,51 +273,49 @@ def _zeta_guard(zeta: Callable[[float, float], float], a: float,
 
     zeta(s, 0) * first > _ZETA_FLOOR * |first| says at once that
     |zeta(s, 0)| > _ZETA_FLOOR and that zeta has not changed sign since
-    s = a. The builtin forms need no full scan: for 'constant-minus-one'
-    the product is 1, and for 'ddr-beta' (-1 + beta s) * first is monotone
-    in k, rounding included, so the failing k form a prefix or a suffix of
-    the scan: its two ends and a bisection find the first one, and the
-    error names the s the scan would.
+    s = a.
     """
-    kind = getattr(zeta, "form", (None, ()))[0]
-    if kind == "constant-minus-one":
-        return
     step = (b - a) / (_SCAN_POINTS - 1) if b > a else 0.0
     first = zeta(a, 0.0)
     bound = _ZETA_FLOOR * abs(first)
+    for k in range(_SCAN_POINTS):
+        if zeta(a + k * step, 0.0) * first <= bound:
+            raise _ill_posed(a + k * step)
 
-    def fails(k: int) -> bool:
-        return zeta(a + k * step, 0.0) * first <= bound
 
-    if kind == "ddr-beta":
-        last = _SCAN_POINTS - 1
-        if fails(0):
-            bad = 0
-        elif not fails(last):
-            return
-        else:  # k = 0 passes, so the failing k are a suffix
-            bad = bisect.bisect_left(range(last), True, key=fails)
-    else:
-        bad = next((k for k in range(_SCAN_POINTS) if fails(k)), None)
-        if bad is None:
-            return
-    raise QuadratureError(
-        f"zeta(s, 0) vanishes near s = {a + bad * step:.6g}; "
-        "regularized slow integral is ill-posed on this range")
+def _linear_slope(zeta: Callable[[float, float], float]) -> float | None:
+    """beta if zeta is a builtin form equal to -1 + beta s, else None."""
+    kind, params = getattr(zeta, "form", (None, ()))
+    if kind == "poly" and len(params) <= 2 and params[0] == -1.0:
+        params = params[1:]
+    elif kind not in ("ddr-beta", "constant-minus-one"):
+        return None
+    return params[0] if params else 0.0
 
 
 def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
                       tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of r(s) = (zeta(s,0)+1)/(s zeta(s,0)) over [a, b], a <= b.
 
-    r has a removable singularity at s = 0. A range that contains the origin
-    is split there; Gauss-Kronrod rules never sample the ends of a panel.
-    Raises if zeta(., 0) comes within _ZETA_FLOOR of 0 or changes sign on a
-    scan of the range, since the regularization then loses meaning.
+    Raises if zeta(., 0) comes within _ZETA_FLOOR of 0 or changes sign on
+    the range, since the regularization then loses meaning. A builtin zeta
+    equal to -1 + beta s is monotone, so its two ends settle that, and
+    r = beta / zeta integrates exactly to log(zeta(b) / zeta(a)), with
+    subdivisions == 0. Any other zeta is checked on a scan of the range and
+    r, removable at s = 0, is integrated adaptively, split at the origin;
+    Gauss-Kronrod rules never sample the ends of a panel.
     """
     if a > b:
         r = regular_slow_part(zeta, b, a, tol)
         return QuadResult(-r.value, r.abs_error_estimate, r.subdivisions)
+
+    beta = _linear_slope(zeta)
+    if beta is not None:
+        za, zb = -1.0 + beta * a, -1.0 + beta * b
+        if not (max(za, zb) < -_ZETA_FLOOR or min(za, zb) > _ZETA_FLOOR):
+            raise _ill_posed(1.0 / beta)  # beta != 0: zeta = -1 never fails
+        # log(zb / za), accurate to rounding also when b - a is small
+        return QuadResult(math.log1p(beta * (b - a) / za), 0.0, 0)
 
     _zeta_guard(zeta, a, b)
 

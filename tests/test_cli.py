@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from turnpike.cli import ExperimentConfig, _fit_remainder, main
+from turnpike.integrate import _dp45_ctypes
 
 from conftest import DDR_KV
 
@@ -311,7 +312,8 @@ class TestConfigFile:
 class TestRunTimeDependencies:
     """numpy is the only third-party import on the run-time path, and only
     the integrating, array and fit paths import it: scipy is a test
-    dependency, reached by the program only for a callable g."""
+    dependency, reached by the program only for a callable g. ctypes is
+    imported only to bind a built compiled kernel."""
 
     SCRIPT = """
 import contextlib, io, json, sys
@@ -323,13 +325,13 @@ for argv in json.loads(sys.argv[1]):
             codes.append(main(argv))
         except SystemExit as exc:  # --help
             codes.append(exc.code)
-print(json.dumps({"codes": codes, "third_party": sorted(
-    {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})}))
+print(json.dumps({"codes": codes, "imported": sorted(
+    {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy", "ctypes"})}))
 """
 
     def run_calls(self, calls):
         """Exit codes of the calls, run in turn in one fresh interpreter,
-        and the third-party packages it imported."""
+        and which of numpy, scipy and ctypes it imported."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -354,7 +356,7 @@ print(json.dumps({"codes": codes, "third_party": sorted(
         ]
         report = self.run_calls(calls)
         assert report["codes"] == [0] * len(calls)
-        assert report["third_party"] == ["numpy"]
+        assert set(report["imported"]) - {"ctypes"} == {"numpy"}
 
     def test_theory_commands_never_import_numpy(self, models_dir):
         ddr = str(models_dir / "ddr.model")
@@ -367,4 +369,6 @@ print(json.dumps({"codes": codes, "third_party": sorted(
         ]
         report = self.run_calls(calls)
         assert report["codes"] == [0] * len(calls)
-        assert report["third_party"] == []
+        # a built library is bound, through ctypes, on import
+        assert report["imported"] == (
+            ["ctypes"] if _dp45_ctypes._LIBRARY.exists() else [])

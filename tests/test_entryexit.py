@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -14,8 +14,9 @@ from turnpike.entryexit import (BasePointMap, base_point, canard_slope,
                                 predict_delay_nge2, section_from_base,
                                 solve_canard_parameter, solve_delta0_n1)
 from turnpike.errors import EntryExitError
-from turnpike.integrate import log_y_at_x0
-from turnpike.model import PolyP, ddr_model, make_g, make_zeta
+from turnpike.integrate import log_y_at_x0, z_at_x0
+from turnpike.model import (PolyP, SlowFastModel, ddr_model, make_g,
+                            make_zeta)
 from turnpike.quadrature import whole_line_integral
 
 # frozen reference data for the worked model at x_in = 1.016
@@ -137,6 +138,15 @@ class TestSolveDelta0:
         with pytest.raises(EntryExitError, match="outside the declared"):
             solve_delta0_n1(ddr, 1.0269)
 
+    def test_bracket_outside_I_errors(self):
+        # I_out's base-point image lies left of I, so clipping empties the
+        # bracket; searching it inverted found an exit outside I and I_out
+        m = ddr_model(I=(-2.3, 0.9), I_out=(-3.5, -2.9))
+        with pytest.raises(EntryExitError,
+                           match=r"base-point image \[-3.3541, -2.72213\] "
+                                 r"of I_out does not meet I = \(-2.3, 0.9\)"):
+            solve_delta0_n1(m, 1.016)
+
 
 @st.composite
 def _admissible_ddr(draw):
@@ -220,6 +230,37 @@ class TestDelayPrediction:
     def test_rejects_n1(self):
         with pytest.raises(EntryExitError):
             predict_delay_nge2(PolyP(n=1, lam=(-2.0, 1.0)), 0.01)
+
+
+@st.composite
+def _negative_definite_p(draw):
+    """P of order 2n, n = 2 or 3, with lam_0 in [-2, -0.5], the other
+    coefficients in [-1, 1], negative on the reals."""
+    n = draw(st.sampled_from((2, 3)))
+    lam = [draw(st.floats(-2.0, -0.5))] + [
+        draw(st.floats(-1.0, 1.0)) for _ in range(2 * n - 1)]
+    p = PolyP(n=n, lam=tuple(lam))
+    assume(p.is_negative_definite())
+    return p
+
+
+class TestWholeLineSignProperty:
+    """The sign of int_R v/P dv predicts which one-sided passage stalls
+    lower: W < 0 means z_in < z_out at the x = 0 crossing."""
+
+    @given(_negative_definite_p())
+    @settings(max_examples=30, deadline=None)
+    def test_sign_predicts_measured_ordering(self, p):
+        W = whole_line_integral(p).value
+        assume(abs(W) > 1e-3)
+        # the quartic_n2 sections around zeta = -1, g = -1: the passages are
+        # mirror images but for the odd part of P
+        m = SlowFastModel(p=p, zeta=make_zeta("constant-minus-one"),
+                          g=make_g("constant", (-1.0,)), delta=0.5,
+                          I=(-3.0, 3.0), I_in=(1.1, 1.3), I_out=(-1.3, -1.1))
+        z_in = z_at_x0(m, 1.2, 0.02)
+        z_out = z_at_x0(m, -1.2, 0.02, backward=True)
+        assert (z_in < z_out) == (W < 0.0)
 
 
 class TestCanard:

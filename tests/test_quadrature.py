@@ -1,6 +1,7 @@
 """Quadrature layer against closed forms and independent integration routes."""
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -247,6 +248,11 @@ class TestRegularSlowPart:
             pv_slow(zeta, 0.5, 1.0)
 
 
+def _linear_zetas(beta):
+    """The builtin forms that equal -1 + beta s."""
+    return (make_zeta("ddr-beta", (beta,)), make_zeta("poly", (-1.0, beta)))
+
+
 class TestRegularSlowPartProperty:
     """r = beta / (beta s - 1) for zeta = -1 + beta s: exact log integral."""
 
@@ -257,16 +263,18 @@ class TestRegularSlowPartProperty:
            st.one_of(st.floats(0.0, 0.9), st.floats(0.0, 1e-6), st.just(0.0)))
     @settings(max_examples=200, deadline=None)
     def test_ddr_log_closed_form(self, beta, a, b):
-        zeta = make_zeta("ddr-beta", (beta,))
         ref = math.log1p(-beta * b) - math.log1p(-beta * a)
-        fwd = regular_slow_part(zeta, a, b)
-        assert fwd.value == pytest.approx(ref, abs=1e-12)
-        assert regular_slow_part(zeta, b, a).value == -fwd.value
+        for zeta in _linear_zetas(beta):
+            fwd = regular_slow_part(zeta, a, b)
+            assert fwd.value == pytest.approx(ref, abs=1e-14)
+            assert fwd.subdivisions == 0
+            rev = regular_slow_part(zeta, b, a)
+            assert rev.value == -fwd.value and rev.subdivisions == 0
 
 
 class TestZetaGuard:
-    """The builtin forms skip the 257-point zeta scan of regular_slow_part;
-    it must still raise exactly when the scan would, naming the same s."""
+    """A builtin zeta equal to -1 + beta s is checked at the two ends of the
+    range; any other zeta keeps the 257-point scan of regular_slow_part."""
 
     @staticmethod
     def scan(zeta, a, b):
@@ -293,27 +301,44 @@ class TestZetaGuard:
     @given(st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, 1.0, -0.5))),
            st.floats(-3.0, 3.0),
            st.one_of(st.floats(0.0, 4.0), st.just(0.0), st.floats(0.0, 1e-9)),
-           st.booleans())
+           st.sampled_from(("free", "inside", "left end", "right end")))
     @settings(max_examples=500, deadline=None)
-    def test_ddr_beta_guard_matches_the_scan(self, beta, a, width, on_zero):
-        if on_zero and beta != 0.0:
-            a = 1.0 / beta - width / 2.0  # zeta's zero inside or at the range
-        zeta = make_zeta("ddr-beta", (beta,))
+    def test_linear_zeta_raises_exactly_when_ill_posed(self, beta, a, width,
+                                                       zero):
+        if beta != 0.0:
+            root = 1.0 / beta
+            a = {"free": a, "inside": root - width / 2.0, "left end": root,
+                 "right end": root - width}[zero]
         b = a + width
-        assert self.guard(zeta, a, b) == self.scan(zeta, a, b)
+        assume(math.isfinite(a) and math.isfinite(b))
+        # exact arithmetic on the line -1 + beta s: ill-posed when it has a
+        # zero on [a, b] or comes within the floor of one at an end
+        floor = Fraction(quadrature._ZETA_FLOOR)
+        ends = [-1 + Fraction(beta) * Fraction(s) for s in (a, b)]
+        assume(all(abs(abs(z) - floor) > 1e-15 for z in ends))
+        ill = ends[0] * ends[1] <= 0 or min(abs(z) for z in ends) <= floor
+        for zeta in _linear_zetas(beta):
+            for lo, hi in ((a, b), (b, a)):
+                if ill:
+                    with pytest.raises(QuadratureError, match="ill-posed"):
+                        regular_slow_part(zeta, lo, hi)
+                else:
+                    r = regular_slow_part(zeta, lo, hi)
+                    assert r.subdivisions == 0 and math.isfinite(r.value)
 
-    def test_ddr_beta_guard_names_the_scan_point(self):
-        zeta = make_zeta("ddr-beta", (1.0,))
-        for a, b in ((0.5, 1.5), (-1.0, 1.5), (1.0, 2.0), (0.0, 0.999999999)):
-            msg = self.scan(zeta, a, b)
-            assert msg is not None and self.guard(zeta, a, b) == msg
+    def test_linear_zeta_names_its_zero(self):
+        for zeta in _linear_zetas(1.0):
+            for a, b in ((0.5, 1.5), (-1.0, 1.5), (1.0, 2.0),
+                         (0.0, 0.999999999)):
+                with pytest.raises(QuadratureError,
+                                   match=r"near s = 1; .* ill-posed"):
+                    regular_slow_part(zeta, a, b)
 
     @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e6))
     @settings(max_examples=100, deadline=None)
     def test_constant_zeta_never_raises(self, a, width):
-        zeta = make_zeta("constant-minus-one")
-        assert self.guard(zeta, a, a + width) is None
-        assert self.scan(zeta, a, a + width) is None
+        for zeta in (make_zeta("constant-minus-one"), make_zeta("poly", (-1.0,))):
+            assert regular_slow_part(zeta, a, a + width) == QuadResult(0.0, 0.0, 0)
 
     def test_other_zeta_scans(self):
         # the poly form and plain callables keep the full scan
@@ -321,6 +346,33 @@ class TestZetaGuard:
                      lambda s, eps: -1.0 + s * s):
             assert self.guard(zeta, -2.0, 0.5) == self.scan(zeta, -2.0, 0.5)
             assert "near s = -0.994141" in self.guard(zeta, -2.0, 0.5)
+
+    # (value, subdivisions) of regular_slow_part before linear zeta took the
+    # exact path; every other zeta must reproduce them bit for bit
+    @pytest.mark.parametrize("zeta, a, b, value, subdivisions", [
+        (make_zeta("poly", (-1.0, 0.3, 0.2)), -2.0, 0.5, -0.3753306334968098, 3),
+        (make_zeta("poly", (-1.0, 0.3, 0.2)), 0.5, -2.0, 0.3753306334968098, 3),
+        (make_zeta("poly", (-1.0, 0.5, 0.0, -0.1)), -1.5, 0.8,
+         -0.9834334996705693, 2),
+        (make_zeta("poly", (-1.0 + 2.0 ** -45, 0.5)), -1.0, 1.0,
+         -1.0986122886681788, 2),
+        (lambda s, eps: -1.0 + 0.5 * s - 0.1 * s ** 3, -1.5, 0.8,
+         -0.983433499670569, 2),
+        (lambda s, eps: -math.exp(0.3 * s), 0.1, 2.0, 0.4909930527221124, 1),
+    ])
+    def test_other_zeta_values_pinned(self, zeta, a, b, value, subdivisions):
+        r = regular_slow_part(zeta, a, b)
+        assert (r.value, r.subdivisions) == (value, subdivisions)
+
+    def test_other_zeta_messages_pinned(self):
+        for zeta, a, b, s in ((make_zeta("poly", (-1.0, 0.0, 1.0)), -2.0, 0.5,
+                               "-0.994141"),
+                              (lambda s, eps: -1.0 + s, -1.0, 1.5, "1.00195")):
+            with pytest.raises(QuadratureError) as exc:
+                regular_slow_part(zeta, a, b)
+            assert str(exc.value) == (
+                f"zeta(s, 0) vanishes near s = {s}; "
+                "regularized slow integral is ill-posed on this range")
 
 
 class TestFastPrincipalValue:
