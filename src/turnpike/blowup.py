@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from numbers import Real
 
 from .errors import ChartError, QuadratureError
 from .model import SlowFastModel
-from .quadrature import DEFAULT_TOL, adaptive_quad, brentq, regular_slow_part
-
-if TYPE_CHECKING:
-    import numpy as np
+from .quadrature import DEFAULT_TOL, brentq, regular_slow_part
 
 __all__ = [
     "ChartPoint",
@@ -65,24 +62,18 @@ def _passage_integral(model: SlowFastModel, x_in_b: float, x: float,
                       tol: float) -> float:
     """int_{x_in_b}^{x} ds / (s^(2n-1) zeta(s, 0)) for 0 < x < x_in_b.
 
-    Split as an exact power/log part plus the bounded-at-0 correction
-    (zeta + 1) / (s^(2n-1) zeta); for n = 1 that is the regular slow part.
+    Split as an exact power/log part plus the correction
+    (zeta + 1) / (s^(2n-1) zeta), which regular_slow_part integrates after
+    checking that zeta(., 0) keeps away from 0 on the range.
     """
-    n = model.n
-    zeta = model.zeta
-    if n == 1:
-        try:
-            reg = regular_slow_part(zeta, x_in_b, x, tol)
-        except QuadratureError as exc:
-            raise ChartError(f"zeta is not negative on the range: {exc}") from exc
-        return math.log(x_in_b / x) + reg.value
-    exact = (x ** (2 - 2 * n) - x_in_b ** (2 - 2 * n)) / (2 * n - 2)
-
-    def corr(s: float) -> float:
-        zs = zeta(s, 0.0)
-        return (zs + 1.0) / (s ** (2 * n - 1) * zs)
-
-    return exact + adaptive_quad(corr, x_in_b, x, tol).value
+    k = 2 * model.n - 1
+    exact = math.log(x_in_b / x) if k == 1 else \
+        (x ** (1 - k) - x_in_b ** (1 - k)) / (k - 1)
+    try:
+        reg = regular_slow_part(model.zeta, x_in_b, x, tol, power=k)
+    except QuadratureError as exc:
+        raise ChartError(f"zeta is not negative on the range: {exc}") from exc
+    return exact + reg.value
 
 
 def theoretical_z2_curve(model: SlowFastModel, x_in_b: float, x,
@@ -91,22 +82,11 @@ def theoretical_z2_curve(model: SlowFastModel, x_in_b: float, x,
 
     Diverges at x_in_b; evaluation is refused within 1e-4 of it (callers
     assert divergence through growth, not through a value at the pole).
-    Accepts a scalar, which gives a float, or an array of x values, which
-    gives an array.
+    A number x gives a float, a sequence of x values a list.
     """
-    if isinstance(x, (int, float)):
-        return _z2_point(model, x_in_b, float(x), tol)
-    import numpy as np
-
-    xs = np.asarray(x, dtype=float)
-    out = np.array([_z2_point(model, x_in_b, float(xi), tol)
-                    for xi in xs.ravel()]).reshape(xs.shape)
-    return float(out) if xs.ndim == 0 else out
-
-
-def _z2_point(model: SlowFastModel, x_in_b: float, x: float,
-              tol: float) -> float:
-    """z2 at one x, with the range and sign checks of theoretical_z2_curve."""
+    if not isinstance(x, Real):
+        return [theoretical_z2_curve(model, x_in_b, xi, tol) for xi in x]
+    x = float(x)
     if not (0.0 < x <= x_in_b - _EDGE_GAP):
         raise ChartError(
             f"x = {x:g} outside (0, x_in_b - {_EDGE_GAP:g}] with "
@@ -143,8 +123,8 @@ def chart1_exit(model: SlowFastModel, x_in_b: float, eps1: float,
     return brentq(R, lo, hi, xtol=1e-15)
 
 
-def overlay_xz2(traj, eps: float | None = None) -> np.ndarray:
-    """Trajectory nodes rescaled to the epsbar chart: rows (x, z/eps).
+def overlay_xz2(traj, eps: float | None = None) -> list[tuple[float, float]]:
+    """Trajectory nodes rescaled to the epsbar chart: pairs (x, z/eps).
 
     eps defaults to the trajectory's own; eps = 1 returns the raw (x, z)
     nodes unchanged.
@@ -154,6 +134,4 @@ def overlay_xz2(traj, eps: float | None = None) -> np.ndarray:
     e = traj.eps if eps is None else eps
     if e <= 0.0:
         raise ChartError(f"eps must be positive, got {e}")
-    import numpy as np
-
-    return np.column_stack([traj.states[:, 0], traj.states[:, 1] / e])
+    return [(x, z / e) for x, z in traj.states]

@@ -187,24 +187,32 @@ def _fit_remainder(eps: Sequence[float],
     """Least-squares fit err ~ a eps log(1/eps) + b eps; returns (a, b, rel).
 
     rel is the residual norm over the data norm, the fit-quality number the
-    convergence verdict is based on.
+    convergence verdict is based on. Gram-Schmidt factors the two columns
+    as A = QR, and R (a, b) = Q^T err is solved by back substitution.
     """
-    import numpy as np
+    def dot(u, v):
+        return math.fsum(ui * vi for ui, vi in zip(u, v))
 
-    eps = np.array(eps)
-    err = np.array(err)
-    A = np.column_stack([eps * np.log(1.0 / eps), eps])
-    coef, *_ = np.linalg.lstsq(A, err, rcond=None)
-    resid = float(np.linalg.norm(A @ coef - err))
-    return float(coef[0]), float(coef[1]), resid / float(np.linalg.norm(err))
+    c1 = [e * math.log(1.0 / e) for e in eps]
+    r11 = math.hypot(*c1)
+    q1 = [v / r11 for v in c1]
+    r12, u2 = 0.0, list(eps)
+    for _ in range(2):  # orthogonalize twice: the columns are nearly parallel
+        c = dot(q1, u2)
+        r12, u2 = r12 + c, [u - c * v for u, v in zip(u2, q1)]
+    b = dot(u2, err) / dot(u2, u2)
+    a = (dot(q1, err) - r12 * b) / r11
+    resid = [a * v1 + b * e - d for v1, e, d in zip(c1, eps, err)]
+    return a, b, math.hypot(*resid) / math.hypot(*err)
 
 
 def cmd_converge(cfg: ExperimentConfig) -> int:
     model = cfg.model()
     if model.n != 1:
         raise TurnpikeError("converge requires an n = 1 model")
-    if len(cfg.eps) < 3:
-        raise TurnpikeError("converge requires at least 3 eps values")
+    if len(cfg.eps) < 3 or len(set(cfg.eps)) < 2:
+        raise TurnpikeError(
+            "converge requires at least 3 eps values, 2 of them distinct")
     xs, rows = _dulac_rows(cfg, model)
     by_x = {x: [] for x in xs}
     for eps, x_in, _xn, _xt, err, status in rows:
@@ -293,12 +301,11 @@ def cmd_chart_view(cfg: ExperimentConfig) -> int:
             continue
         traj = diag.trajectory
         for x, z in traj.states:
-            z2 = z / eps
             if 0.0 < x <= x_in_b - 2e-4:
-                z2_th = theoretical_z2_curve(model, x_in_b, float(x))
+                z2_th = theoretical_z2_curve(model, x_in_b, x)
             else:
                 z2_th = math.nan
-            rows.append((eps, float(x), float(z2), z2_th, "ok"))
+            rows.append((eps, x, z / eps, z2_th, "ok"))
     write_rows(cfg.out, ("epsilon", "x", "z2_numeric", "z2_theory", "status"),
                rows)
     return 1 if failures else 0

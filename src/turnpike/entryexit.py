@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import EntryExitError
 from .model import PolyP, SlowFastModel
 from .quadrature import (DEFAULT_TOL, adaptive_quad, brentq,
                          half_line_integral, pv_fast_half, pv_fast_quadratic,
                          pv_slow, regular_slow_part, whole_line_integral)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "BasePointMap",
@@ -62,7 +59,8 @@ class BasePointMap:
     linear in y, so |x| can only reach the floor at the end of the run and
     one check there replaces the ODE's floor event. Callable g is
     integrated with DOP853 at rtol = tol, by SciPy's solve_ivp, which is
-    imported there, on first use, and nowhere else.
+    imported there, on first use, and nowhere else; without SciPy those
+    fibers raise EntryExitError.
     """
 
     model: SlowFastModel
@@ -79,18 +77,20 @@ class BasePointMap:
         """x at y1 on the fiber through (x0, y0), or at the nodes ys on the way."""
         if self.model.g_kind == "constant":
             two_g = 2.0 * self.model.g_params[0]
-            x2_end = x0 * x0 + two_g * (y0 - y1)
-            if x2_end <= self.x_floor ** 2:
+
+            def x_at(y: float) -> float:
+                return math.copysign(math.sqrt(x0 * x0 + two_g * (y0 - y)), x0)
+
+            if x0 * x0 + two_g * (y0 - y1) <= self.x_floor ** 2:
                 raise self._floor_error(x0, y1)
-            if ys is None:
-                return math.copysign(math.sqrt(x2_end), x0)
-            import numpy as np
+            return x_at(y1) if ys is None else [x_at(y) for y in ys]
 
-            return np.copysign(
-                np.sqrt(x0 * x0 + two_g * (y0 - np.asarray(ys, dtype=float))), x0)
-
-        import numpy as np
-        from scipy.integrate import solve_ivp  # only callable g gets here
+        try:
+            from scipy.integrate import solve_ivp  # only callable g gets here
+        except ImportError as exc:
+            raise EntryExitError(
+                "the fibers of a callable g are integrated by SciPy's "
+                f"solve_ivp, and SciPy cannot be imported: {exc}") from exc
 
         g = self.model.g
         floor = self.x_floor
@@ -105,13 +105,12 @@ class BasePointMap:
 
         sol = solve_ivp(rhs, (y0, y1), [x0], method="DOP853",
                         rtol=self.tol, atol=1e-15, events=[hit_floor],
-                        t_eval=None if ys is None else np.asarray(ys),
-                        dense_output=False)
+                        t_eval=ys, dense_output=False)
         if sol.status == 1:  # floor event
             raise self._floor_error(x0, y1)
         if not sol.success:
             raise EntryExitError(f"fiber integration failed: {sol.message}")
-        return float(sol.y[0][-1]) if ys is None else sol.y[0]
+        return float(sol.y[0][-1]) if ys is None else sol.y[0].tolist()
 
     def __call__(self, x_section: float) -> float:
         """Base point: follow the fiber from (x_section, delta) down to y = 0."""
@@ -125,7 +124,7 @@ class BasePointMap:
             raise EntryExitError(f"base point too close to 0: {x_base}")
         return self._solve(x_base, 0.0, self.model.delta)
 
-    def trace(self, x_section: float, ys: Sequence[float]) -> np.ndarray:
+    def trace(self, x_section: float, ys: Sequence[float]) -> list[float]:
         """x values along the fiber at the requested y nodes (descending)."""
         return self._solve(x_section, self.model.delta, 0.0, ys=ys)
 
@@ -209,8 +208,10 @@ def solve_delta0_n1(model: SlowFastModel, x_in: float,
 
     x_out_b = _root_between(
         F, lo, hi, tol,
-        f"entry-exit relation has no root over the base-point image "
-        f"[{lo:.6g}, {hi:.6g}] of I_out (x_in = {x_in}); "
+        f"entry-exit relation has no root on [{lo:.6g}, {hi:.6g}], the "
+        f"base-point image [{image[0]:.6g}, {image[1]:.6g}] of I_out widened "
+        f"by 10% and clipped to I and to x <= {-_X_FLOOR * 10.0:g} "
+        f"(x_in = {x_in}); "
         "exit lies outside the declared exit section")
     residual = abs(F(x_out_b))
     x_out = bpm.inverse(x_out_b)

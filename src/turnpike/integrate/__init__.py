@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 from ..errors import IntegrationError, ModelError
@@ -88,22 +90,20 @@ class EventHit:
 class Trajectory:
     """Accepted nodes, dense interpolant, and localized events of one run.
 
-    states[:, 0] is x; states[:, 1] is z or y depending on mode. The object
-    is callable: traj(t) evaluates the quartic dense output.
+    t and step_sizes are lists of floats; states is a list of (x, w) pairs,
+    w being z or y depending on mode. The object is callable: traj(t)
+    evaluates the quartic dense output.
     """
 
     def __init__(self, mode: str, eps: float, raw: dict,
                  specs: Sequence[EventSpec]):
-        import numpy as np
-
         self.mode = mode
         self.eps = eps
         self.status: str = raw["status"]
-        self.t = np.asarray(raw["t"], dtype=float)
-        self.states = np.column_stack([np.asarray(raw["x"], dtype=float),
-                                       np.asarray(raw["w"], dtype=float)])
-        self.step_sizes = np.asarray(raw["h"], dtype=float)
-        self._q = np.asarray(raw["q"], dtype=float).reshape(-1, 8)
+        self.t: list[float] = raw["t"]
+        self.states: list[tuple[float, float]] = list(zip(raw["x"], raw["w"]))
+        self.step_sizes: list[float] = raw["h"]
+        self._q: list[tuple[float, ...]] = raw["q"]
         self.events = [EventHit(index=ie, spec=specs[ie], t=te, x=xe, w=we)
                        for (ie, te, xe, we) in raw["events"]]
         self.n_steps: int = raw["n_steps"]
@@ -113,29 +113,25 @@ class Trajectory:
 
     @property
     def final_state(self) -> tuple[float, float]:
-        return float(self.states[-1, 0]), float(self.states[-1, 1])
+        return self.states[-1]
 
     def events_of(self, kind: str) -> list[EventHit]:
         return [e for e in self.events if e.spec.kind == kind]
 
     def __call__(self, t):
-        import numpy as np
-
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(ts < self.t[0] - 1e-12) or np.any(ts > self.t[-1] + 1e-12):
+        """(x, w) at time t, or a list of them for a sequence of times."""
+        if not isinstance(t, Real):
+            return [self(tq) for tq in t]
+        t = float(t)
+        if not self.t[0] - 1e-12 <= t <= self.t[-1] + 1e-12:
             raise ValueError("dense evaluation outside the integrated range")
-        idx = np.clip(np.searchsorted(self.t, ts, side="right") - 1,
-                      0, len(self.step_sizes) - 1)
-        out = np.empty((len(ts), 2))
-        for row, (tq, i) in enumerate(zip(ts, idx)):
-            th = (tq - self.t[i]) / self.step_sizes[i]
-            q = self._q[i]
-            x0, w0 = self.states[i]
-            out[row, 0] = x0 + self.step_sizes[i] * th * (
-                q[0] + th * (q[1] + th * (q[2] + th * q[3])))
-            out[row, 1] = w0 + self.step_sizes[i] * th * (
-                q[4] + th * (q[5] + th * (q[6] + th * q[7])))
-        return out[0] if np.isscalar(t) else out
+        i = min(max(bisect_right(self.t, t) - 1, 0), len(self.step_sizes) - 1)
+        h = self.step_sizes[i]
+        th = (t - self.t[i]) / h
+        q = self._q[i]
+        x0, w0 = self.states[i]
+        return (x0 + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3]))),
+                w0 + h * th * (q[4] + th * (q[5] + th * (q[6] + th * q[7]))))
 
 
 def compiled_kernel_available() -> bool:
@@ -291,12 +287,12 @@ def dulac_map_numeric(model: SlowFastModel, x_in: float, eps: float,
                 t=exits[0].t, state=(exits[0].x, exits[0].w), status="left_domain")
         raise IntegrationError(
             f"no return before t_max (status {traj.status!r})",
-            t=float(traj.t[-1]), state=traj.final_state, status=traj.status)
+            t=traj.t[-1], state=traj.final_state, status=traj.status)
     hit = returns[0]
     crossings = traj.events_of("x_crosses_zero")
     z_at_x0 = crossings[0].w if crossings else math.nan
-    z_min = float(min(traj.states[:, 1].min(), z_at_x0)) if crossings \
-        else float(traj.states[:, 1].min())
+    z_min = min(w for _x, w in traj.states)
+    z_min = min(z_min, z_at_x0) if crossings else z_min
     diag = DulacDiagnostics(z_min=z_min, z_at_x0=z_at_x0, t_return=hit.t,
                             n_steps=traj.n_steps, n_rejected=traj.n_rejected,
                             n_rhs=traj.n_rhs,
@@ -318,7 +314,7 @@ def z_at_x0(model: SlowFastModel, x_start: float, eps: float,
         raise IntegrationError(
             f"trajectory from x = {x_start} never reached x = 0 "
             f"(status {traj.status!r})",
-            t=float(traj.t[-1]), state=traj.final_state, status=traj.status)
+            t=traj.t[-1], state=traj.final_state, status=traj.status)
     return hits[0].w
 
 

@@ -26,25 +26,27 @@ _FIRST_EVENT_CAP = 16
 class CompiledKernel:
     """`integrate_kernel` of `_dp45_py`, run by the shared library at `path`.
 
-    The node arrays t, x, w, h and q come back as numpy arrays; events,
-    counters and the final state as Python floats and ints.
+    It returns what the Python kernel returns: t, x, w and h as lists of
+    floats, q as a list of 8-tuples, events, counters and the final state
+    as Python floats and ints.
     """
 
     def __init__(self, path: Path | str):
-        from ctypes import (CDLL, c_double as dbl, c_int as int_,
-                            c_int64 as i64, c_void_p as ptr)
+        from ctypes import (CDLL, POINTER, c_double as dbl, c_int as int_,
+                            c_int64 as i64)
 
+        pd, pi, pl = POINTER(dbl), POINTER(int_), POINTER(i64)
         fn = CDLL(str(path)).dp45_integrate
         fn.argtypes = [
-            int_, int_, ptr, dbl,           # mode, n, wlam, eps
-            int_, ptr, int_, dbl,           # zeta kind, params, count; g
+            int_, int_, pd, dbl,            # mode, n, wlam, eps
+            int_, pd, int_, dbl,            # zeta kind, params, count; g
             dbl, dbl, dbl, dbl,             # x0, w0, t_max, time_sign
             dbl, dbl, dbl, dbl,             # rtol, atol, max_step, first_step
-            int_, ptr, ptr, ptr, ptr, dbl,  # events: count, kind, value, dir, term; tol
+            int_, pi, pd, pi, pi, dbl,      # events: count, kind, value, dir, term; tol
             i64,                            # max_steps
-            i64, ptr, ptr, ptr, ptr, ptr,   # node_cap, t, x, w, h, q
-            i64, ptr, ptr,                  # event_cap, index, (t, x, w)
-            ptr, ptr,                       # counts, err_accum
+            i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, q
+            i64, pl, pd,                    # event_cap, index, (t, x, w)
+            pl, pd,                         # counts, err_accum
         ]
         fn.restype = int_
         self._fn = fn
@@ -60,8 +62,6 @@ class CompiledKernel:
 
         zeta_fn and g_fn are ignored: only the builtin forms are compiled.
         """
-        import numpy as np
-
         if zeta_kind not in (0, 1, 2) or g_kind != 0:
             raise ValueError("compiled kernel requires builtin zeta/g forms")
         if zeta_kind == 1 and len(zeta_params) < 1:
@@ -70,55 +70,52 @@ class CompiledKernel:
         if not len(ev_value) == len(ev_dir) == len(ev_term) == nev:
             raise ValueError("event kind, value, direction and terminal "
                              "sequences differ in length")
-        wlam = np.array(weighted_lam(lam, eps, 2 * n), dtype=np.float64)
-        zp = np.array(zeta_params, dtype=np.float64)
-        evk = np.array(ev_kind, dtype=np.intc)
-        evv = np.array(ev_value, dtype=np.float64)
-        evd = np.array(ev_dir, dtype=np.intc)
-        evt = np.array(ev_term, dtype=np.intc)
-        counts = np.zeros(5, dtype=np.int64)
-        err = np.zeros(2)
+        from ctypes import c_double as dbl, c_int as int_, c_int64 as i64
+        from struct import iter_unpack
+        wlam = (dbl * (2 * n))(*weighted_lam(lam, eps, 2 * n))
+        zp = (dbl * len(zeta_params))(*zeta_params)
+        evk, evd, evt = ((int_ * nev)(*seq) for seq in (ev_kind, ev_dir, ev_term))
+        evv = (dbl * nev)(*ev_value)
+        counts = (i64 * 5)()
+        err = (dbl * 2)()
         node_cap = min(int(max_steps) + 1, _FIRST_NODE_CAP)
         event_cap = _FIRST_EVENT_CAP
         while True:  # the run is deterministic: a rerun repeats it exactly
-            t, x, w, h = (np.empty(node_cap) for _ in range(4))
-            q = np.empty((node_cap, 8))
-            ev_index = np.empty(event_cap, dtype=np.int64)
-            ev_txw = np.empty((event_cap, 3))
+            t, x, w, h = ((dbl * node_cap)() for _ in range(4))
+            q = (dbl * (8 * node_cap))()
+            ev_index = (i64 * event_cap)()
+            ev_txw = (dbl * (3 * event_cap))()
             status = self._fn(
-                mode, n, wlam.ctypes.data, eps,
-                zeta_kind, zp.ctypes.data, len(zp), float(g_params[0]),
+                mode, n, wlam, eps,
+                zeta_kind, zp, len(zp), float(g_params[0]),
                 x0, w0, t_max, time_sign,
                 rtol, atol, max_step, first_step,
-                nev, evk.ctypes.data, evv.ctypes.data, evd.ctypes.data,
-                evt.ctypes.data, event_tol,
+                nev, evk, evv, evd, evt, event_tol,
                 max_steps,
-                node_cap, t.ctypes.data, x.ctypes.data, w.ctypes.data,
-                h.ctypes.data, q.ctypes.data,
-                event_cap, ev_index.ctypes.data, ev_txw.ctypes.data,
-                counts.ctypes.data, err.ctypes.data)
+                node_cap, t, x, w, h, q,
+                event_cap, ev_index, ev_txw,
+                counts, err)
             if status != _BUFFER_FULL:
                 break
             node_cap *= 2
             event_cap *= 2
-        nn, ne, n_steps, n_rejected, n_rhs = counts.tolist()
-        events = [(ie, te, xe, we) for ie, (te, xe, we)
-                  in zip(ev_index[:ne].tolist(), ev_txw[:ne].tolist())]
+        nn, ne, n_steps, n_rejected, n_rhs = counts
         return {
             "status": _STATUS[status],
-            "t": t[:nn].copy(),
-            "x": x[:nn].copy(),
-            "w": w[:nn].copy(),
-            "h": h[:nn - 1].copy(),
-            "q": q[:nn - 1].copy(),
-            "events": events,
+            "t": t[:nn],
+            "x": x[:nn],
+            "w": w[:nn],
+            "h": h[:nn - 1],
+            "q": list(iter_unpack("8d", memoryview(q)[:8 * (nn - 1)])),
+            "events": [(ie, *ev_txw[3 * k:3 * k + 3])
+                       for k, ie in enumerate(ev_index[:ne])],
             "n_steps": n_steps,
             "n_rejected": n_rejected,
             "n_rhs": n_rhs,
-            "err_accum": tuple(err.tolist()),
-            "t_final": float(t[nn - 1]),
-            "x_final": float(x[nn - 1]),
-            "w_final": float(w[nn - 1]),
+            "err_accum": tuple(err),
+            "t_final": t[nn - 1],
+            "x_final": x[nn - 1],
+            "w_final": w[nn - 1],
         }
 
 

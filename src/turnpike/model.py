@@ -79,10 +79,7 @@ class PolyP:
 
     def __call__(self, v):
         """Evaluate P(v); accepts scalars or arrays (Horner form)."""
-        acc = v * 0.0 - 1.0
-        for c in reversed(self.lam):
-            acc = acc * v + c
-        return acc
+        return _horner(self.coeffs(), v)
 
     def tail_poly(self, u):
         """Evaluate Q(u) = u^(2n) P(1/u); a polynomial with Q(0) = -1.
@@ -90,10 +87,7 @@ class PolyP:
         Q(u) = lam_0 u^(2n) + lam_1 u^(2n-1) + ... + lam_{2n-1} u - 1.
         Used to map integrals over |v| >= 1 onto u = 1/v in [-1, 1].
         """
-        acc = u * 0.0
-        for c in self.lam:
-            acc = (acc + c) * u
-        return acc - 1.0
+        return _horner((-1.0,) + self.lam[::-1], u)
 
     def is_negative_definite(self) -> bool:
         """True iff P(v) < 0 for all real v.
@@ -108,23 +102,50 @@ class PolyP:
     def max_over_reals(self) -> float:
         """Global maximum of P over the reals (finite: leading term -v^2n).
 
-        For n = 1 that is P at the one critical point lam_1 / 2, the root
-        np.roots returns for P' = -2 v + lam_1; for n >= 2 numpy finds the
-        roots of P'.
+        P peaks where P' changes sign; P' has odd degree 2n - 1, so there is
+        at least one such point. For n = 1 it is exactly lam_1 / 2.
         """
-        if self.n == 1:
-            return self(self.lam[1] / 2.0)
-        import numpy as np
+        dp = [i * c for i, c in enumerate(self.coeffs())][1:]
+        return max(self(v) for v in _sign_changes(dp))
 
-        # roots of P' (degree 2n-1, odd, so at least one real critical point);
-        # np.roots wants highest degree first: P' = -2n v^(2n-1) + ... + lam_1
-        dcoeffs = [-(2.0 * self.n)] + [
-            float(i * self.lam[i]) for i in range(2 * self.n - 1, 0, -1)]
-        roots = np.roots(dcoeffs)
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        if real.size == 0:  # cannot happen for odd degree, kept as a guard
-            return float(self(0.0))
-        return float(np.max(self(real)))
+
+def _horner(cs: Sequence[float], v):
+    """sum cs[i] v^i by Horner's rule, cs lowest degree first."""
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * v + c
+    return acc
+
+
+def _sign_changes(cs: Sequence[float]) -> list[float]:
+    """Points, ascending, where q = sum cs[i] v^i (cs[-1] != 0) changes sign,
+    each a double where q is 0 or next to one where q has the other sign.
+
+    All real roots of q lie inside the Cauchy bound, and q is monotone
+    between consecutive sign changes of q' (found recursively), so each such
+    piece holds at most one sign change, which bisection pins down.
+    """
+    if len(cs) < 2:
+        return []
+    bound = 1.0 + max(abs(c / cs[-1]) for c in cs[:-1])
+    dq = [i * c for i, c in enumerate(cs)][1:]
+    ends = [-bound] + _sign_changes(dq) + [bound]
+    vals = [_horner(cs, v) for v in ends]
+    roots = []
+    for lo, hi, f_lo, f_hi in zip(ends, ends[1:], vals, vals[1:]):
+        if f_lo == 0.0:
+            roots.append(lo)
+        elif f_hi != 0.0 and (f_lo < 0.0) != (f_hi < 0.0):
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                f_mid = _horner(cs, mid)
+                if f_mid == 0.0:
+                    break
+                if (f_mid < 0.0) == (f_lo < 0.0):
+                    lo, f_lo = mid, f_mid
+                else:
+                    hi = mid
+            roots.append(mid)
+    return roots
 
 
 @dataclass(frozen=True)

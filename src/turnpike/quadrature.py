@@ -12,9 +12,9 @@ removed analytically before any quadrature runs:
 
 The adaptive rule (globally adaptive Gauss-Kronrod 7/15, as QUADPACK's qag)
 and the bracketed root finder the solvers share (Brent's method, ported
-from SciPy's brentq.c) live here, in pure Python: the theory layer runs on
-floats alone, and numpy is imported only by the integrating, array and fit
-paths.
+from SciPy's brentq.c) live here, in pure Python: the package runs on
+floats alone, and only the fibers of a callable g import a third-party
+module (SciPy).
 """
 from __future__ import annotations
 
@@ -294,30 +294,32 @@ def _linear_slope(zeta: Callable[[float, float], float]) -> float | None:
 
 
 def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
-                      tol: float = DEFAULT_TOL) -> QuadResult:
-    """Integral of r(s) = (zeta(s,0)+1)/(s zeta(s,0)) over [a, b], a <= b.
+                      tol: float = DEFAULT_TOL, *, power: int = 1) -> QuadResult:
+    """Integral of r(s) = (zeta(s,0)+1)/(s^power zeta(s,0)) over [a, b]
+    (negated for b < a): the n = 1 slow kernel, or for power = 2n - 1 on
+    s > 0 the blow-up charts' correction.
 
     Raises if zeta(., 0) comes within _ZETA_FLOOR of 0 or changes sign on
-    the range, since the regularization then loses meaning. A builtin zeta
-    equal to -1 + beta s is monotone, so its two ends settle that, and
-    r = beta / zeta integrates exactly to log(zeta(b) / zeta(a)), with
-    subdivisions == 0. Any other zeta is checked on a scan of the range and
-    r, removable at s = 0, is integrated adaptively, split at the origin;
-    Gauss-Kronrod rules never sample the ends of a panel.
+    the range. A builtin zeta equal to -1 + beta s is monotone, so its two
+    ends settle that, and for power = 1 r = beta / zeta integrates exactly
+    to log(zeta(b) / zeta(a)), with subdivisions == 0. Any other zeta is
+    checked on a scan of the range; r (removable at 0 for power = 1) is
+    then integrated adaptively, split at the origin.
     """
     if a > b:
-        r = regular_slow_part(zeta, b, a, tol)
+        r = regular_slow_part(zeta, b, a, tol, power=power)
         return QuadResult(-r.value, r.abs_error_estimate, r.subdivisions)
 
     beta = _linear_slope(zeta)
-    if beta is not None:
+    if beta is None:
+        _zeta_guard(zeta, a, b)
+    else:
         za, zb = -1.0 + beta * a, -1.0 + beta * b
         if not (max(za, zb) < -_ZETA_FLOOR or min(za, zb) > _ZETA_FLOOR):
             raise _ill_posed(1.0 / beta)  # beta != 0: zeta = -1 never fails
-        # log(zb / za), accurate to rounding also when b - a is small
-        return QuadResult(math.log1p(beta * (b - a) / za), 0.0, 0)
-
-    _zeta_guard(zeta, a, b)
+        if power == 1:
+            # log(zb / za), accurate to rounding also when b - a is small
+            return QuadResult(math.log1p(beta * (b - a) / za), 0.0, 0)
 
     def r(s: float) -> float:
         if s == 0.0:
@@ -325,7 +327,7 @@ def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
             # width onto the origin; its weight there is below 1e-300
             return 0.0
         zs = zeta(s, 0.0)
-        return (zs + 1.0) / (s * zs)
+        return (zs + 1.0) / (s ** power * zs)
 
     if a < 0.0 < b:
         return (adaptive_quad(r, a, 0.0, tol / 2.0)

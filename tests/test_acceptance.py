@@ -163,7 +163,8 @@ def test_criterion_06_raw_coordinates_underflow(ddr):
     traj = integrate(ddr, StateXY(x=1.016, y=ddr.delta, eps=eps),
                      [EventSpec(kind="x_crosses_zero", direction="down",
                                 terminal=True)], ycfg)
-    before_origin = traj.states[traj.states[:, 0] > 0.0]
+    states = np.asarray(traj.states)
+    before_origin = states[states[:, 0] > 0.0]
     y_min = float(before_origin[:, 1].min())
     x_out, _diag = dulac_map_numeric(ddr, 1.016, eps)
     ok = y_min < 1e-300 and math.isfinite(x_out)

@@ -1,5 +1,6 @@
 """Blow-up charts: overlap identities, limit curves, cusp asymptotics."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestLimitCurve:
 
     def test_vector_evaluation(self, ddr):
         xs = np.array([0.05, 0.1, 0.15])
-        vals = theoretical_z2_curve(ddr, X_IN_B_REF, xs)
+        vals = np.asarray(theoretical_z2_curve(ddr, X_IN_B_REF, xs))
         assert vals.shape == (3,)
         assert all(vals[i] == theoretical_z2_curve(ddr, X_IN_B_REF, float(x))
                    for i, x in enumerate(xs))
@@ -113,6 +114,21 @@ class TestLimitCurve:
             I_in=(1.0, 1.5), I_out=(-1.5, -1.0))
         with pytest.raises(ChartError, match="not negative"):
             theoretical_z2_curve(m, 0.5, 0.005)
+
+    @pytest.mark.parametrize("zeta", [
+        make_zeta("ddr-beta", (20.0,)),       # checked at the two ends
+        lambda s, eps: -1.0 + 20.0 * s,       # checked on a scan
+    ], ids=["builtin", "callable"])
+    @pytest.mark.parametrize("x", [0.005, 0.02, 0.04])
+    def test_vanishing_zeta_rejected_for_n2(self, zeta, x):
+        # zeta = -1 + 20 s vanishes at s = 0.05, inside (x, 0.5), where the
+        # n = 2 correction (zeta + 1)/(s^3 zeta) has its pole
+        m = replace(build_n2(), zeta=zeta)
+        with pytest.raises(ChartError, match="zeta is not negative on the range"):
+            theoretical_z2_curve(m, 0.5, x)
+        # the exit search halves x down from 0.25 and meets the same pole
+        with pytest.raises(ChartError, match="zeta is not negative on the range"):
+            chart1_exit(m, 0.5, x)
 
 
 class TestChart1Exit:
@@ -155,9 +171,10 @@ class TestOverlay:
 
     def test_rescaling(self, ddr):
         traj = self._traj(ddr, 0.01)
-        own = overlay_xz2(traj)
-        half = overlay_xz2(traj, 0.005)
-        assert np.allclose(own[:, 1], traj.states[:, 1] / 0.01, rtol=1e-15)
+        own = np.asarray(overlay_xz2(traj))
+        half = np.asarray(overlay_xz2(traj, 0.005))
+        states = np.asarray(traj.states)
+        assert np.allclose(own[:, 1], states[:, 1] / 0.01, rtol=1e-15)
         assert np.allclose(half[:, 1], 2.0 * own[:, 1], rtol=1e-15)
 
     def test_needs_xz_mode(self, ddr):
@@ -174,11 +191,11 @@ class TestOverlay:
 
     def test_trajectory_approaches_limit_curve(self, ddr):
         xs = np.linspace(0.05, 0.12, 12)
-        curve = theoretical_z2_curve(ddr, X_IN_B_REF, xs)
+        curve = np.asarray(theoretical_z2_curve(ddr, X_IN_B_REF, xs))
         sups = []
         for eps in (0.01, 0.002):
             traj = self._traj(ddr, eps)
-            pts = overlay_xz2(traj)
+            pts = np.asarray(overlay_xz2(traj))
             # x decreases along the run; interp wants ascending abscissae
             z2 = np.interp(xs, pts[::-1, 0], pts[::-1, 1])
             sups.append(float(np.max(np.abs(z2 - curve))))

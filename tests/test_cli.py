@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from turnpike.cli import ExperimentConfig, _fit_remainder, main
 from turnpike.integrate import _dp45_ctypes
@@ -76,6 +78,20 @@ class TestDelta0:
         _, rows = read_csv(out)
         assert rows[0][-1] == "ok"
         assert rows[1][-1].startswith("error")
+
+    def test_no_root_status_names_the_clipped_bracket(self, ddr_path,
+                                                      capsys):
+        # the widened image of I_out reaches past the turning point, so the
+        # bracket's right end is the clip, not a base point
+        assert main(["delta0", "--model", ddr_path,
+                     "--x-in", "1.0169351464435146"]) == 1
+        status = capsys.readouterr().out.splitlines()[1].split(",", 5)[5]
+        assert status == (
+            "error: entry-exit relation has no root on [-2.8627; -1e-05]; "
+            "the base-point image [-2.61534; -0.141774] of I_out widened by "
+            "10% and clipped to I and to x <= -1e-05 "
+            "(x_in = 1.0169351464435146); "
+            "exit lies outside the declared exit section")
 
     def test_same_exit_string_as_dulac(self, ddr_path, tmp_path):
         d, s = tmp_path / "d.csv", tmp_path / "s.csv"
@@ -217,6 +233,33 @@ class TestConverge:
                      "--eps", "0.01,0.005"]) == 2
         assert "at least 3" in capsys.readouterr().err
 
+    def test_needs_two_distinct_eps(self, ddr_path, capsys):
+        # one eps value leaves the two fit columns parallel
+        assert main(["converge", "--model", ddr_path,
+                     "--eps", "0.01,0.01,0.01"]) == 2
+        assert "2 of them distinct" in capsys.readouterr().err
+
+    @given(st.lists(st.floats(1e-4, 3e-2), min_size=3, max_size=8),
+           st.floats(-50.0, 50.0), st.floats(-100.0, 100.0),
+           st.lists(st.floats(-0.05, 0.05), min_size=8, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_fit_matches_lstsq(self, eps, a, b, noise):
+        # eps spanning a factor 2 keeps the columns apart (condition < 1e3)
+        assume(max(eps) >= 2.0 * min(eps) and max(abs(a), abs(b)) > 1e-3)
+        err = [abs(a * e * math.log(1.0 / e) + b * e) * (1.0 + z)
+               for e, z in zip(eps, noise)]
+        A = np.column_stack([np.multiply(eps, np.log(np.divide(1.0, eps))),
+                             eps])
+        coef, *_ = np.linalg.lstsq(A, err, rcond=None)
+        rel = np.linalg.norm(A @ coef - err) / np.linalg.norm(err)
+        got = _fit_remainder(eps, err)
+        # relative to the coefficient vector and, for rel, to the data norm
+        # (2.7e-13 and 1.2e-15 the largest measured over 30,000 draws)
+        size = max(abs(coef[0]), abs(coef[1]))
+        assert abs(got[0] - coef[0]) <= 1e-12 * size
+        assert abs(got[1] - coef[1]) <= 1e-12 * size
+        assert abs(got[2] - rel) <= 1e-12
+
 
 class TestNge2:
     def test_rejects_n1_model(self, ddr_path):
@@ -310,13 +353,13 @@ class TestConfigFile:
 
 
 class TestRunTimeDependencies:
-    """numpy is the only third-party import on the run-time path, and only
-    the integrating, array and fit paths import it: scipy is a test
-    dependency, reached by the program only for a callable g. ctypes is
-    imported only to bind a built compiled kernel."""
+    """The program imports no third-party module: scipy and numpy are test
+    dependencies, and the program reaches scipy only for the fibers of a
+    callable g. ctypes is imported only to bind a built compiled kernel."""
 
     SCRIPT = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from turnpike.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
@@ -326,12 +369,28 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:  # --help
             codes.append(exc.code)
 print(json.dumps({"codes": codes, "imported": sorted(
-    {m.split(".")[0] for m in sys.modules} & {"numpy", "scipy", "ctypes"})}))
+    {m.split(".")[0] for m in set(sys.modules) - before}
+    - set(sys.stdlib_module_names) - {"turnpike"}),
+    "ctypes": "ctypes" in sys.modules}))
 """
 
-    def run_calls(self, calls):
-        """Exit codes of the calls, run in turn in one fresh interpreter,
-        and which of numpy, scipy and ctypes it imported."""
+    def test_commands_import_no_third_party_module(self, models_dir, tmp_path):
+        ddr, quartic, canard = (str(models_dir / f"{m}.model")
+                                for m in ("ddr", "quartic_n2", "canard_n2"))
+        calls = [
+            ["--help"],
+            ["hypotheses", "--model", ddr],
+            ["hypotheses", "--model", quartic],
+            ["hypotheses", "--model", canard],
+            ["pv-check", "--", "-2", "1"],
+            ["delta0", "--model", ddr],
+            ["dulac", "--model", ddr, "--eps", "0.01"],
+            ["converge", "--model", ddr, "--eps", "0.01,0.005,0.0025"],
+            ["chart-view", "--model", ddr, "--eps", "0.01", "--x-in", "1.016",
+             "--out", str(tmp_path / "chart.csv")],
+            ["nge2", "--model", quartic, "--eps", "0.05"],
+            ["canard-solve", "--model", canard, "--l", "1"],
+        ]
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -339,36 +398,8 @@ print(json.dumps({"codes": codes, "imported": sorted(
             [sys.executable, "-c", self.SCRIPT, json.dumps(calls)],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.strip().splitlines()[-1])
-
-    def test_commands_never_import_scipy(self, models_dir, tmp_path):
-        ddr, quartic, canard = (str(models_dir / f"{m}.model")
-                                for m in ("ddr", "quartic_n2", "canard_n2"))
-        calls = [
-            ["hypotheses", "--model", ddr],
-            ["pv-check", "--", "-2", "1"],
-            ["delta0", "--model", ddr],
-            ["dulac", "--model", ddr, "--eps", "0.01", "--x-in", "1.016"],
-            ["chart-view", "--model", ddr, "--eps", "0.01", "--x-in", "1.016",
-             "--out", str(tmp_path / "chart.csv")],
-            ["nge2", "--model", quartic, "--eps", "0.05"],
-            ["canard-solve", "--model", canard, "--l", "1"],
-        ]
-        report = self.run_calls(calls)
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
         assert report["codes"] == [0] * len(calls)
-        assert set(report["imported"]) - {"ctypes"} == {"numpy"}
-
-    def test_theory_commands_never_import_numpy(self, models_dir):
-        ddr = str(models_dir / "ddr.model")
-        calls = [
-            ["--help"],
-            ["hypotheses", "--model", ddr],
-            ["pv-check", "--", "-2", "1"],
-            ["delta0", "--model", ddr],
-            ["delta0", "--model", ddr, "--x-in", "1.004,1.01,1.016"],
-        ]
-        report = self.run_calls(calls)
-        assert report["codes"] == [0] * len(calls)
+        assert report["imported"] == []
         # a built library is bound, through ctypes, on import
-        assert report["imported"] == (
-            ["ctypes"] if _dp45_ctypes._LIBRARY.exists() else [])
+        assert report["ctypes"] == _dp45_ctypes._LIBRARY.exists()

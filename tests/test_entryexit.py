@@ -1,5 +1,6 @@
 """Entry-exit layer: fiber maps, exit solvers, delay predictions, canard tuning."""
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +48,7 @@ class TestBasePointMap:
 
     def test_trace_conserves_fiber_energy(self, ddr):
         ys = np.linspace(ddr.delta, 0.0, 21)
-        xs = BasePointMap(ddr).trace(1.016, ys)
+        xs = np.asarray(BasePointMap(ddr).trace(1.016, ys))
         energy = xs ** 2 / 2.0 - ys
         assert np.max(np.abs(energy - energy[0])) < 1e-10
 
@@ -80,9 +81,16 @@ class TestExactFibers:
 
     def test_trace_matches_ode(self, ddr):
         ys = np.linspace(ddr.delta, 0.0, 21)
-        exact = BasePointMap(ddr).trace(1.016, ys)
-        ode = BasePointMap(_ode_fibers(ddr)).trace(1.016, ys)
+        exact = np.asarray(BasePointMap(ddr).trace(1.016, ys))
+        ode = np.asarray(BasePointMap(_ode_fibers(ddr)).trace(1.016, ys))
         assert np.max(np.abs(exact - ode)) < 1e-12
+
+    def test_callable_g_without_scipy(self, ddr, monkeypatch):
+        # None in sys.modules makes `import scipy.integrate` raise ImportError
+        monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+        with pytest.raises(EntryExitError, match="SciPy cannot be imported"):
+            base_point(_ode_fibers(ddr), 1.016)
+        assert base_point(ddr, 1.016) == pytest.approx(X_IN_B_REF, abs=1e-10)
 
     @pytest.mark.parametrize("call", [
         lambda bpm: bpm(0.9),

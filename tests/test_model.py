@@ -1,6 +1,7 @@
 """Model layer: guarded exponential, P polynomial, fields, hypotheses, loader."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ class TestPolyP:
         assert type(got) is float
         assert math.copysign(1.0, got) == math.copysign(1.0, ref)
         assert got == ref
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.floats(-10.0, 10.0), min_size=2 * n, max_size=2 * n)))
+    @settings(max_examples=500, deadline=None)
+    def test_max_matches_np_roots(self, lam):
+        # the maximum as np.roots found it: P at the real roots of P'
+        p = PolyP(n=len(lam) // 2, lam=tuple(lam))
+        roots = np.roots([-(2.0 * p.n)] + [
+            float(i * p.lam[i]) for i in range(2 * p.n - 1, 0, -1)])
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        vals = p(real)
+        ref, v = float(np.max(vals)), float(real[np.argmax(vals)])
+        # two points of P's flat top differ by P's rounding, at most twice
+        # Horner's bound 2n eps sum |c_i| |v|^i (0.9 eps sum measured over
+        # 30,000 draws); |v| is taken >= 1 because np.roots misplaces
+        # clustered roots near 0 (lam = (0, 0, 6.4e-115, 0, -1, 0): np.roots
+        # gives v = 0 and P = 0, the maximum is 1e-229)
+        scale = sum(abs(c) * max(1.0, abs(v)) ** i
+                    for i, c in enumerate(p.coeffs()))
+        assert abs(p.max_over_reals() - ref) <= \
+            4 * p.n * sys.float_info.epsilon * scale
 
 
 class TestLinspace:
