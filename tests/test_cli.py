@@ -374,23 +374,10 @@ print(json.dumps({"codes": codes, "imported": sorted(
     "ctypes": "ctypes" in sys.modules}))
 """
 
-    def test_commands_import_no_third_party_module(self, models_dir, tmp_path):
-        ddr, quartic, canard = (str(models_dir / f"{m}.model")
-                                for m in ("ddr", "quartic_n2", "canard_n2"))
-        calls = [
-            ["--help"],
-            ["hypotheses", "--model", ddr],
-            ["hypotheses", "--model", quartic],
-            ["hypotheses", "--model", canard],
-            ["pv-check", "--", "-2", "1"],
-            ["delta0", "--model", ddr],
-            ["dulac", "--model", ddr, "--eps", "0.01"],
-            ["converge", "--model", ddr, "--eps", "0.01,0.005,0.0025"],
-            ["chart-view", "--model", ddr, "--eps", "0.01", "--x-in", "1.016",
-             "--out", str(tmp_path / "chart.csv")],
-            ["nge2", "--model", quartic, "--eps", "0.05"],
-            ["canard-solve", "--model", canard, "--l", "1"],
-        ]
+    def run_calls(self, calls):
+        """Exit codes of the calls, run in turn in one fresh interpreter,
+        the third-party packages it imported, and whether it imported
+        ctypes."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -398,7 +385,35 @@ print(json.dumps({"codes": codes, "imported": sorted(
             [sys.executable, "-c", self.SCRIPT, json.dumps(calls)],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_commands_never_import_scipy(self, models_dir, tmp_path):
+        ddr, quartic, canard = (str(models_dir / f"{m}.model")
+                                for m in ("ddr", "quartic_n2", "canard_n2"))
+        calls = [
+            ["hypotheses", "--model", quartic],
+            ["hypotheses", "--model", canard],
+            ["dulac", "--model", ddr, "--eps", "0.01"],
+            ["converge", "--model", ddr, "--eps", "0.01,0.005,0.0025"],
+            ["chart-view", "--model", ddr, "--eps", "0.01", "--x-in", "1.016",
+             "--out", str(tmp_path / "chart.csv")],
+            ["nge2", "--model", quartic, "--eps", "0.05"],
+            ["canard-solve", "--model", canard, "--l", "1"],
+        ]
+        report = self.run_calls(calls)
+        assert report["codes"] == [0] * len(calls)
+        assert report["imported"] == []
+
+    def test_theory_commands_never_import_numpy(self, models_dir):
+        ddr = str(models_dir / "ddr.model")
+        calls = [
+            ["--help"],
+            ["hypotheses", "--model", ddr],
+            ["pv-check", "--", "-2", "1"],
+            ["delta0", "--model", ddr],
+            ["delta0", "--model", ddr, "--x-in", "1.004,1.01,1.016"],
+        ]
+        report = self.run_calls(calls)
         assert report["codes"] == [0] * len(calls)
         assert report["imported"] == []
         # a built library is bound, through ctypes, on import
