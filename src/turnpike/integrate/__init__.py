@@ -50,7 +50,8 @@ _ZETA_CODES = {"constant-minus-one": 0, "ddr-beta": 1, "poly": 2}
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and limits for the embedded RK 5(4) stepper."""
+    """Tolerances and limits for the embedded RK 5(4) stepper; integrate()
+    rejects an abs_tol that is not positive."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
@@ -92,7 +93,8 @@ class Trajectory:
 
     t and step_sizes are lists of floats; states is a list of (x, w) pairs,
     w being z or y depending on mode. The object is callable: traj(t)
-    evaluates the quartic dense output.
+    evaluates the quartic dense output, whose rows it reads through the
+    kernel's "dense" accessor, so only the kernel knows how they are kept.
     """
 
     def __init__(self, mode: str, eps: float, raw: dict,
@@ -103,7 +105,7 @@ class Trajectory:
         self.t: list[float] = raw["t"]
         self.states: list[tuple[float, float]] = list(zip(raw["x"], raw["w"]))
         self.step_sizes: list[float] = raw["h"]
-        self._q: list[tuple[float, ...]] = raw["q"]
+        self._dense = raw["dense"]  # step index -> 8-tuple row
         self.events = [EventHit(index=ie, spec=specs[ie], t=te, x=xe, w=we)
                        for (ie, te, xe, we) in raw["events"]]
         self.n_steps: int = raw["n_steps"]
@@ -125,10 +127,12 @@ class Trajectory:
         t = float(t)
         if not self.t[0] - 1e-12 <= t <= self.t[-1] + 1e-12:
             raise ValueError("dense evaluation outside the integrated range")
+        if not self.step_sizes:
+            return self.states[0]
         i = min(max(bisect_right(self.t, t) - 1, 0), len(self.step_sizes) - 1)
         h = self.step_sizes[i]
         th = (t - self.t[i]) / h
-        q = self._q[i]
+        q = self._dense(i)
         x0, w0 = self.states[i]
         return (x0 + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3]))),
                 w0 + h * th * (q[4] + th * (q[5] + th * (q[6] + th * q[7]))))
@@ -194,6 +198,8 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
         raise ModelError(f"eps must be >= 0, got {eps}")
     if time_direction not in (1, -1):
         raise ModelError("time_direction must be +1 or -1")
+    if not cfg.abs_tol > 0.0:  # a zero scale divides by zero at a zero state
+        raise ModelError(f"abs_tol must be > 0, got {cfg.abs_tol}")
 
     if t_max is None:
         t_max = cfg.max_time

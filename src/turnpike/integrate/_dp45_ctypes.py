@@ -8,8 +8,10 @@ threads run in parallel.
 """
 from __future__ import annotations
 
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+from struct import unpack_from
 
 from ._dp45_py import weighted_lam
 
@@ -27,8 +29,9 @@ class CompiledKernel:
     """`integrate_kernel` of `_dp45_py`, run by the shared library at `path`.
 
     It returns what the Python kernel returns: t, x, w and h as lists of
-    floats, q as a list of 8-tuples, events, counters and the final state
-    as Python floats and ints.
+    floats, events, counters and the final state as Python floats and ints.
+    "dense" keeps the filled part of the library's buffer of dense-output
+    rows as bytes and unpacks a row into an 8-tuple when it is read.
     """
 
     def __init__(self, path: Path | str):
@@ -71,7 +74,6 @@ class CompiledKernel:
             raise ValueError("event kind, value, direction and terminal "
                              "sequences differ in length")
         from ctypes import c_double as dbl, c_int as int_, c_int64 as i64
-        from struct import iter_unpack
         wlam = (dbl * (2 * n))(*weighted_lam(lam, eps, 2 * n))
         zp = (dbl * len(zeta_params))(*zeta_params)
         evk, evd, evt = ((int_ * nev)(*seq) for seq in (ev_kind, ev_dir, ev_term))
@@ -106,7 +108,7 @@ class CompiledKernel:
             "x": x[:nn],
             "w": w[:nn],
             "h": h[:nn - 1],
-            "q": list(iter_unpack("8d", memoryview(q)[:8 * (nn - 1)])),
+            "dense": partial(_row_at, bytes(memoryview(q)[:8 * (nn - 1)])),
             "events": [(ie, *ev_txw[3 * k:3 * k + 3])
                        for k, ie in enumerate(ev_index[:ne])],
             "n_steps": n_steps,
@@ -117,6 +119,11 @@ class CompiledKernel:
             "x_final": x[nn - 1],
             "w_final": w[nn - 1],
         }
+
+
+def _row_at(buf, i):
+    """Row i of a run's dense output (a module function, so results pickle)."""
+    return unpack_from("8d", buf, 64 * i)
 
 
 def load() -> CompiledKernel | None:

@@ -11,11 +11,15 @@ Implements: FSAL stepping, PI step-size control (0.9 safety, exponents
 0.7/5 and 0.4/5, factor clamped to [0.2, 10]), a quartic dense output,
 event localization by bisection plus Newton polish on the dense
 polynomial in step-local time, and rejection of steps that would take
-z below 0 in the transformed system.
+z below 0 in the transformed system. Each accepted step keeps its stage
+slopes; `dense_row` turns them into the step's dense-output row only
+when the row is read, by event localization on a step over which an
+event function changes sign or through the result's "dense" accessor.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 
 __all__ = ["integrate_kernel"]
 
@@ -63,6 +67,7 @@ def _make_rhs(mode, two_n, wlam, eps, zk, zp, zfn, gk, gp, gfn, sign):
     rzp = tuple(reversed(zp))
     beta = zp[0] if zk == 1 else 0.0
     gval = gp[0] if gk == 0 else 0.0
+    exp = math.exp
 
     def rhs(x, w):
         acc = 0.0
@@ -78,36 +83,49 @@ def _make_rhs(mode, two_n, wlam, eps, zk, zp, zfn, gk, gp, gfn, sign):
                 zeta = zeta * x + c
         else:
             zeta = zfn(x, eps)
-        f = acc + x ** two_n * zeta
-        if mode == 0:  # (x, z), y = exp(-1/z)
-            if w <= 0.0 or 1.0 / w > _EXP_UNDERFLOW:
-                y = 0.0
-            else:
-                y = math.exp(-1.0 / w)
-            if y != 0.0:
-                dx = eps * f + y * (gval if gk == 0 else gfn(x, y, eps))
-            else:
-                dx = eps * f + 0.0
-            dw = -x * w * w
-        else:  # raw (x, y)
-            dx = eps * f + w * (gval if gk == 0 else gfn(x, w, eps))
-            dw = -x * w
-        return sign * dx, sign * dw
+        try:
+            xp = x ** two_n
+        except OverflowError:  # where C's pow returns inf
+            xp = math.inf
+        f = acc + xp * zeta
+        if mode:  # raw (x, y)
+            return (sign * (eps * f + w * (gval if gk == 0 else gfn(x, w, eps))),
+                    sign * (-x * w))
+        # (x, z), y = exp(-1/z)
+        if w <= 0.0 or 1.0 / w > _EXP_UNDERFLOW:
+            return sign * (eps * f + 0.0), sign * (-x * w * w)
+        y = exp(-1.0 / w)
+        if y != 0.0:
+            dx = eps * f + y * (gval if gk == 0 else gfn(x, y, eps))
+        else:
+            dx = eps * f + 0.0
+        return sign * dx, sign * (-x * w * w)
 
     return rhs
 
 
-def _dense(base, h, q0, q1, q2, q3, th):
-    """Quartic dense output of one component at step-local time th."""
-    return base + h * th * (q0 + th * (q1 + th * (q2 + th * q3)))
+def dense_row(k):
+    """The dense-output row (qx0..qx3, qw0..qw3) of one step from its stage
+    slopes k = (k1x..k7x, k1w..k7w): Q = K^T P, each sum starting at 0.0
+    and taking the rows of _P in order, as dp45.c does."""
+    row = []
+    for c in (0, 7):
+        for j in range(4):
+            acc = 0.0
+            for s in range(7):
+                acc += k[c + s] * _P[s][j]
+            row.append(acc)
+    return tuple(row)
 
 
-def _ev_g(kind, value, x, w):
-    if kind == 0:
-        return x
-    if kind == 2:
-        return x - value
-    return w - value  # kinds 1 and 3
+def _row_at(ks, i):
+    """Row i of a run's dense output (a module function, so results pickle)."""
+    return dense_row(ks[i])
+
+
+def _dense(base, h, q, th):
+    """Quartic dense output of one component (row q) at step-local time th."""
+    return base + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
 
 
 def weighted_lam(lam, eps, two_n):
@@ -124,26 +142,26 @@ def integrate_kernel(mode, n, lam, eps,
                      max_steps):
     """Integrate from (x0, w0) at t = 0 until a terminal event or t_max.
 
-    Returns a dict with nodes, per-step dense coefficients, localized
-    events, counters, and a status string ('event', 't_end', 'max_steps',
-    'step_underflow').
+    Returns a dict with nodes, localized events, counters, a status string
+    ('event', 't_end', 'max_steps', 'step_underflow') and "dense", which
+    maps a step index to that step's dense-output row. The run keeps each
+    step's stage slopes and turns them into a row only when it is read.
     """
     two_n = 2 * n
     wlam = weighted_lam(lam, eps, two_n)
-    zp = tuple(zeta_params)
-    gp = tuple(g_params)
-    nev = len(ev_kind)
-    rhs = _make_rhs(mode, two_n, wlam, eps, zeta_kind, zp, zeta_fn,
-                    g_kind, gp, g_fn, time_sign)
-    ((p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23),
-     (p30, p31, p32, p33), (p40, p41, p42, p43), (p50, p51, p52, p53),
-     (p60, p61, p62, p63)) = _P
+    rhs = _make_rhs(mode, two_n, wlam, eps, zeta_kind, tuple(zeta_params),
+                    zeta_fn, g_kind, tuple(g_params), g_fn, time_sign)
+    sqrt = math.sqrt
+    # each event function is (x or w) - level
+    evs = [(ie, kind, kind in (0, 2), 0.0 if kind == 0 else value, d)
+           for ie, (kind, value, d) in enumerate(zip(ev_kind, ev_value, ev_dir))]
+    g_end = [(x0 if on_x else w0) - level for _, _, on_x, level, _ in evs]
 
     ts = [0.0]
     xs = [x0]
     ws = [w0]
     hs = []
-    qs = []
+    ks = []
     events = []
     n_rejected = 0
     n_rhs = 0
@@ -164,10 +182,10 @@ def integrate_kernel(mode, n, lam, eps,
         sc_w = atol + rtol * abs(w)
         ux = x / sc_x
         uw = w / sc_w
-        d0 = math.sqrt(0.5 * (ux * ux + uw * uw))
+        d0 = sqrt(0.5 * (ux * ux + uw * uw))
         vx = fx / sc_x
         vw = fw / sc_w
-        d1 = math.sqrt(0.5 * (vx * vx + vw * vw))
+        d1 = sqrt(0.5 * (vx * vx + vw * vw))
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         x1 = x + h0 * fx
         w1 = w + h0 * fw
@@ -175,7 +193,9 @@ def integrate_kernel(mode, n, lam, eps,
         n_rhs += 1
         vx = (f1x - fx) / sc_x
         vw = (f1w - fw) / sc_w
-        d2 = math.sqrt(0.5 * (vx * vx + vw * vw)) / h0
+        d2 = sqrt(0.5 * (vx * vx + vw * vw))
+        # h0 is 0 when d1 is inf; divide as C does
+        d2 = d2 / h0 if h0 != 0.0 else (math.inf if d2 > 0.0 else math.nan)
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -187,7 +207,11 @@ def integrate_kernel(mode, n, lam, eps,
     last_rejected = False
     status = "t_end"
     n_steps = 0
+    abs_x = abs(x)
+    abs_w = abs(w)
 
+    # min(a, b) and max(a, b) below are written out as conditional
+    # expressions that keep a on ties and NaN, as the builtins do
     while True:
         if t >= t_max:
             status = "t_end"
@@ -199,7 +223,7 @@ def integrate_kernel(mode, n, lam, eps,
         if h >= t_max - t:
             h = t_max - t
             last_step = True
-        if h < 1e-15 * max(abs(t), 1.0):
+        if h < 1e-15 * (1.0 if 1.0 > t else t):  # max(abs(t), 1.0); t >= 0
             status = "step_underflow"
             break
 
@@ -229,11 +253,13 @@ def integrate_kernel(mode, n, lam, eps,
                      + _E6 * k6x + _E7 * k7x)
         err_w = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w
                      + _E6 * k6w + _E7 * k7w)
-        sc_x = atol + rtol * max(abs(x), abs(x_new))
-        sc_w = atol + rtol * max(abs(w), abs(w_new))
+        abs_x_new = abs(x_new)
+        abs_w_new = abs(w_new)
+        sc_x = atol + rtol * (abs_x_new if abs_x_new > abs_x else abs_x)
+        sc_w = atol + rtol * (abs_w_new if abs_w_new > abs_w else abs_w)
         ex = err_x / sc_x
         ew = err_w / sc_w
-        err_norm = math.sqrt(0.5 * (ex * ex + ew * ew))
+        err_norm = sqrt(0.5 * (ex * ex + ew * ew))
 
         # the transformed system lives on z >= 0
         if mode == 0 and w_new < 0.0:
@@ -243,63 +269,39 @@ def integrate_kernel(mode, n, lam, eps,
             continue
 
         if err_norm > 1.0:
-            factor = max(_MIN_FACTOR, _SAFETY * err_norm ** (-_ALPHA))
-            h *= factor
+            factor = _SAFETY * err_norm ** (-_ALPHA)
+            h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             n_rejected += 1
             last_rejected = True
             continue
 
-        # accepted: dense coefficients Q = K^T P, summed over the rows of _P
-        qx0 = (0.0 + k1x * p00 + k2x * p10 + k3x * p20 + k4x * p30
-               + k5x * p40 + k6x * p50 + k7x * p60)
-        qx1 = (0.0 + k1x * p01 + k2x * p11 + k3x * p21 + k4x * p31
-               + k5x * p41 + k6x * p51 + k7x * p61)
-        qx2 = (0.0 + k1x * p02 + k2x * p12 + k3x * p22 + k4x * p32
-               + k5x * p42 + k6x * p52 + k7x * p62)
-        qx3 = (0.0 + k1x * p03 + k2x * p13 + k3x * p23 + k4x * p33
-               + k5x * p43 + k6x * p53 + k7x * p63)
-        qw0 = (0.0 + k1w * p00 + k2w * p10 + k3w * p20 + k4w * p30
-               + k5w * p40 + k6w * p50 + k7w * p60)
-        qw1 = (0.0 + k1w * p01 + k2w * p11 + k3w * p21 + k4w * p31
-               + k5w * p41 + k6w * p51 + k7w * p61)
-        qw2 = (0.0 + k1w * p02 + k2w * p12 + k3w * p22 + k4w * p32
-               + k5w * p42 + k6w * p52 + k7w * p62)
-        qw3 = (0.0 + k1w * p03 + k2w * p13 + k3w * p23 + k4w * p33
-               + k5w * p43 + k6w * p53 + k7w * p63)
+        k = (k1x, k2x, k3x, k4x, k5x, k6x, k7x,
+             k1w, k2w, k3w, k4w, k5w, k6w, k7w)
+        ks.append(k)
 
-        # event scan over this step
-        terminal_theta = None
-        step_hits = []
-        for ie in range(nev):
-            kind = ev_kind[ie]
-            g0 = _ev_g(kind, ev_value[ie], x, w)
-            g1 = _ev_g(kind, ev_value[ie], x_new, w_new)
-            if g0 == 0.0:
+        # event scan over this step; a step's start values are the end
+        # values of the step before, and the dense row is made only for a
+        # step on which some event changes sign
+        q = None
+        hits = []
+        for ie, kind, on_x, level, d in evs:
+            g0 = g_end[ie]
+            g1 = (x_new if on_x else w_new) - level
+            g_end[ie] = g1
+            if g0 == 0.0 or not (g1 == 0.0 or (g0 < 0.0) != (g1 < 0.0)):
                 continue
-            crossed = False
-            if g1 == 0.0:
-                crossed = True
-            elif (g0 < 0.0) != (g1 < 0.0):
-                crossed = True
-            if not crossed:
-                continue
-            up = g0 < 0.0
-            d = ev_dir[ie]
-            if d > 0 and not up:
-                continue
-            if d < 0 and up:
-                continue
-            if kind in (0, 2):
-                base, q0, q1, q2, q3 = x, qx0, qx1, qx2, qx3
-            else:
-                base, q0, q1, q2, q3 = w, qw0, qw1, qw2, qw3
-            target = 0.0 if kind == 0 else ev_value[ie]
+            if d and (d > 0) != (g0 < 0.0):
+                continue  # crossing against the event's direction
+            if q is None:
+                q = dense_row(k)
+            qc = q[:4] if on_x else q[4:]
+            base = x if on_x else w
             # bisection on the dense polynomial, to event_tol in local theta
             a, b = 0.0, 1.0
             ga = g0
             for _ in range(60):
                 m = 0.5 * (a + b)
-                gm = _dense(base, h, q0, q1, q2, q3, m) - target
+                gm = _dense(base, h, qc, m) - level
                 if gm == 0.0:
                     a = b = m
                     break
@@ -312,8 +314,9 @@ def integrate_kernel(mode, n, lam, eps,
                     break
             th = 0.5 * (a + b)
             # Newton polish on the quartic
+            q0, q1, q2, q3 = qc
             for _ in range(4):
-                gv = _dense(base, h, q0, q1, q2, q3, th) - target
+                gv = _dense(base, h, qc, th) - level
                 dgv = h * (q0 + th * (2.0 * q1 + th * (3.0 * q2 + th * 4.0 * q3)))
                 if dgv == 0.0:
                     break
@@ -324,15 +327,16 @@ def integrate_kernel(mode, n, lam, eps,
                 th = tn
                 if abs(step) < 1e-17:
                     break
-            x_ev = _dense(x, h, qx0, qx1, qx2, qx3, th)
-            w_ev = _dense(w, h, qw0, qw1, qw2, qw3, th)
+            x_ev = _dense(x, h, q[:4], th)
+            w_ev = _dense(w, h, q[4:], th)
             if kind == 1 and not (x_ev < 0.0):
                 continue  # return-section crossing requires x < 0
-            step_hits.append((th, ie, x_ev, w_ev))
+            hits.append((th, ie, x_ev, w_ev))
 
-        if step_hits:
-            step_hits.sort()
-            for th, ie, x_ev, w_ev in step_hits:
+        terminal_theta = None
+        if hits:
+            hits.sort()
+            for th, ie, x_ev, w_ev in hits:
                 if terminal_theta is not None and th > terminal_theta:
                     break
                 events.append((ie, t + th * h, x_ev, w_ev))
@@ -341,14 +345,10 @@ def integrate_kernel(mode, n, lam, eps,
                     break
 
         if terminal_theta is not None:
-            t_ev = t + terminal_theta * h
-            x_ev = _dense(x, h, qx0, qx1, qx2, qx3, terminal_theta)
-            w_ev = _dense(w, h, qw0, qw1, qw2, qw3, terminal_theta)
-            ts.append(t_ev)
-            xs.append(x_ev)
-            ws.append(w_ev)
+            ts.append(t + terminal_theta * h)
+            xs.append(_dense(x, h, q[:4], terminal_theta))
+            ws.append(_dense(w, h, q[4:], terminal_theta))
             hs.append(h)
-            qs.append((qx0, qx1, qx2, qx3, qw0, qw1, qw2, qw3))
             err_acc_x += abs(err_x)
             err_acc_w += abs(err_w)
             n_steps += 1
@@ -360,7 +360,6 @@ def integrate_kernel(mode, n, lam, eps,
         xs.append(x_new)
         ws.append(w_new)
         hs.append(h)
-        qs.append((qx0, qx1, qx2, qx3, qw0, qw1, qw2, qw3))
         err_acc_x += abs(err_x)
         err_acc_w += abs(err_w)
         n_steps += 1
@@ -370,15 +369,20 @@ def integrate_kernel(mode, n, lam, eps,
             factor = _MAX_FACTOR
         else:
             factor = _SAFETY * err_norm ** (-_ALPHA) * err_prev ** _BETA
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        if last_rejected:
-            factor = min(factor, 1.0)
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+        if last_rejected and factor > 1.0:
+            factor = 1.0
         t = t_next
         x = x_new
         w = w_new
+        abs_x = abs_x_new
+        abs_w = abs_w_new
         fx, fw = k7x, k7w
-        h = min(h * factor, max_step)
-        err_prev = max(err_norm, 1e-10)
+        h *= factor
+        if max_step < h:
+            h = max_step
+        err_prev = 1e-10 if 1e-10 > err_norm else err_norm
         last_rejected = False
 
     return {
@@ -387,7 +391,7 @@ def integrate_kernel(mode, n, lam, eps,
         "x": xs,
         "w": ws,
         "h": hs,
-        "q": qs,
+        "dense": partial(_row_at, ks),
         "events": events,
         "n_steps": n_steps,
         "n_rejected": n_rejected,

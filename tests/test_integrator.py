@@ -14,7 +14,8 @@ from turnpike.integrate import (EventSpec, IntegratorConfig, Trajectory,
                                 dulac_map_numeric, integrate, log_y_at_x0,
                                 z_at_x0)
 from turnpike.integrate import _EV_DIRS, _EV_KINDS, _dp45_py
-from turnpike.model import StateXY, StateXZ, ddr_model, load_model
+from turnpike.model import (PolyP, StateXY, StateXZ, ddr_model, load_model,
+                            make_g)
 
 from conftest import decay_model
 
@@ -36,11 +37,22 @@ def _fingerprint(traj: Trajectory) -> tuple:
     """Everything a run returns, with floats as their bit patterns."""
     def bits(values):
         return np.asarray(values, dtype=float).tobytes()
+    rows = [traj._dense(i) for i in range(len(traj.step_sizes))]
     return (traj.status, bits(traj.t), bits(traj.states),
-            bits(traj.step_sizes), bits(traj._q),
+            bits(traj.step_sizes), bits(rows),
             [e.index for e in traj.events],
             bits([(e.t, e.x, e.w) for e in traj.events]),
             traj.n_steps, traj.n_rejected, traj.n_rhs, bits(traj.err_accum))
+
+
+@pytest.fixture(params=["python", "compiled"])
+def backend(request, monkeypatch) -> str:
+    """Run the test on each kernel; the compiled one is built by conftest
+    and skipped where no C compiler is on PATH."""
+    if request.param == "compiled":
+        request.getfixturevalue("use_compiled")
+    monkeypatch.setenv("TURNPIKE_KERNEL", request.param)
+    return request.param
 
 
 @functools.lru_cache(maxsize=1)
@@ -146,6 +158,21 @@ class TestTrajectoryStructure:
         with pytest.raises(ValueError, match="outside"):
             traj(-0.5)
 
+    def test_trajectory_pickles(self, ddr, backend):
+        import pickle
+        traj = integrate(ddr, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
+                         t_max=100.0)
+        mids = [0.5 * (a + b) for a, b in zip(traj.t[:-1], traj.t[1:])]
+        assert pickle.loads(pickle.dumps(traj))(mids) == traj(mids)
+
+    def test_zero_step_trajectory_returns_initial_state(self, ddr, backend):
+        traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01), t_max=0.0)
+        assert traj.status == "t_end" and traj.t == [0.0]
+        assert traj(0.0) == (1.0, 0.5)
+        assert traj([0.0, 1e-13]) == [(1.0, 0.5)] * 2
+        with pytest.raises(ValueError, match="outside"):
+            traj(1e-3)
+
 
 class TestReverseTime:
     def test_retrace_returns_to_entry(self, ddr):
@@ -237,6 +264,32 @@ class TestBackends:
         assert x_py == x_c
         assert d_py.z_at_x0 == d_c.z_at_x0
         assert _fingerprint(d_py.trajectory) == _fingerprint(d_c.trajectory)
+        # traj(t) reads each kernel's dense rows through its own accessor
+        t = d_py.trajectory.t
+        mids = [0.5 * (a + b) for a, b in zip(t[:-1], t[1:])]
+        assert d_py.trajectory(mids) == d_c.trajectory(mids)
+
+    def test_dense_rows_only_on_sign_changes(self, ddr, monkeypatch):
+        # the Python kernel makes a step's dense row only on a step over
+        # which an event function changes sign
+        calls = []
+        row = _dp45_py.dense_row
+        monkeypatch.setattr(_dp45_py, "dense_row",
+                            lambda k: calls.append(k) or row(k))
+        monkeypatch.setenv("TURNPIKE_KERNEL", "python")
+        _x_out, diag = dulac_map_numeric(ddr, 1.016, 0.01)
+        traj = diag.trajectory
+        assert traj.status == "event" and traj.n_steps > 100
+
+        def changes(a, b):
+            return any(g0 != 0.0 and (g1 == 0.0 or (g0 < 0.0) != (g1 < 0.0))
+                       for g0, g1 in ((a[0], b[0]), (a[1] - ddr.z_delta,
+                                                     b[1] - ddr.z_delta),
+                                      (a[0] - ddr.I[0], b[0] - ddr.I[0])))
+        # the last node is the event point, so count the terminal step apart
+        nodes = traj.states[:-1]
+        changing = 1 + sum(map(changes, nodes[:-1], nodes[1:]))
+        assert 1 <= len(calls) <= changing <= 5
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_canard_n2_twins_agree(self, models_dir, monkeypatch,
@@ -332,6 +385,48 @@ class TestBackends:
         assert _fingerprint(runs[0]) == _fingerprint(runs[1])
 
 
+# fields that overflow: g * y is inf at the start (a zero first-step
+# estimate), and x^2 overflows in the first steps
+_OVERFLOWS = {
+    "huge_g": (dict(mode=1, zeta_kind=1, zeta_params=(1.0,), g_params=(1e10,),
+                    x0=1.0, w0=1e300), 0.0),
+    "huge_lam": (dict(lam=(1e300, 1e300), eps=0.3, zeta_kind=1,
+                      zeta_params=(1.0,), x0=1e200, w0=0.5, first_step=1e-3),
+                 0.00125),
+}
+
+
+class TestOverflowingField:
+    """Both kernels end an overflowing run alike: CPython's ** gives inf
+    where it would raise, as C's pow does, and a zero first-step estimate
+    divides as in C."""
+
+    @pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+    def test_step_underflow_on_every_backend(self, ddr, backend, case):
+        from dataclasses import replace
+        kw, t_end = _OVERFLOWS[case]
+        model = replace(ddr, p=PolyP(n=1, lam=kw.get("lam", ddr.p.lam)),
+                        g=make_g("constant", kw.get("g_params", (-1.0,))))
+        state = (StateXY if kw.get("mode") else StateXZ)(
+            kw["x0"], kw["w0"], kw.get("eps", 0.01))
+        cfg = IntegratorConfig(first_step=kw.get("first_step", 0.0))
+        with pytest.raises(IntegrationError, match="underflow") as ei:
+            integrate(model, state, config=cfg, t_max=1.0)
+        assert ei.value.status == "step_underflow"
+        assert ei.value.t == pytest.approx(t_end, abs=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+    def test_kernels_agree(self, compiled_kernel, case):
+        args = _kernel_args(**_OVERFLOWS[case][0])
+        runs = [Trajectory("xz", 0.01, k.integrate_kernel(*args), [])
+                for k in (_dp45_py, compiled_kernel)]
+        # the rows hold NaNs, whose sign bit C leaves to the compiler (it
+        # may swap the operands of a sum), so compare how the runs ended
+        ends = [(r.status, r.t, r.n_steps, r.n_rejected, r.n_rhs) for r in runs]
+        assert ends[0][0] == "step_underflow"
+        assert ends[0] == ends[1]
+
+
 class TestValidation:
     def test_initial_state_guards(self, ddr):
         with pytest.raises(ModelError, match="z must be"):
@@ -348,6 +443,14 @@ class TestValidation:
         with pytest.raises(ModelError, match="direction"):
             integrate(ddr, s, [EventSpec(kind="x_crosses_zero",
                                          direction="sideways")])
+
+    @pytest.mark.parametrize("abs_tol", [0.0, -1e-12, math.nan])
+    def test_abs_tol_must_be_positive(self, ddr, backend, abs_tol):
+        # abs_tol = 0 from a zero state divided by zero (Python) or spun
+        # through max_steps NaN steps (compiled)
+        with pytest.raises(ModelError, match="abs_tol"):
+            integrate(ddr, StateXZ(x=0.0, z=0.0, eps=0.01),
+                      config=IntegratorConfig(abs_tol=abs_tol), t_max=1.0)
 
     def test_z_event_needs_xz_state(self, ddr):
         ev = EventSpec(kind="z_reaches_value", value=1.0)
