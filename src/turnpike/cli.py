@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ._util import fmt, parallel_map, write_rows
 from .blowup import theoretical_z2_curve
-from .entryexit import (predict_delay_nge2, solve_canard_parameter,
-                        solve_delta0_n1)
+from .entryexit import (base_point, check_l_index, predict_delay_nge2,
+                        solve_canard_parameter, solve_delta0_n1, with_lam)
 from .errors import TurnpikeError
 from .integrate import IntegratorConfig, dulac_map_numeric, z_at_x0
 from .model import (PolyP, SlowFastModel, _floats, _linspace,
@@ -45,45 +46,56 @@ class ExperimentConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
 
-    def model(self) -> SlowFastModel:
-        if not self.model_path:
-            raise TurnpikeError("this command requires --model <path>")
-        return load_model(self.model_path)
-
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
-# ExperimentConfig field -> (argparse dest, config-file key, parser)
-_CONFIG_SOURCES = {
-    "model_path": ("model", "model", str),
-    "eps": ("eps", "eps", _floats),
-    "x_in": ("x_in", "x_in", _floats),
-    "x_out": ("x_out", "x_out", float),
-    "grid": ("grid", "grid", int),
-    "tol": ("tol", "tol", float),
-    "out": ("out", "out", str),
-    "l_index": ("l_index", "l", int),
-    "target": ("target", "target", float),
-    "perturb": ("perturb", "perturb", float),
-    "eps_max": ("eps_max", "eps_max", float),
-    "rel_tol": ("rel_tol", "rel_tol", float),
-    "abs_tol": ("abs_tol", "abs_tol", float),
+# flag -> (ExperimentConfig field, parser, help). The config-file key of a
+# flag is its argparse dest: the flag without its dashes, "-" read as "_".
+OPTIONS = {
+    "--model": ("model_path", str, "model definition file"),
+    "--out": ("out", str, "output CSV path (default: stdout)"),
+    "--tol": ("tol", float, "verdict tolerance"),
+    "--eps": ("eps", _floats, "comma-separated eps list"),
+    "--x-in": ("x_in", _floats, "comma-separated entry x values"),
+    "--x-out": ("x_out", float, "exit x value"),
+    "--grid": ("grid", int, "x_in grid size over I_in"),
+    "--rel-tol": ("rel_tol", float, "integrator relative tolerance"),
+    "--abs-tol": ("abs_tol", float, "integrator absolute tolerance"),
+    "--l": ("l_index", int, "odd coefficient index to tune"),
+    "--target": ("target", float, "target whole-line integral value"),
+    "--perturb": ("perturb", float, "perturbation applied before solving"),
+    "--eps-max": ("eps_max", float, "largest eps for the f < 0 scan"),
 }
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge precedence: explicit flag > config file > ExperimentConfig default."""
-    path = getattr(args, "config", None)
-    cfg = parse_kv_file(path) if path else {}
+    """Merge of the taken flags: flag > config file > converge's grid 5 > default."""
+    cfg = parse_kv_file(args.config) if args.config else {}
     chosen = {"grid": 5} if args.command == "converge" else {}
-    for name, (flag, key, cast) in _CONFIG_SOURCES.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            chosen[name] = v
+    for flag in COMMANDS[args.command].flags:
+        name, parse, _help = OPTIONS[flag]
+        key = flag[2:].replace("-", "_")
+        if getattr(args, key) is not None:
+            chosen[name] = getattr(args, key)
         elif key in cfg:
-            chosen[name] = cast(cfg[key])
+            chosen[name] = parse(cfg[key])
     return ExperimentConfig(**chosen)
+
+
+def _mid(interval: tuple[float, float]) -> float:
+    return (interval[0] + interval[1]) / 2.0
+
+
+def _heights(cfg: ExperimentConfig, model: SlowFastModel,
+             eps: float) -> tuple[float, float]:
+    """z at x = 0 forward from the first --x-in and backward from --x-out,
+    which default to the midpoints of I_in and I_out."""
+    x_in = cfg.x_in[0] if cfg.x_in else _mid(model.I_in)
+    x_out = cfg.x_out if cfg.x_out is not None else _mid(model.I_out)
+    icfg = cfg.integrator()
+    return (z_at_x0(model, x_in, eps, icfg),
+            z_at_x0(model, x_out, eps, icfg, backward=True))
 
 
 def _x_in_grid(cfg: ExperimentConfig, model: SlowFastModel) -> tuple[float, ...]:
@@ -92,11 +104,12 @@ def _x_in_grid(cfg: ExperimentConfig, model: SlowFastModel) -> tuple[float, ...]
     if cfg.grid < 1:
         raise TurnpikeError(f"grid must be >= 1, got {cfg.grid}")
     if cfg.grid == 1:
-        return ((model.I_in[0] + model.I_in[1]) / 2.0,)
+        return (_mid(model.I_in),)
     return tuple(_linspace(model.I_in[0], model.I_in[1], cfg.grid))
 
 
-def cmd_pv_check(cfg: ExperimentConfig, lambda0: float, lambda1: float) -> int:
+def cmd_pv_check(cfg: ExperimentConfig, _model: None, lambda0: float,
+                 lambda1: float) -> int:
     closed = pv_fast_quadratic(lambda0, lambda1)  # raises on bad lambda
     numeric = pv_fast_numeric(PolyP(n=1, lam=(lambda0, lambda1)),
                               tol=min(cfg.tol * 1e-2, 1e-10))
@@ -107,8 +120,10 @@ def cmd_pv_check(cfg: ExperimentConfig, lambda0: float, lambda1: float) -> int:
     return 0 if diff <= cfg.tol else 1
 
 
-def cmd_hypotheses(cfg: ExperimentConfig) -> int:
-    model = cfg.model()
+def cmd_hypotheses(cfg: ExperimentConfig, model: SlowFastModel) -> int:
+    if not 0.0 < cfg.eps_max < math.inf:
+        raise TurnpikeError(
+            f"--eps-max must be finite and > 0, got {cfg.eps_max:g}")
     rep = check_hypotheses(model, eps_max=cfg.eps_max, grid=max(cfg.grid, 101))
     print(f"passed   = {rep.passed}")
     print(f"c        = {fmt(rep.c)}")
@@ -119,24 +134,19 @@ def cmd_hypotheses(cfg: ExperimentConfig) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_delta0(cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    if model.n != 1:
-        raise TurnpikeError("delta0 requires an n = 1 model")
+def cmd_delta0(cfg: ExperimentConfig, model: SlowFastModel) -> int:
     rows = []
-    failures = 0
     for x_in in _x_in_grid(cfg, model):
         try:
             r = solve_delta0_n1(model, x_in)
             rows.append((x_in, r.x_in_b, r.x_out_b, r.x_out,
                          r.relation_residual, "ok"))
         except TurnpikeError as exc:
-            failures += 1
             rows.append((x_in, math.nan, math.nan, math.nan, math.nan,
                          f"error: {exc}"))
     write_rows(cfg.out, ("x_in", "x_in_b", "x_out_b", "x_out",
                          "relation_residual", "status"), rows)
-    return 1 if failures else 0
+    return 0 if all(r[5] == "ok" for r in rows) else 1
 
 
 def _dulac_rows(cfg: ExperimentConfig, model: SlowFastModel):
@@ -166,12 +176,7 @@ def _dulac_rows(cfg: ExperimentConfig, model: SlowFastModel):
     return xs, parallel_map(run, cells)
 
 
-def cmd_dulac(cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    if model.n != 1:
-        raise TurnpikeError("dulac requires an n = 1 model")
-    if not cfg.eps:
-        raise TurnpikeError("dulac requires a non-empty eps list")
+def cmd_dulac(cfg: ExperimentConfig, model: SlowFastModel) -> int:
     rep = check_hypotheses(model, eps_max=max(cfg.eps))
     if not rep.passed:
         raise TurnpikeError(
@@ -206,10 +211,7 @@ def _fit_remainder(eps: Sequence[float],
     return a, b, math.hypot(*resid) / math.hypot(*err)
 
 
-def cmd_converge(cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    if model.n != 1:
-        raise TurnpikeError("converge requires an n = 1 model")
+def cmd_converge(cfg: ExperimentConfig, model: SlowFastModel) -> int:
     if len(cfg.eps) < 3 or len(set(cfg.eps)) < 2:
         raise TurnpikeError(
             "converge requires at least 3 eps values, 2 of them distinct")
@@ -241,23 +243,14 @@ def cmd_converge(cfg: ExperimentConfig) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_nge2(cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    if model.n < 2:
-        raise TurnpikeError("nge2 requires an n >= 2 model")
-    if not cfg.eps:
-        raise TurnpikeError("nge2 requires a non-empty eps list")
-    x_in = cfg.x_in[0] if cfg.x_in else (model.I_in[0] + model.I_in[1]) / 2.0
-    x_out = cfg.x_out if cfg.x_out is not None else \
-        (model.I_out[0] + model.I_out[1]) / 2.0
+def cmd_nge2(cfg: ExperimentConfig, model: SlowFastModel) -> int:
     W = whole_line_integral(model.p, tol=1e-12).value
-    icfg = cfg.integrator()
+    leading = predict_delay_nge2(model.p, cfg.eps[0])  # constants free of eps
 
     def run(eps):
-        pred = predict_delay_nge2(model.p, eps)
+        pred = replace(leading, eps=eps)
         try:
-            z_in = z_at_x0(model, x_in, eps, icfg)
-            z_out = z_at_x0(model, x_out, eps, icfg, backward=True)
+            z_in, z_out = _heights(cfg, model, eps)
         except TurnpikeError as exc:
             return (eps, math.nan, math.nan, math.nan, math.nan, math.nan,
                     math.nan, "none", f"error: {exc}")
@@ -278,24 +271,15 @@ def cmd_nge2(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_chart_view(cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    if model.n != 1:
-        raise TurnpikeError("chart-view requires an n = 1 model")
-    if not cfg.eps:
-        raise TurnpikeError("chart-view requires a non-empty eps list")
+def cmd_chart_view(cfg: ExperimentConfig, model: SlowFastModel) -> int:
     x_in = cfg.x_in[0] if cfg.x_in else model.I_in[1]
-    from .entryexit import base_point
-
     x_in_b = base_point(model, x_in)
     icfg = cfg.integrator()
     rows = []
-    failures = 0
     for eps in cfg.eps:
         try:
             _x_out, diag = dulac_map_numeric(model, x_in, eps, icfg)
         except TurnpikeError as exc:
-            failures += 1
             rows.append((eps, math.nan, math.nan, math.nan,
                          f"error: {exc}"))
             continue
@@ -308,41 +292,29 @@ def cmd_chart_view(cfg: ExperimentConfig) -> int:
             rows.append((eps, x, z / eps, z2_th, "ok"))
     write_rows(cfg.out, ("epsilon", "x", "z2_numeric", "z2_theory", "status"),
                rows)
-    return 1 if failures else 0
+    return 0 if all(r[4] == "ok" for r in rows) else 1
 
 
-def cmd_canard_solve(cfg: ExperimentConfig) -> int:
-    model = cfg.model()
-    if model.n < 2:
-        raise TurnpikeError("canard-solve requires an n >= 2 model")
+def cmd_canard_solve(cfg: ExperimentConfig, model: SlowFastModel) -> int:
     p = model.p
     bad = [i for i in range(1, 2 * p.n, 2) if p.lam[i] != 0.0]
     if bad:
         raise TurnpikeError(
             f"canard-solve requires zero odd coefficients in the base "
             f"polynomial; lambda_{bad[0]} = {p.lam[bad[0]]:g}")
-    lam_pert = list(p.lam)
-    lam_pert[cfg.l_index] += cfg.perturb
-    p_pert = PolyP(n=p.n, lam=tuple(lam_pert))
+    check_l_index(p, cfg.l_index)
+    p_pert = with_lam(p, cfg.l_index, p.lam[cfg.l_index] + cfg.perturb)
     solved_l = solve_canard_parameter(p_pert, cfg.l_index, target=cfg.target)
-    lam_solved = list(p_pert.lam)
-    lam_solved[cfg.l_index] = solved_l
-    p_solved = PolyP(n=p.n, lam=tuple(lam_solved))
+    p_solved = with_lam(p_pert, cfg.l_index, solved_l)
     W_solved = whole_line_integral(p_solved, tol=1e-12).value - cfg.target
     print(f"lam_{cfg.l_index}: base {fmt(p.lam[cfg.l_index])}, "
           f"perturbed {fmt(p_pert.lam[cfg.l_index])}, solved {fmt(solved_l)}")
     print(f"|whole_line_integral - target| at solved = {fmt(abs(W_solved))}")
 
     eps = cfg.eps[0] if cfg.eps else 0.02
-    x_in = cfg.x_in[0] if cfg.x_in else (model.I_in[0] + model.I_in[1]) / 2.0
-    x_out = cfg.x_out if cfg.x_out is not None else \
-        (model.I_out[0] + model.I_out[1]) / 2.0
-    icfg = cfg.integrator()
 
     def gap(poly: PolyP) -> float:
-        m = replace(model, p=poly)
-        z_in = z_at_x0(m, x_in, eps, icfg)
-        z_out = z_at_x0(m, x_out, eps, icfg, backward=True)
+        z_in, z_out = _heights(cfg, replace(model, p=poly), eps)
         return abs(z_in - z_out)
 
     gap_pert = gap(p_pert)
@@ -353,20 +325,28 @@ def cmd_canard_solve(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--model", help="model definition file")
-    sp.add_argument("--out", help="output CSV path (default: stdout)")
-    sp.add_argument("--tol", type=float, help="verdict tolerance")
-    sp.add_argument("--config", help="key = value config file")
-    sp.add_argument("--eps", type=_floats, help="comma-separated eps list")
-    sp.add_argument("--x-in", dest="x_in", type=_floats,
-                    help="comma-separated entry x values")
-    sp.add_argument("--x-out", dest="x_out", type=float, help="exit x value")
-    sp.add_argument("--grid", type=int, help="x_in grid size over I_in")
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float,
-                    help="integrator relative tolerance")
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float,
-                    help="integrator absolute tolerance")
+# A subcommand: its handler, the flags the handler reads, the model it needs
+# ("n = 1", "n >= 2" or None for any), whether it needs a non-empty eps list,
+# its positional arguments and its help line. One that reads --model loads
+# the model and checks these before its handler runs.
+Command = namedtuple("Command", "run flags n needs_eps positional help",
+                     defaults=(None, False, (), None))
+
+_PASSAGE = ("--model", "--eps", "--x-in", "--rel-tol", "--abs-tol")
+COMMANDS = {
+    "pv-check": Command(cmd_pv_check, ("--tol",), None, False,
+                        ("lambda0", "lambda1"),
+                        "closed-form vs numeric principal value"),
+    "delta0": Command(cmd_delta0, ("--model", "--x-in", "--grid", "--out"),
+                      "n = 1"),
+    "dulac": Command(cmd_dulac, _PASSAGE + ("--grid", "--out"), "n = 1", True),
+    "converge": Command(cmd_converge, _PASSAGE + ("--grid", "--out"), "n = 1"),
+    "nge2": Command(cmd_nge2, _PASSAGE + ("--x-out", "--out"), "n >= 2", True),
+    "chart-view": Command(cmd_chart_view, _PASSAGE + ("--out",), "n = 1", True),
+    "canard-solve": Command(cmd_canard_solve, _PASSAGE + (
+        "--x-out", "--l", "--target", "--perturb", "--tol"), "n >= 2"),
+    "hypotheses": Command(cmd_hypotheses, ("--model", "--eps-max", "--grid")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,44 +355,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entry-exit maps and delayed stability loss past "
                     "degenerate planar turning points")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("pv-check", help="closed-form vs numeric principal value")
-    sp.add_argument("lambda0", type=float)
-    sp.add_argument("lambda1", type=float)
-    _add_common(sp)
-    sp.set_defaults(run=lambda cfg, a: cmd_pv_check(cfg, a.lambda0, a.lambda1))
-
-    for name, fn, extra in (
-        ("delta0", cmd_delta0, ()),
-        ("dulac", cmd_dulac, ()),
-        ("converge", cmd_converge, ()),
-        ("nge2", cmd_nge2, ()),
-        ("chart-view", cmd_chart_view, ()),
-        ("canard-solve", cmd_canard_solve, ("l", "target", "perturb")),
-        ("hypotheses", cmd_hypotheses, ("eps-max",)),
-    ):
-        sp = sub.add_parser(name)
-        _add_common(sp)
-        if "l" in extra:
-            sp.add_argument("--l", dest="l_index", type=int,
-                            help="odd coefficient index to tune")
-            sp.add_argument("--target", type=float,
-                            help="target whole-line integral value")
-            sp.add_argument("--perturb", type=float,
-                            help="perturbation applied before solving")
-        if "eps-max" in extra:
-            sp.add_argument("--eps-max", dest="eps_max", type=float,
-                            help="largest eps for the f < 0 scan")
-        sp.set_defaults(run=(lambda f: lambda cfg, a: f(cfg))(fn))
-
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, **({"help": cmd.help} if cmd.help else {}))
+        for arg in cmd.positional:
+            sp.add_argument(arg, type=float)
+        for flag in cmd.flags:
+            _name, parse, text = OPTIONS[flag]
+            sp.add_argument(flag, type=parse, help=text)
+        sp.add_argument("--config", help="key = value config file")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    name, cmd = args.command, COMMANDS[args.command]
     try:
         cfg = _build_config(args)
-        return args.run(cfg, args)
+        model = None
+        if "--model" in cmd.flags:
+            if not cfg.model_path:
+                raise TurnpikeError("this command requires --model <path>")
+            model = load_model(cfg.model_path)
+            if cmd.n and (model.n != 1 if cmd.n == "n = 1" else model.n < 2):
+                raise TurnpikeError(f"{name} requires an {cmd.n} model")
+        if cmd.needs_eps and not cfg.eps:
+            raise TurnpikeError(f"{name} requires a non-empty eps list")
+        return cmd.run(cfg, model, *(getattr(args, a) for a in cmd.positional))
     except TurnpikeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -306,6 +306,18 @@ def canard_slope(p: PolyP, l_index: int, tol: float = DEFAULT_TOL) -> float:
     return -(core.value + tail.value)
 
 
+def check_l_index(p: PolyP, l_index: int) -> None:
+    """Reject an l that is not an odd coefficient index of p."""
+    if l_index % 2 == 0 or not (0 <= l_index < 2 * p.n):
+        raise EntryExitError(
+            f"l_index must be an odd index in [1, {2 * p.n - 1}], got {l_index}")
+
+
+def with_lam(p: PolyP, l_index: int, value: float) -> PolyP:
+    """p with its coefficient lam_l replaced by value."""
+    return PolyP(n=p.n, lam=p.lam[:l_index] + (value,) + p.lam[l_index + 1:])
+
+
 def solve_canard_parameter(p: PolyP, l_index: int, target: float = 0.0,
                            tol: float = 1e-12) -> float:
     """Retune the odd coefficient lam_l so int_R v/P dv equals target.
@@ -316,17 +328,10 @@ def solve_canard_parameter(p: PolyP, l_index: int, target: float = 0.0,
     """
     if p.n < 2:
         raise EntryExitError("solve_canard_parameter requires n >= 2")
-    if l_index % 2 == 0 or not (0 <= l_index < 2 * p.n):
-        raise EntryExitError(
-            f"l_index must be an odd index in [1, {2 * p.n - 1}], got {l_index}")
-
-    def with_l(v: float) -> PolyP:
-        lam = list(p.lam)
-        lam[l_index] = v
-        return PolyP(n=p.n, lam=tuple(lam))
+    check_l_index(p, l_index)
 
     def W(v: float) -> float:
-        q = with_l(v)
+        q = with_lam(p, l_index, v)
         if not q.is_negative_definite():
             raise EntryExitError(
                 f"lam_{l_index} = {v:.6g} breaks negative definiteness while "
@@ -355,7 +360,7 @@ def solve_canard_parameter(p: PolyP, l_index: int, target: float = 0.0,
     else:
         raise EntryExitError("could not bracket the canard balance in lam_l")
     root = brentq(W, lo, hi, xtol=1e-14)
-    slope = canard_slope(with_l(root), l_index, tol)
+    slope = canard_slope(with_lam(p, l_index, root), l_index, tol)
     if abs(slope) < 1e-10:
         raise EntryExitError(
             f"degenerate canard slope {slope:.3g} at lam_{l_index} = {root:.6g}")

@@ -51,7 +51,7 @@ _ZETA_CODES = {"constant-minus-one": 0, "ddr-beta": 1, "poly": 2}
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and limits for the embedded RK 5(4) stepper; integrate()
-    rejects an abs_tol that is not positive."""
+    rejects an abs_tol that is not positive and a negative or NaN rel_tol."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
@@ -200,6 +200,8 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
         raise ModelError("time_direction must be +1 or -1")
     if not cfg.abs_tol > 0.0:  # a zero scale divides by zero at a zero state
         raise ModelError(f"abs_tol must be > 0, got {cfg.abs_tol}")
+    if not cfg.rel_tol >= 0.0:  # a negative scale passes every step
+        raise ModelError(f"rel_tol must be >= 0, got {cfg.rel_tol}")
 
     if t_max is None:
         t_max = cfg.max_time

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from turnpike.cli import ExperimentConfig, _fit_remainder, main
+from turnpike.cli import (COMMANDS, OPTIONS, ExperimentConfig, _build_config,
+                          _fit_remainder, build_parser, main)
 from turnpike.integrate import _dp45_ctypes
 
 from conftest import DDR_KV
@@ -310,6 +311,14 @@ class TestCanardSolveGuards:
         assert main(["canard-solve", "--model", n2_path]) == 2
         assert "lambda_1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l_index", ["7", "-1"])
+    def test_index_out_of_range(self, models_dir, capsys, l_index):
+        # checked before the perturbation indexes the coefficients
+        path = str(models_dir / "canard_n2.model")
+        assert main(["canard-solve", "--model", path, "--l", l_index]) == 2
+        assert capsys.readouterr().err == (
+            f"error: l_index must be an odd index in [1, 3], got {l_index}\n")
+
 
 class TestHypothesesCommand:
     def test_worked_model_passes(self, ddr_path, capsys):
@@ -325,6 +334,13 @@ class TestHypothesesCommand:
         out = capsys.readouterr().out
         assert "passed   = False" in out
         assert "witness" in out
+
+    @pytest.mark.parametrize("eps_max", ["nan", "-1", "0", "inf"])
+    def test_eps_max_must_be_finite_and_positive(self, ddr_path, capsys,
+                                                 eps_max):
+        assert main(["hypotheses", "--model", ddr_path,
+                     "--eps-max", eps_max]) == 2
+        assert "--eps-max must be finite and > 0" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -350,6 +366,65 @@ class TestConfigFile:
     def test_defaults_without_config(self):
         cfg = ExperimentConfig()
         assert cfg.grid == 25 and cfg.tol == 1e-8 and cfg.eps == ()
+
+
+# the config-file key of each flag, as the README documents it
+CONFIG_KEYS = {"--model": "model", "--out": "out", "--tol": "tol",
+               "--eps": "eps", "--x-in": "x_in", "--x-out": "x_out",
+               "--grid": "grid", "--rel-tol": "rel_tol",
+               "--abs-tol": "abs_tol", "--l": "l", "--target": "target",
+               "--perturb": "perturb", "--eps-max": "eps_max"}
+
+
+def parsed_config(name, *argv):
+    """The ExperimentConfig of `turnpike name argv`, its handler not run."""
+    positional = ["-2", "1"] if COMMANDS[name].positional else []
+    return _build_config(build_parser().parse_args([name, *positional,
+                                                    *argv]))
+
+
+class TestOptionTables:
+    """The parser and the config merge are built from OPTIONS and COMMANDS."""
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_each_flag_reaches_its_field(self, name, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        for flag in COMMANDS[name].flags:
+            field, parse, _help = OPTIONS[flag]
+            # a value that differs from every ExperimentConfig default
+            text = {str: "a/b", int: "3", float: "0.25"}.get(parse,
+                                                               "0.25,0.5")
+            cfgfile.write_text(f"{CONFIG_KEYS[flag]} = {text}\n")
+            assert getattr(parsed_config(name, flag, text), field) == \
+                parse(text)
+            assert getattr(parsed_config(name, "--config", str(cfgfile)),
+                           field) == parse(text)
+
+    def test_flag_beats_config_and_converge_grid_default(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("grid = 7\n")
+        assert parsed_config("dulac").grid == 25
+        assert parsed_config("converge").grid == 5
+        assert parsed_config("converge", "--config", str(cfgfile)).grid == 7
+        assert parsed_config("converge", "--config", str(cfgfile),
+                             "--grid", "9").grid == 9
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_unread_flag_is_usage_error(self, name, capsys):
+        # e.g. dulac --tol and hypotheses --out, which did nothing before
+        flag = next(f for f in OPTIONS if f not in COMMANDS[name].flags)
+        positional = ["-2", "1"] if COMMANDS[name].positional else []
+        with pytest.raises(SystemExit) as ei:
+            main([name, *positional, flag, "1"])
+        assert ei.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_help_lists_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["--help"])
+        assert ei.value.code == 0
+        assert ("{pv-check,delta0,dulac,converge,nge2,chart-view,"
+                "canard-solve,hypotheses}") in capsys.readouterr().out
 
 
 class TestRunTimeDependencies:

@@ -452,6 +452,19 @@ class TestValidation:
             integrate(ddr, StateXZ(x=0.0, z=0.0, eps=0.01),
                       config=IntegratorConfig(abs_tol=abs_tol), t_max=1.0)
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, math.nan])
+    def test_rel_tol_must_not_be_negative(self, ddr, backend, rel_tol):
+        # a negative error scale passes every step: rel_tol = -1 ended this
+        # run after 2 steps, against 57 at rel_tol = 0
+        with pytest.raises(ModelError, match="rel_tol"):
+            integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
+                      config=IntegratorConfig(rel_tol=rel_tol), t_max=1.0)
+
+    def test_zero_rel_tol_is_legal(self, ddr, backend):
+        traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
+                         config=IntegratorConfig(rel_tol=0.0), t_max=1.0)
+        assert traj.status == "t_end"
+
     def test_z_event_needs_xz_state(self, ddr):
         ev = EventSpec(kind="z_reaches_value", value=1.0)
         with pytest.raises(ModelError, match=r"\(x, z\)"):

@@ -1,4 +1,4 @@
-"""The README's worked examples, run and compared with the text.
+"""The README's worked examples and flag table, checked against the program.
 
 The library quickstart's `print` lines carry their output as a trailing
 comment; each `$ turnpike ...` example is followed by its output, indented
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from turnpike.cli import main
+from turnpike.cli import COMMANDS, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = (REPO_ROOT / "README.md").read_text()
@@ -63,6 +63,13 @@ def test_cli_example(argv, expected, monkeypatch):
     for got, want in zip(printed, expected):
         if "..." not in want:
             assert got == want
+
+
+def test_flag_table_matches_the_parser():
+    rows = re.findall(r"^\| `([a-z0-9-]+)[^`]*` \| (.*) \|$", README, re.M)
+    assert {name: sorted(re.findall(r"`(--[a-z-]+)`", flags))
+            for name, flags in rows} == \
+        {name: sorted(cmd.flags) for name, cmd in COMMANDS.items()}
 
 
 def test_library_quickstart():
