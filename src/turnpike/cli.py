@@ -70,7 +70,11 @@ OPTIONS = {
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge of the taken flags: flag > config file > converge's grid 5 > default."""
+    """Merge of the taken flags: flag > config file > converge's grid 5 > default.
+
+    A config-file value that does not parse is a usage error of the
+    subcommand, as the same value given as a flag is.
+    """
     cfg = parse_kv_file(args.config) if args.config else {}
     chosen = {"grid": 5} if args.command == "converge" else {}
     for flag in COMMANDS[args.command].flags:
@@ -79,7 +83,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, key) is not None:
             chosen[name] = getattr(args, key)
         elif key in cfg:
-            chosen[name] = parse(cfg[key])
+            try:
+                chosen[name] = parse(cfg[key])
+            except ValueError:
+                args.parser.error(f"config file {args.config}: invalid "
+                                  f"value for {key}: {cfg[key]!r}")
     return ExperimentConfig(**chosen)
 
 
@@ -363,11 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
             _name, parse, text = OPTIONS[flag]
             sp.add_argument(flag, type=parse, help=text)
         sp.add_argument("--config", help="key = value config file")
+        sp.set_defaults(parser=sp)  # reports usage errors of its command
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse hands a subcommand's unknown arguments back to the top-level
+    # parser; the subcommand's own parser reports them with its usage line
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     name, cmd = args.command, COMMANDS[args.command]
     try:
         cfg = _build_config(args)

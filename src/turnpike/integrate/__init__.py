@@ -3,14 +3,17 @@
 The stepping kernel is specified by the pure-Python `._dp45_py`; the C file
 `dp45.c`, bound through ctypes by `._dp45_ctypes`, performs the same
 floating-point operations and agrees with it bit for bit. The compiled
-kernel is used automatically when its library is built and the model's
-zeta/g are builtin forms; the TURNPIKE_KERNEL environment variable ('auto',
-'compiled', 'python') overrides the choice.
+kernel is used automatically when its library can be had and the model's
+zeta/g are builtin forms: the first passage that asks for it builds it with
+`cc` into a per-user cache, or loads it from there (see `._dp45_ctypes`).
+The TURNPIKE_KERNEL environment variable ('auto', 'compiled', 'python')
+overrides the choice; 'python' never builds or loads the library.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from numbers import Real
@@ -21,7 +24,11 @@ from ..model import SlowFastModel, StateXY, StateXZ
 
 from . import _dp45_ctypes, _dp45_py
 
-_dp45_c = _dp45_ctypes.load()  # None unless the library is built
+# The compiled kernel, resolved by _compiled() on first use; None while
+# unresolved and when no library can be had.
+_dp45_c = None
+_resolved = False
+_resolve_lock = threading.Lock()
 
 __all__ = [
     "IntegratorConfig",
@@ -138,8 +145,20 @@ class Trajectory:
                 w0 + h * th * (q[4] + th * (q[5] + th * (q[6] + th * q[7]))))
 
 
+def _compiled():
+    """The compiled kernel, built or loaded once per process; None if
+    there is none. A kernel already set in _dp45_c is used as it is."""
+    global _dp45_c, _resolved
+    if _dp45_c is None and not _resolved:
+        with _resolve_lock:
+            if _dp45_c is None and not _resolved:
+                _dp45_c = _dp45_ctypes.load()
+                _resolved = True
+    return _dp45_c
+
+
 def compiled_kernel_available() -> bool:
-    return _dp45_c is not None
+    return _compiled() is not None
 
 
 def _model_codes(model: SlowFastModel) -> tuple[int, tuple, int, tuple]:
@@ -153,20 +172,21 @@ def active_backend(model: SlowFastModel | None = None) -> str:
     forced = os.environ.get("TURNPIKE_KERNEL", "auto").lower()
     if forced == "python":
         return "python"
+    if forced not in ("auto", "compiled"):
+        raise IntegrationError(f"unknown TURNPIKE_KERNEL value {forced!r}")
     builtin = True
     if model is not None:
         zk, _, gk, _ = _model_codes(model)
         builtin = zk >= 0 and gk >= 0
-    if forced == "compiled":
-        if _dp45_c is None:
-            raise IntegrationError("compiled kernel requested but not built")
-        if not builtin:
-            raise IntegrationError(
-                "compiled kernel cannot evaluate Python-callable zeta/g")
-        return "compiled"
-    if forced != "auto":
-        raise IntegrationError(f"unknown TURNPIKE_KERNEL value {forced!r}")
-    return "compiled" if (_dp45_c is not None and builtin) else "python"
+    if forced == "auto":
+        return "compiled" if builtin and _compiled() is not None else "python"
+    if _compiled() is None:
+        raise IntegrationError("compiled kernel requested but not available: "
+                               f"{_dp45_ctypes.why_unavailable()}")
+    if not builtin:
+        raise IntegrationError(
+            "compiled kernel cannot evaluate Python-callable zeta/g")
+    return "compiled"
 
 
 def integrate(model: SlowFastModel, initial: StateXZ | StateXY,

@@ -1,13 +1,20 @@
-"""ctypes binding of the compiled stepper `dp45.c`.
+"""ctypes binding of the compiled stepper `dp45.c`, built on first use.
 
-setup.py builds `dp45.c` into `_dp45_lib<EXT_SUFFIX>` next to this module
-(EXT_SUFFIX is the first of EXTENSION_SUFFIXES); `load()` binds it, with
-ctypes, when it is there. The library takes no Python objects and ctypes
-releases the interpreter lock for the call, so passages on several
-threads run in parallel.
+`load()` keeps one build of `dp45.c` per source version in a per-user
+cache, $XDG_CACHE_HOME/turnpike/ (else ~/.cache/turnpike/), named
+`dp45-<key><EXT_SUFFIX>`: the key hashes the source bytes, the compile
+flags and EXT_SUFFIX (the first of EXTENSION_SUFFIXES), so a stale library
+is never loaded. A missing library is compiled with `cc` into a temporary
+file of that directory and renamed into place, which keeps concurrent first
+calls, from threads or processes, safe. A failed build leaves
+`<key>.failed` holding the compiler's message and is never retried;
+deleting the directory forces a rebuild. The library takes no Python
+objects and ctypes releases the interpreter lock for the call, so passages
+on several threads run in parallel.
 """
 from __future__ import annotations
 
+import os
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -15,9 +22,12 @@ from struct import unpack_from
 
 from ._dp45_py import weighted_lam
 
-__all__ = ["CompiledKernel", "load"]
+__all__ = ["CompiledKernel", "build", "load", "why_unavailable"]
 
-_LIBRARY = Path(__file__).with_name("_dp45_lib" + EXTENSION_SUFFIXES[0])
+SOURCE = Path(__file__).with_name("dp45.c")
+# no fused multiply-adds: the compiled arithmetic stays that of _dp45_py
+FLAGS = ("-shared", "-fPIC", "-O3", "-ffp-contract=off")
+_EXT = EXTENSION_SUFFIXES[0]
 
 _STATUS = ("t_end", "event", "max_steps", "step_underflow")
 _BUFFER_FULL = 4
@@ -126,6 +136,75 @@ def _row_at(buf, i):
     return unpack_from("8d", buf, 64 * i)
 
 
+def _paths() -> tuple[Path, Path]:
+    """The cached library for this dp45.c and its build-failure record."""
+    import hashlib
+
+    key = hashlib.sha256(b"\0".join(
+        (SOURCE.read_bytes(), " ".join(FLAGS).encode(), _EXT.encode())
+    )).hexdigest()[:16]
+    cache = Path(os.environ.get("XDG_CACHE_HOME")
+                 or Path.home() / ".cache") / "turnpike"
+    return cache / f"dp45-{key}{_EXT}", cache / f"{key}.failed"
+
+
+def build(dest: Path | str) -> None:
+    """Compile dp45.c into the shared library `dest`; raises
+    CalledProcessError, holding cc's stderr, when the compiler fails."""
+    import subprocess
+
+    subprocess.run(["cc", *FLAGS, str(SOURCE), "-o", str(dest), "-lm"],
+                   check=True, capture_output=True, text=True)
+
+
 def load() -> CompiledKernel | None:
-    """The kernel of the library built next to this module, or None."""
-    return CompiledKernel(_LIBRARY) if _LIBRARY.exists() else None
+    """The kernel of the cached library, built first if it is missing.
+
+    None when there is no `cc` on PATH, the cache directory cannot be
+    written, or the build failed (now or before); why_unavailable() says
+    which. Only a build attempt writes to the cache.
+    """
+    import shutil
+    import subprocess
+    import tempfile
+
+    lib, failed = _paths()
+    if lib.exists():
+        return CompiledKernel(lib)
+    if failed.exists() or shutil.which("cc") is None:
+        return None
+    try:
+        lib.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=_EXT, dir=lib.parent)
+    except OSError:
+        return None
+    os.close(fd)
+    try:
+        build(tmp)
+        os.replace(tmp, lib)  # atomic: a reader sees no library or all of it
+    except (subprocess.CalledProcessError, OSError) as exc:
+        try:
+            failed.write_text(getattr(exc, "stderr", None) or f"{exc}\n")
+        except OSError:
+            pass
+        return None
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    return CompiledKernel(lib)
+
+
+def why_unavailable() -> str:
+    """Why load() returns None: the first line of the build-failure record,
+    no `cc` on PATH, or a cache directory that cannot be written."""
+    import shutil
+
+    lib, failed = _paths()
+    try:
+        first = (failed.read_text().splitlines() or [""])[0]
+    except OSError:
+        pass
+    else:
+        return f"building dp45.c failed, see {failed}: {first}"
+    if shutil.which("cc") is None:
+        return "no C compiler (cc) on PATH"
+    return f"the kernel cache {lib.parent} cannot be written"

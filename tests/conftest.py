@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import shutil
-import subprocess
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -13,7 +13,17 @@ from turnpike.model import PolyP, SlowFastModel, ddr_model, make_g, make_zeta
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"
-DP45_C = Path(_dp45_ctypes.__file__).with_name("dp45.c")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory) -> Iterator[Path]:
+    """XDG_CACHE_HOME of the whole session, in this process and the
+    interpreters it starts: the compiled kernel is built there on first
+    use, never under $HOME."""
+    with pytest.MonkeyPatch.context() as mp:
+        cache = tmp_path_factory.mktemp("xdg-cache")
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        yield cache
 
 
 @pytest.fixture(scope="session")
@@ -23,15 +33,12 @@ def models_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory) -> CompiledKernel:
-    """dp45.c built with the flags of setup.py into a temporary directory,
-    so the source tree stays as checked out."""
-    cc = shutil.which("cc")
-    if cc is None:
+    """dp45.c built by _dp45_ctypes.build into a temporary directory, so the
+    source tree stays as checked out."""
+    if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")
     lib = tmp_path_factory.mktemp("dp45") / "dp45.so"
-    subprocess.run([cc, "-shared", "-fPIC", "-O3", "-ffp-contract=off",
-                    str(DP45_C), "-o", str(lib), "-lm"],
-                   check=True, capture_output=True)
+    _dp45_ctypes.build(lib)
     return CompiledKernel(lib)
 
 

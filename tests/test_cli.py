@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from turnpike.cli import (COMMANDS, OPTIONS, ExperimentConfig, _build_config,
                           _fit_remainder, build_parser, main)
-from turnpike.integrate import _dp45_ctypes
-
 from conftest import DDR_KV
 
 
@@ -417,7 +415,23 @@ class TestOptionTables:
         with pytest.raises(SystemExit) as ei:
             main([name, *positional, flag, "1"])
         assert ei.value.code == 2
-        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: turnpike {name} ")
+        assert f"unrecognized arguments: {flag} 1" in err
+
+    @pytest.mark.parametrize("key, value", [("grid", "abc"), ("eps", "0.1,x"),
+                                            ("rel_tol", "tight")])
+    def test_bad_config_value_is_usage_error(self, key, value, tmp_path,
+                                             capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"model = models/ddr.model\n{key} = {value}\n")
+        with pytest.raises(SystemExit) as ei:
+            main(["dulac", "--config", str(cfgfile)])
+        assert ei.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: turnpike dulac ")
+        assert f"config file {cfgfile}: invalid value for {key}: " \
+            f"{value!r}" in err
 
     def test_help_lists_the_subcommands(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -430,7 +444,8 @@ class TestOptionTables:
 class TestRunTimeDependencies:
     """The program imports no third-party module: scipy and numpy are test
     dependencies, and the program reaches scipy only for the fibers of a
-    callable g. ctypes is imported only to bind a built compiled kernel."""
+    callable g. ctypes and hashlib are imported only when a passage
+    resolves the compiled kernel."""
 
     SCRIPT = """
 import contextlib, io, json, sys
@@ -446,13 +461,13 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"codes": codes, "imported": sorted(
     {m.split(".")[0] for m in set(sys.modules) - before}
     - set(sys.stdlib_module_names) - {"turnpike"}),
-    "ctypes": "ctypes" in sys.modules}))
+    "kernel_modules": sorted({"ctypes", "hashlib"} & set(sys.modules))}))
 """
 
     def run_calls(self, calls):
         """Exit codes of the calls, run in turn in one fresh interpreter,
-        the third-party packages it imported, and whether it imported
-        ctypes."""
+        the third-party packages it imported, and which of the modules
+        that bind and key the compiled kernel it imported."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -491,5 +506,5 @@ print(json.dumps({"codes": codes, "imported": sorted(
         report = self.run_calls(calls)
         assert report["codes"] == [0] * len(calls)
         assert report["imported"] == []
-        # a built library is bound, through ctypes, on import
-        assert report["ctypes"] == _dp45_ctypes._LIBRARY.exists()
+        # no command here runs a passage, so none looks for the kernel
+        assert report["kernel_modules"] == []

@@ -1,0 +1,202 @@
+"""The compiled kernel's build cache: built once per dp45.c, loaded after.
+
+Most checks run fresh interpreters, because each process resolves the
+kernel once; each test points XDG_CACHE_HOME at its own directory.
+"""
+import json
+import os
+import shutil
+import subprocess
+import sys
+import threading
+import time
+
+import pytest
+
+from turnpike import integrate
+from turnpike.integrate import _dp45_ctypes
+from turnpike.model import ddr_model
+
+from conftest import REPO_ROOT
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler (cc) on PATH")
+
+# the backend a ddr passage runs on, its exit point, and what
+# TURNPIKE_KERNEL=compiled makes of the same process
+PROBE = """
+import json, os
+from turnpike.errors import IntegrationError
+from turnpike.integrate import active_backend, dulac_map_numeric
+from turnpike.model import ddr_model
+report = {"backend": active_backend(ddr_model()),
+          "x_out": dulac_map_numeric(ddr_model(), 1.016, 0.01)[0].hex()}
+os.environ["TURNPIKE_KERNEL"] = "compiled"
+try:
+    report["forced"] = active_backend()
+except IntegrationError as exc:
+    report["forced"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def _env(cache, path=None, **extra):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("TURNPIKE_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env["XDG_CACHE_HOME"] = str(cache)
+    if path is not None:
+        env["PATH"] = str(path)
+    env.update(extra)
+    return env
+
+
+def _python(args, cache, path=None, **extra):
+    """Run `python args` in the checkout root with this cache and PATH."""
+    proc = subprocess.run([sys.executable, *args], cwd=REPO_ROOT,
+                          env=_env(cache, path, **extra), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def probe(cache, path=None) -> dict:
+    return json.loads(_python(["-c", PROBE], cache, path).splitlines()[-1])
+
+
+def listing(cache) -> list[str]:
+    """The files the kernel cache holds, by name."""
+    root = cache / "turnpike"
+    return sorted(p.name for p in root.iterdir()) if root.exists() else []
+
+
+def _stub_cc(bin_dir, log):
+    """A `cc` that records each call and fails with a message."""
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text(f"#!/bin/sh\necho called >> '{log}'\n"
+                  "echo 'stub cc: dp45.c refused' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    return bin_dir
+
+
+@needs_cc
+def test_cold_build_then_warm_load_without_cc(tmp_path, monkeypatch):
+    cache = tmp_path / "xdg"
+    # two processes race to build into the cold cache
+    procs = [subprocess.Popen([sys.executable, "-c", PROBE], cwd=REPO_ROOT,
+                              env=_env(cache), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    cold = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        cold.append(json.loads(out.splitlines()[-1]))
+    (lib,) = listing(cache)  # one library and no temporary files left
+    assert lib.startswith("dp45-")
+    built = (cache / "turnpike" / lib).stat().st_mtime_ns
+    empty = tmp_path / "empty-bin"  # a PATH on which there is no cc
+    empty.mkdir()
+    warm = probe(cache, path=empty)
+    assert cold == [warm, warm]
+    assert warm["backend"] == warm["forced"] == "compiled"
+    assert listing(cache) == [lib]
+    assert (cache / "turnpike" / lib).stat().st_mtime_ns == built
+    # the cached kernel gives the Python kernel's result
+    monkeypatch.setenv("TURNPIKE_KERNEL", "python")
+    x_py, _diag = integrate.dulac_map_numeric(ddr_model(), 1.016, 0.01)
+    assert warm["x_out"] == x_py.hex()
+
+
+@needs_cc
+def test_edited_source_gets_a_new_library(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert _dp45_ctypes.load() is not None
+    (first,) = listing(tmp_path / "xdg")
+    edited = tmp_path / "dp45.c"
+    edited.write_bytes(_dp45_ctypes.SOURCE.read_bytes() + b"/* edited */\n")
+    monkeypatch.setattr(_dp45_ctypes, "SOURCE", edited)
+    assert _dp45_ctypes.load() is not None
+    libs = listing(tmp_path / "xdg")
+    assert len(libs) == 2 and first in libs
+
+
+@pytest.mark.parametrize("case", ["no cc", "unwritable cache"])
+def test_no_library_runs_python_and_writes_nothing(case, tmp_path):
+    cache = tmp_path / "xdg"
+    if case == "no cc":
+        path = tmp_path / "empty-bin"
+        path.mkdir()
+        reason = "no C compiler (cc) on PATH"
+    else:
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on PATH")
+        path = None
+        cache.write_text("")  # a file: no cache directory can be made in it
+        reason = "cannot be written"
+    before = sorted(tmp_path.rglob("*"))
+    report = probe(cache, path)
+    assert report["backend"] == "python"
+    assert reason in report["forced"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_build_is_recorded_and_not_retried(tmp_path):
+    cache, log = tmp_path / "xdg", tmp_path / "cc-calls"
+    stub = _stub_cc(tmp_path / "bin", log)
+    first = probe(cache, stub)
+    assert first["backend"] == "python"
+    (record,) = listing(cache)
+    assert record.endswith(".failed")
+    assert "stub cc: dp45.c refused" in \
+        (cache / "turnpike" / record).read_text()
+    second = probe(cache, stub)
+    assert second == first
+    assert log.read_text() == "called\n"  # the second process did not build
+    assert "stub cc: dp45.c refused" in second["forced"]
+    assert listing(cache) == [record]
+
+
+@needs_cc
+def test_threaded_nge2_on_a_cold_cache(tmp_path):
+    cache = tmp_path / "xdg"
+    args = ["-m", "turnpike.cli", "nge2", "--model", "models/quartic_n2.model",
+            "--eps", "0.05,0.04,0.03,0.025"]
+    threaded, serial = tmp_path / "threaded.csv", tmp_path / "serial.csv"
+    out = _python(args + ["--out", str(threaded)], cache, TURNPIKE_THREADS="2")
+    (lib,) = listing(cache)
+    assert lib.startswith("dp45-")
+    assert _python(args + ["--out", str(serial)], cache) == out
+    assert threaded.read_bytes() == serial.read_bytes()
+    assert listing(cache) == [lib]
+
+
+def test_threads_resolve_the_kernel_once(monkeypatch):
+    calls, seen = [], []
+    kernel = object()
+
+    def slow_load():
+        calls.append(threading.get_ident())
+        time.sleep(0.01)
+        return kernel
+
+    monkeypatch.setattr(integrate, "_dp45_c", None)
+    monkeypatch.setattr(integrate, "_resolved", False)
+    monkeypatch.setattr(_dp45_ctypes, "load", slow_load)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(
+            target=lambda: seen.append(integrate._compiled()))
+            for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert seen == [kernel] * 8
