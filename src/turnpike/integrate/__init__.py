@@ -12,6 +12,7 @@ overrides the choice; 'python' never builds or loads the library.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from bisect import bisect_right
@@ -58,7 +59,8 @@ _ZETA_CODES = {"constant-minus-one": 0, "ddr-beta": 1, "poly": 2}
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and limits for the embedded RK 5(4) stepper; integrate()
-    rejects an abs_tol that is not positive and a negative or NaN rel_tol."""
+    rejects an abs_tol that is not positive, a negative or NaN rel_tol and a
+    max_steps that is not an integer >= 0."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
@@ -141,8 +143,8 @@ class Trajectory:
         th = (t - self.t[i]) / h
         q = self._dense(i)
         x0, w0 = self.states[i]
-        return (x0 + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3]))),
-                w0 + h * th * (q[4] + th * (q[5] + th * (q[6] + th * q[7]))))
+        return (_dp45_py._dense(x0, h, q[:4], th),
+                _dp45_py._dense(w0, h, q[4:], th))
 
 
 def _compiled():
@@ -222,6 +224,13 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
         raise ModelError(f"abs_tol must be > 0, got {cfg.abs_tol}")
     if not cfg.rel_tol >= 0.0:  # a negative scale passes every step
         raise ModelError(f"rel_tol must be >= 0, got {cfg.rel_tol}")
+    try:
+        max_steps = operator.index(cfg.max_steps)
+    except TypeError:
+        max_steps = -1
+    if max_steps < 0:  # a count: the compiled kernel sizes its buffers by it
+        raise ModelError(
+            f"max_steps must be an integer >= 0, got {cfg.max_steps!r}")
 
     if t_max is None:
         t_max = cfg.max_time
@@ -255,20 +264,19 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
                  float(initial.x), w0, float(t_max), float(time_direction),
                  cfg.rel_tol, cfg.abs_tol, float(cfg.max_step), cfg.first_step,
                  tuple(ev_kind), tuple(ev_value), tuple(ev_dir), tuple(ev_term),
-                 cfg.event_tol, cfg.max_steps)
+                 cfg.event_tol, max_steps)
 
     specs = list(events)
     traj = Trajectory("xz" if mode == 0 else "xy", eps, raw, specs)
+    t_end = traj.t[-1]
     if traj.status == "step_underflow":
-        raise IntegrationError(
-            f"step size underflow at t = {raw['t_final']:.6g}",
-            t=raw["t_final"], state=(raw["x_final"], raw["w_final"]),
-            status="step_underflow")
+        raise IntegrationError(f"step size underflow at t = {t_end:.6g}",
+                               t=t_end, state=traj.final_state,
+                               status="step_underflow")
     if traj.status == "max_steps":
         raise IntegrationError(
-            f"exceeded max_steps = {cfg.max_steps} at t = {raw['t_final']:.6g}",
-            t=raw["t_final"], state=(raw["x_final"], raw["w_final"]),
-            status="max_steps")
+            f"exceeded max_steps = {cfg.max_steps} at t = {t_end:.6g}",
+            t=t_end, state=traj.final_state, status="max_steps")
     return traj
 
 

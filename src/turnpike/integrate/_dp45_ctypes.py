@@ -11,6 +11,10 @@ calls, from threads or processes, safe. A failed build leaves
 deleting the directory forces a rebuild. The library takes no Python
 objects and ctypes releases the interpreter lock for the call, so passages
 on several threads run in parallel.
+
+The library is the step loop alone. `CompiledKernel.integrate_kernel`
+takes the first step with its slopes, the decoded events and the ordering
+of the recorded hits from `_dp45_py`, the functions the Python kernel runs.
 """
 from __future__ import annotations
 
@@ -20,7 +24,8 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from struct import unpack_from
 
-from ._dp45_py import weighted_lam
+from ..model import weighted_lam
+from ._dp45_py import _make_rhs, decode_events, initial_step, order_events
 
 __all__ = ["CompiledKernel", "build", "load", "why_unavailable"]
 
@@ -39,7 +44,7 @@ class CompiledKernel:
     """`integrate_kernel` of `_dp45_py`, run by the shared library at `path`.
 
     It returns what the Python kernel returns: t, x, w and h as lists of
-    floats, events, counters and the final state as Python floats and ints.
+    floats, and events and counters as Python floats and ints.
     "dense" keeps the filled part of the library's buffer of dense-output
     rows as bytes and unpacks a row into an 8-tuple when it is read.
     """
@@ -54,11 +59,13 @@ class CompiledKernel:
             int_, int_, pd, dbl,            # mode, n, wlam, eps
             int_, pd, int_, dbl,            # zeta kind, params, count; g
             dbl, dbl, dbl, dbl,             # x0, w0, t_max, time_sign
-            dbl, dbl, dbl, dbl,             # rtol, atol, max_step, first_step
-            int_, pi, pd, pi, pi, dbl,      # events: count, kind, value, dir, term; tol
+            dbl, dbl, dbl,                  # rtol, atol, max_step
+            dbl, dbl, dbl,                  # first step h, fx, fw
+            int_, pi, pd, pi, pi, pi, dbl,  # events: count, on_x, level, dir,
+                                            # term, neg_x; tol
             i64,                            # max_steps
             i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, q
-            i64, pl, pd,                    # event_cap, index, (t, x, w)
+            i64, pl, pl, pd,                # hits: cap, step, index, txw
             pl, pd,                         # counts, err_accum
         ]
         fn.restype = int_
@@ -84,50 +91,58 @@ class CompiledKernel:
             raise ValueError("event kind, value, direction and terminal "
                              "sequences differ in length")
         from ctypes import c_double as dbl, c_int as int_, c_int64 as i64
-        wlam = (dbl * (2 * n))(*weighted_lam(lam, eps, 2 * n))
+        wl = weighted_lam(lam, eps)
+        rhs = _make_rhs(mode, 2 * n, wl, eps, zeta_kind, tuple(zeta_params),
+                        None, g_kind, tuple(g_params), None, time_sign)
+        h0, fx, fw, n_start = initial_step(rhs, x0, w0, rtol, atol, max_step,
+                                           t_max, first_step)
+        wlam = (dbl * (2 * n))(*wl)
         zp = (dbl * len(zeta_params))(*zeta_params)
-        evk, evd, evt = ((int_ * nev)(*seq) for seq in (ev_kind, ev_dir, ev_term))
-        evv = (dbl * nev)(*ev_value)
+        evs = decode_events(ev_kind, ev_value, ev_dir, ev_term)
+        evx, evd, evt, evn = ((int_ * nev)(*(ev[j] for ev in evs))
+                              for j in (0, 2, 3, 4))
+        evl = (dbl * nev)(*(ev[1] for ev in evs))
         counts = (i64 * 5)()
         err = (dbl * 2)()
-        node_cap = min(int(max_steps) + 1, _FIRST_NODE_CAP)
+        node_cap = min(max_steps + 1, _FIRST_NODE_CAP)
         event_cap = _FIRST_EVENT_CAP
         while True:  # the run is deterministic: a rerun repeats it exactly
             t, x, w, h = ((dbl * node_cap)() for _ in range(4))
             q = (dbl * (8 * node_cap))()
-            ev_index = (i64 * event_cap)()
-            ev_txw = (dbl * (3 * event_cap))()
+            hit_step, hit_index = (i64 * event_cap)(), (i64 * event_cap)()
+            hit_txw = (dbl * (3 * event_cap))()
             status = self._fn(
                 mode, n, wlam, eps,
                 zeta_kind, zp, len(zp), float(g_params[0]),
                 x0, w0, t_max, time_sign,
-                rtol, atol, max_step, first_step,
-                nev, evk, evv, evd, evt, event_tol,
+                rtol, atol, max_step,
+                h0, fx, fw,
+                nev, evx, evl, evd, evt, evn, event_tol,
                 max_steps,
                 node_cap, t, x, w, h, q,
-                event_cap, ev_index, ev_txw,
+                event_cap, hit_step, hit_index, hit_txw,
                 counts, err)
             if status != _BUFFER_FULL:
                 break
             node_cap *= 2
             event_cap *= 2
-        nn, ne, n_steps, n_rejected, n_rhs = counts
+        nn, n_hits, n_steps, n_rejected, n_rhs = counts
+        ts, xs, ws, hs = t[:nn], x[:nn], w[:nn], h[:nn - 1]
+        hits = [(hit_step[k], hit_txw[3 * k], hit_index[k], hit_txw[3 * k + 1],
+                 hit_txw[3 * k + 2]) for k in range(n_hits)]
+        events = order_events(hits, ev_term, ts, xs, ws, hs)
         return {
             "status": _STATUS[status],
-            "t": t[:nn],
-            "x": x[:nn],
-            "w": w[:nn],
-            "h": h[:nn - 1],
+            "t": ts,
+            "x": xs,
+            "w": ws,
+            "h": hs,
             "dense": partial(_row_at, bytes(memoryview(q)[:8 * (nn - 1)])),
-            "events": [(ie, *ev_txw[3 * k:3 * k + 3])
-                       for k, ie in enumerate(ev_index[:ne])],
+            "events": events,
             "n_steps": n_steps,
             "n_rejected": n_rejected,
-            "n_rhs": n_rhs,
+            "n_rhs": n_start + n_rhs,
             "err_accum": tuple(err),
-            "t_final": t[nn - 1],
-            "x_final": x[nn - 1],
-            "w_final": w[nn - 1],
         }
 
 

@@ -1,11 +1,14 @@
 """Pure-Python Dormand-Prince 5(4) kernel, the executable specification.
 
-The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) performs the same
-floating-point operations in the same order, so the two agree bit for bit;
-change both together. Squares are written as products in both, since a C
-compiler folds pow(a, 2.0) into a*a while CPython's `a ** 2` calls libm
-pow. Only this kernel accepts Python callables for zeta and g (kind code
--1).
+The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) is the step loop
+alone and performs the same floating-point operations in the same order,
+so the two agree bit for bit; change both together. Squares are written
+as products in both, since a C compiler folds pow(a, 2.0) into a*a while
+CPython's `a ** 2` calls libm pow. What runs once per passage or once per
+event hit is written here only, and both kernels call it: the first step
+with its slopes (`initial_step`), the decoding of event kinds
+(`decode_events`) and the ordering of the recorded hits (`order_events`).
+Only this kernel accepts Python callables for zeta and g (kind code -1).
 
 Implements: FSAL stepping, PI step-size control (0.9 safety, exponents
 0.7/5 and 0.4/5, factor clamped to [0.2, 10]), a quartic dense output,
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 import math
 from functools import partial
+
+from ..model import _EXP_UNDERFLOW, weighted_lam
 
 __all__ = ["integrate_kernel"]
 
@@ -52,7 +57,6 @@ _P = (
      69997945.0 / 29380423.0),
 )
 
-_EXP_UNDERFLOW = 745.0
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -128,9 +132,67 @@ def _dense(base, h, q, th):
     return base + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
 
 
-def weighted_lam(lam, eps, two_n):
-    """The coefficients lam[i] * eps^(2n - i) of the eps-weighted P."""
-    return [lam[i] * eps ** (two_n - i) for i in range(two_n)]
+def initial_step(rhs, x, w, rtol, atol, max_step, t_max, first_step):
+    """The first step h, the FSAL slopes (fx, fw) at (x, w) and the number
+    of rhs evaluations made: first_step if it is positive, else the trial
+    Euler step of Hairer, Norsett & Wanner (Solving ODEs I, II.4), and
+    never more than max_step or t_max."""
+    fx, fw = rhs(x, w)
+    n_rhs = 1
+    if first_step > 0.0:
+        h = first_step
+    else:
+        sqrt = math.sqrt
+        sc_x = atol + rtol * abs(x)
+        sc_w = atol + rtol * abs(w)
+        ux = x / sc_x
+        uw = w / sc_w
+        d0 = sqrt(0.5 * (ux * ux + uw * uw))
+        vx = fx / sc_x
+        vw = fw / sc_w
+        d1 = sqrt(0.5 * (vx * vx + vw * vw))
+        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+        f1x, f1w = rhs(x + h0 * fx, w + h0 * fw)
+        n_rhs += 1
+        vx = (f1x - fx) / sc_x
+        vw = (f1w - fw) / sc_w
+        d2 = sqrt(0.5 * (vx * vx + vw * vw))
+        # h0 is 0 when d1 is inf; divide as IEEE 754 does
+        d2 = d2 / h0 if h0 != 0.0 else (math.inf if d2 > 0.0 else math.nan)
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        h = min(100.0 * h0, h1)
+    return min(h, max_step, t_max), fx, fw, n_rhs
+
+
+def decode_events(ev_kind, ev_value, ev_dir, ev_term):
+    """Each event as (on_x, level, direction, terminal, needs_x_negative):
+    its function is (x if on_x else w) - level. Kind 0 is x = 0, 1 the
+    return section w = value, which counts only where x < 0, 2 is
+    x = value and 3 is w = value."""
+    return [(kind in (0, 2), 0.0 if kind == 0 else value, d, term, kind == 1)
+            for kind, value, d, term in zip(ev_kind, ev_value, ev_dir, ev_term)]
+
+
+def order_events(hits, ev_term, ts, xs, ws, hs):
+    """The events (index, t, x, w) of a run from the hits its step loop
+    recorded as (step, theta, index, x, w), theta local to the step.
+
+    Each step's hits are taken in (theta, index) order, up to the first
+    terminal one. The loop stops after the step that holds it, so the last
+    node is then moved back to that hit's point, which the loop formed
+    from the step's dense-output row.
+    """
+    events = []
+    for i, th, ie, x_ev, w_ev in sorted(hits):
+        t_ev = ts[i] + th * hs[i]
+        events.append((ie, t_ev, x_ev, w_ev))
+        if ev_term[ie]:
+            ts[-1], xs[-1], ws[-1] = t_ev, x_ev, w_ev
+            break
+    return events
 
 
 def integrate_kernel(mode, n, lam, eps,
@@ -147,61 +209,29 @@ def integrate_kernel(mode, n, lam, eps,
     maps a step index to that step's dense-output row. The run keeps each
     step's stage slopes and turns them into a row only when it is read.
     """
-    two_n = 2 * n
-    wlam = weighted_lam(lam, eps, two_n)
-    rhs = _make_rhs(mode, two_n, wlam, eps, zeta_kind, tuple(zeta_params),
-                    zeta_fn, g_kind, tuple(g_params), g_fn, time_sign)
+    rhs = _make_rhs(mode, 2 * n, weighted_lam(lam, eps), eps, zeta_kind,
+                    tuple(zeta_params), zeta_fn, g_kind, tuple(g_params), g_fn,
+                    time_sign)
     sqrt = math.sqrt
-    # each event function is (x or w) - level
-    evs = [(ie, kind, kind in (0, 2), 0.0 if kind == 0 else value, d)
-           for ie, (kind, value, d) in enumerate(zip(ev_kind, ev_value, ev_dir))]
-    g_end = [(x0 if on_x else w0) - level for _, _, on_x, level, _ in evs]
+    evs = [(ie, *ev) for ie, ev in
+           enumerate(decode_events(ev_kind, ev_value, ev_dir, ev_term))]
+    g_end = [(x0 if on_x else w0) - level for _, on_x, level, *_ in evs]
 
     ts = [0.0]
     xs = [x0]
     ws = [w0]
     hs = []
     ks = []
-    events = []
+    hits = []
     n_rejected = 0
-    n_rhs = 0
     err_acc_x = 0.0
     err_acc_w = 0.0
 
     t = 0.0
     x = x0
     w = w0
-    fx, fw = rhs(x, w)
-    n_rhs += 1
-
-    # initial step selection (Hairer-style trial Euler step)
-    if first_step > 0.0:
-        h = first_step
-    else:
-        sc_x = atol + rtol * abs(x)
-        sc_w = atol + rtol * abs(w)
-        ux = x / sc_x
-        uw = w / sc_w
-        d0 = sqrt(0.5 * (ux * ux + uw * uw))
-        vx = fx / sc_x
-        vw = fw / sc_w
-        d1 = sqrt(0.5 * (vx * vx + vw * vw))
-        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        x1 = x + h0 * fx
-        w1 = w + h0 * fw
-        f1x, f1w = rhs(x1, w1)
-        n_rhs += 1
-        vx = (f1x - fx) / sc_x
-        vw = (f1w - fw) / sc_w
-        d2 = sqrt(0.5 * (vx * vx + vw * vw))
-        # h0 is 0 when d1 is inf; divide as C does
-        d2 = d2 / h0 if h0 != 0.0 else (math.inf if d2 > 0.0 else math.nan)
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.2
-        h = min(100.0 * h0, h1)
-    h = min(h, max_step, t_max)
+    h, fx, fw, n_rhs = initial_step(rhs, x, w, rtol, atol, max_step, t_max,
+                                    first_step)
 
     err_prev = 1e-4
     last_rejected = False
@@ -283,8 +313,8 @@ def integrate_kernel(mode, n, lam, eps,
         # values of the step before, and the dense row is made only for a
         # step on which some event changes sign
         q = None
-        hits = []
-        for ie, kind, on_x, level, d in evs:
+        stop = False
+        for ie, on_x, level, d, term, neg_x in evs:
             g0 = g_end[ie]
             g1 = (x_new if on_x else w_new) - level
             g_end[ie] = g1
@@ -329,31 +359,10 @@ def integrate_kernel(mode, n, lam, eps,
                     break
             x_ev = _dense(x, h, q[:4], th)
             w_ev = _dense(w, h, q[4:], th)
-            if kind == 1 and not (x_ev < 0.0):
+            if neg_x and not (x_ev < 0.0):
                 continue  # return-section crossing requires x < 0
-            hits.append((th, ie, x_ev, w_ev))
-
-        terminal_theta = None
-        if hits:
-            hits.sort()
-            for th, ie, x_ev, w_ev in hits:
-                if terminal_theta is not None and th > terminal_theta:
-                    break
-                events.append((ie, t + th * h, x_ev, w_ev))
-                if ev_term[ie]:
-                    terminal_theta = th
-                    break
-
-        if terminal_theta is not None:
-            ts.append(t + terminal_theta * h)
-            xs.append(_dense(x, h, q[:4], terminal_theta))
-            ws.append(_dense(w, h, q[4:], terminal_theta))
-            hs.append(h)
-            err_acc_x += abs(err_x)
-            err_acc_w += abs(err_w)
-            n_steps += 1
-            status = "event"
-            break
+            hits.append((n_steps, th, ie, x_ev, w_ev))
+            stop = stop or term
 
         t_next = t_max if last_step else t + h
         ts.append(t_next)
@@ -363,6 +372,9 @@ def integrate_kernel(mode, n, lam, eps,
         err_acc_x += abs(err_x)
         err_acc_w += abs(err_w)
         n_steps += 1
+        if stop:  # a terminal hit: order_events moves the last node to it
+            status = "event"
+            break
 
         # PI controller
         if err_norm == 0.0:
@@ -385,6 +397,7 @@ def integrate_kernel(mode, n, lam, eps,
         err_prev = 1e-10 if 1e-10 > err_norm else err_norm
         last_rejected = False
 
+    events = order_events(hits, ev_term, ts, xs, ws, hs)
     return {
         "status": status,
         "t": ts,
@@ -397,7 +410,4 @@ def integrate_kernel(mode, n, lam, eps,
         "n_rejected": n_rejected,
         "n_rhs": n_rhs,
         "err_accum": (err_acc_x, err_acc_w),
-        "t_final": ts[-1],
-        "x_final": xs[-1],
-        "w_final": ws[-1],
     }

@@ -1,4 +1,4 @@
-/* Compiled Dormand-Prince 5(4) stepper for the slow-fast passage.
+/* Compiled Dormand-Prince 5(4) step loop for the slow-fast passage.
  *
  * The executable specification is turnpike/integrate/_dp45_py.py: this file
  * performs the same floating-point operations in the same order, so the two
@@ -7,6 +7,10 @@
  * ties and NaN, which py_min/py_max reproduce; squares are products in both
  * files, because a compiler folds pow(a, 2.0) into a*a while libm pow may
  * round a*a differently.
+ *
+ * This file is the step loop only. The caller, through _dp45_py, chooses
+ * the first step and its FSAL slopes, decodes each event into a component
+ * and a level, and orders the recorded hits afterwards.
  *
  * Only the builtin forms are evaluated here: zeta kinds 0 (constant -1),
  * 1 (ddr-beta, -1 + beta x) and 2 (polynomial, ascending coefficients), and
@@ -127,48 +131,47 @@ static void rhs(const struct field *f, double x, double w,
     *dw_out = f->sign * dw;
 }
 
-static double ev_g(int kind, double value, double x, double w)
-{
-    if (kind == 0)
-        return x;
-    if (kind == 2)
-        return x - value;
-    return w - value; /* kinds 1 and 3 */
-}
-
 static double dense(double base, double h, const double *q, double th)
 {
     return base + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])));
 }
 
-/* Integrate from (x0, w0) at t = 0 until a terminal event or t_max.
+/* Integrate from (x0, w0) at t = 0 until a step holds a terminal hit, or
+ * t_max. h is the first step and (fx, fw) the slopes at (x0, w0).
  *
- * Nodes go to t, x, w (node_cap entries), step sizes to h and the dense
- * coefficients (qx[0..3], qw[0..3]) of each step to q (node_cap - 1 and
- * 8 * (node_cap - 1) entries). Events go to ev_index and ev_txw (t, x, w;
- * event_cap and 3 * event_cap entries). counts receives the nodes, events,
- * accepted steps, rejected steps and right-hand-side evaluations, and
- * err_accum the summed |local error| of x and w. Returns a DP45_* status;
- * after DP45_BUFFER_FULL the outputs are incomplete.
+ * Event ie's function is (ev_on_x[ie] ? x : w) - ev_level[ie]; a hit
+ * counts where it crosses in direction ev_dir[ie] (0: either) and, if
+ * ev_neg_x[ie], where x < 0. Nodes go to t, x, w (node_cap entries), step
+ * sizes to h and the dense coefficients (qx[0..3], qw[0..3]) of each step
+ * to q (node_cap - 1 and 8 * (node_cap - 1) entries). Every hit of every
+ * accepted step goes to hit_step, hit_index and hit_txw (local theta, x, w;
+ * hit_cap, hit_cap and 3 * hit_cap entries), in step and event order.
+ * counts receives the nodes, hits, accepted steps, rejected steps and
+ * right-hand-side evaluations, and err_accum the summed |local error| of x
+ * and w. Returns a DP45_* status; after DP45_BUFFER_FULL the outputs are
+ * incomplete.
  */
 int dp45_integrate(int mode, int n, const double *wlam, double eps,
                    int zeta_kind, const double *zeta_params, int n_zeta_params,
                    double g_const,
                    double x0, double w0, double t_max, double time_sign,
-                   double rtol, double atol, double max_step, double first_step,
-                   int n_ev, const int *ev_kind, const double *ev_value,
-                   const int *ev_dir, const int *ev_term, double event_tol,
+                   double rtol, double atol, double max_step,
+                   double h, double fx, double fw,
+                   int n_ev, const int *ev_on_x, const double *ev_level,
+                   const int *ev_dir, const int *ev_term, const int *ev_neg_x,
+                   double event_tol,
                    int64_t max_steps,
                    int64_t node_cap, double *ts, double *xs, double *ws,
                    double *hs, double *qs,
-                   int64_t event_cap, int64_t *ev_index, double *ev_txw,
+                   int64_t hit_cap, int64_t *hit_step, int64_t *hit_index,
+                   double *hit_txw,
                    int64_t *counts, double *err_accum)
 {
     const struct field f = {mode, 2 * n, wlam, eps, zeta_kind, zeta_params,
                             n_zeta_params, g_const, time_sign};
-    int64_t n_nodes = 1, n_events = 0, n_steps = 0, n_rejected = 0, n_rhs = 0;
+    int64_t n_nodes = 1, n_hits = 0, n_steps = 0, n_rejected = 0, n_rhs = 0;
     double err_acc_x = 0.0, err_acc_w = 0.0;
-    double t = 0.0, x = x0, w = w0, fx, fw, h;
+    double t = 0.0, x = x0, w = w0;
     double err_prev = 1e-4;
     int last_rejected = 0, status;
 
@@ -177,41 +180,12 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
     ts[0] = 0.0;
     xs[0] = x0;
     ws[0] = w0;
-    rhs(&f, x, w, &fx, &fw);
-    n_rhs += 1;
-
-    /* initial step selection (Hairer-style trial Euler step) */
-    if (first_step > 0.0) {
-        h = first_step;
-    } else {
-        double sc_x = atol + rtol * fabs(x);
-        double sc_w = atol + rtol * fabs(w);
-        double ux = x / sc_x, uw = w / sc_w;
-        double d0 = sqrt(0.5 * (ux * ux + uw * uw));
-        double vx = fx / sc_x, vw = fw / sc_w;
-        double d1 = sqrt(0.5 * (vx * vx + vw * vw));
-        double h0 = (d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1;
-        double x1 = x + h0 * fx, w1 = w + h0 * fw, f1x, f1w, d2, h1;
-        rhs(&f, x1, w1, &f1x, &f1w);
-        n_rhs += 1;
-        vx = (f1x - fx) / sc_x;
-        vw = (f1w - fw) / sc_w;
-        d2 = sqrt(0.5 * (vx * vx + vw * vw)) / h0;
-        if (d1 <= 1e-15 && d2 <= 1e-15)
-            h1 = py_max(1e-6, h0 * 1e-3);
-        else
-            h1 = pow(0.01 / py_max(d1, d2), 0.2);
-        h = py_min(100.0 * h0, h1);
-    }
-    h = py_min(py_min(h, max_step), t_max);
 
     for (;;) {
         double k1x, k1w, k2x, k2w, k3x, k3w, k4x, k4w, k5x, k5w, k6x, k6w;
         double k7x, k7w, ax, aw, x_new, w_new, err_x, err_w, ex, ew, sc_x, sc_w;
         double err_norm, factor, t_next, qx[4], qw[4], kx[7], kw[7];
-        double terminal_theta = 0.0;
-        int last_step = 0, have_terminal = 0;
-        int64_t n_hits = 0;
+        int last_step = 0, stop = 0;
 
         if (t >= t_max) {
             status = DP45_T_END;
@@ -292,14 +266,16 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
                 qw[j] += kw[s] * P[s][j];
             }
 
-        /* event scan over this step; the hits are staged in the free tail
-         * of the event buffers, local theta in the t slot */
+        /* event scan over this step */
         for (int ie = 0; ie < n_ev; ie++) {
-            int kind = ev_kind[ie], comp, up;
-            double g0 = ev_g(kind, ev_value[ie], x, w);
-            double g1 = ev_g(kind, ev_value[ie], x_new, w_new);
-            double target, u0, a = 0.0, b = 1.0, ga = g0, th, x_ev, w_ev;
-            const double *q;
+            const int on_x = ev_on_x[ie];
+            const double level = ev_level[ie];
+            const double *q = on_x ? qx : qw;
+            double u0 = on_x ? x : w;
+            double g0 = u0 - level;
+            double g1 = (on_x ? x_new : w_new) - level;
+            double a = 0.0, b = 1.0, ga = g0, th, x_ev, w_ev;
+            int up;
             if (g0 == 0.0)
                 continue;
             if (!(g1 == 0.0 || (g0 < 0.0) != (g1 < 0.0)))
@@ -309,14 +285,10 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
                 continue;
             if (ev_dir[ie] < 0 && up)
                 continue;
-            comp = (kind == 0 || kind == 2) ? 0 : 1;
-            target = kind == 0 ? 0.0 : ev_value[ie];
-            q = comp == 0 ? qx : qw;
-            u0 = comp == 0 ? x : w;
             /* bisection on the dense polynomial, to event_tol in local theta */
             for (int it = 0; it < 60; it++) {
                 double m = 0.5 * (a + b);
-                double gm = dense(u0, h, q, m) - target;
+                double gm = dense(u0, h, q, m) - level;
                 if (gm == 0.0) {
                     a = b = m;
                     break;
@@ -333,7 +305,7 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
             th = 0.5 * (a + b);
             /* Newton polish on the quartic */
             for (int it = 0; it < 4; it++) {
-                double gv = dense(u0, h, q, th) - target;
+                double gv = dense(u0, h, q, th) - level;
                 double dgv = h * (q[0] + th * (2.0 * q[1] + th * (3.0 * q[2]
                                   + th * 4.0 * q[3])));
                 double step, tn;
@@ -349,62 +321,25 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
             }
             x_ev = dense(x, h, qx, th);
             w_ev = dense(w, h, qw, th);
-            if (kind == 1 && !(x_ev < 0.0))
+            if (ev_neg_x[ie] && !(x_ev < 0.0))
                 continue; /* return-section crossing requires x < 0 */
-            if (n_events + n_hits >= event_cap)
+            if (n_hits >= hit_cap)
                 return DP45_BUFFER_FULL;
-            ev_index[n_events + n_hits] = ie;
-            ev_txw[3 * (n_events + n_hits)] = th;
-            ev_txw[3 * (n_events + n_hits) + 1] = x_ev;
-            ev_txw[3 * (n_events + n_hits) + 2] = w_ev;
+            hit_step[n_hits] = n_steps;
+            hit_index[n_hits] = ie;
+            hit_txw[3 * n_hits] = th;
+            hit_txw[3 * n_hits + 1] = x_ev;
+            hit_txw[3 * n_hits + 2] = w_ev;
             n_hits++;
-        }
-
-        if (n_hits > 0) {
-            /* stable insertion sort by theta: the hits were staged in event
-             * order, so this is the (theta, index) order of a tuple sort */
-            int64_t *idx = ev_index + n_events;
-            double *txw = ev_txw + 3 * n_events;
-            for (int64_t i = 1; i < n_hits; i++) {
-                int64_t ie = idx[i], j = i - 1;
-                double th = txw[3 * i], xe = txw[3 * i + 1], we = txw[3 * i + 2];
-                while (j >= 0 && txw[3 * j] > th) {
-                    idx[j + 1] = idx[j];
-                    txw[3 * (j + 1)] = txw[3 * j];
-                    txw[3 * (j + 1) + 1] = txw[3 * j + 1];
-                    txw[3 * (j + 1) + 2] = txw[3 * j + 2];
-                    j--;
-                }
-                idx[j + 1] = ie;
-                txw[3 * (j + 1)] = th;
-                txw[3 * (j + 1) + 1] = xe;
-                txw[3 * (j + 1) + 2] = we;
-            }
-            /* keep the hits up to and including the first terminal one */
-            for (int64_t i = 0; i < n_hits; i++) {
-                double th = txw[3 * i];
-                txw[3 * i] = t + th * h;
-                n_events++;
-                if (ev_term[idx[i]]) {
-                    have_terminal = 1;
-                    terminal_theta = th;
-                    break;
-                }
-            }
+            stop |= ev_term[ie];
         }
 
         if (n_nodes >= node_cap)
             return DP45_BUFFER_FULL;
         t_next = last_step ? t_max : t + h;
-        if (have_terminal) {
-            ts[n_nodes] = t + terminal_theta * h;
-            xs[n_nodes] = dense(x, h, qx, terminal_theta);
-            ws[n_nodes] = dense(w, h, qw, terminal_theta);
-        } else {
-            ts[n_nodes] = t_next;
-            xs[n_nodes] = x_new;
-            ws[n_nodes] = w_new;
-        }
+        ts[n_nodes] = t_next;
+        xs[n_nodes] = x_new;
+        ws[n_nodes] = w_new;
         hs[n_nodes - 1] = h;
         for (int j = 0; j < 4; j++) {
             qs[8 * (n_nodes - 1) + j] = qx[j];
@@ -414,7 +349,7 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
         err_acc_x += fabs(err_x);
         err_acc_w += fabs(err_w);
         n_steps += 1;
-        if (have_terminal) {
+        if (stop) { /* the caller moves the last node to the terminal hit */
             status = DP45_EVENT;
             break;
         }
@@ -439,7 +374,7 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
     }
 
     counts[0] = n_nodes;
-    counts[1] = n_events;
+    counts[1] = n_hits;
     counts[2] = n_steps;
     counts[3] = n_rejected;
     counts[4] = n_rhs;

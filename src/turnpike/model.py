@@ -69,10 +69,6 @@ class PolyP:
                 f"lam must have 2n = {2 * self.n} entries, got {len(self.lam)}")
         object.__setattr__(self, "lam", tuple(float(c) for c in self.lam))
 
-    @property
-    def degree(self) -> int:
-        return 2 * self.n
-
     def coeffs(self) -> tuple[float, ...]:
         """Full coefficient tuple (lam_0, ..., lam_{2n-1}, -1)."""
         return self.lam + (-1.0,)
@@ -231,13 +227,18 @@ def eval_f_lambda(model: SlowFastModel, x: float, eps: float) -> float:
     return _f_values(model, (x,), eps)[0]
 
 
+def weighted_lam(lam: Sequence[float], eps: float) -> list[float]:
+    """The eps-weighted coefficients lam_i * eps^(2n - i), i < 2n, of f."""
+    two_n = len(lam)
+    return [lam[i] * eps ** (two_n - i) for i in range(two_n)]
+
+
 def _f_values(model: SlowFastModel, xs: Sequence[float],
               eps: float) -> list[float]:
     """eval_f_lambda at each x of xs, the coefficients weighted once."""
     two_n = 2 * model.p.n
-    # Horner in x with eps-weighted coefficients eps^(2n-i) lam_i
-    wlam = [model.p.lam[i] * eps ** (two_n - i)
-            for i in range(two_n - 1, -1, -1)]
+    # Horner in x, highest coefficient first
+    wlam = weighted_lam(model.p.lam, eps)[::-1]
     zeta = model.zeta
     out = []
     for x in xs:

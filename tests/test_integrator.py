@@ -1,6 +1,8 @@
 """Stepper kernel: exact decay oracle, events, dense output, backends, failures."""
 import functools
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -17,7 +19,7 @@ from turnpike.integrate import _EV_DIRS, _EV_KINDS, _dp45_py
 from turnpike.model import (PolyP, StateXY, StateXZ, ddr_model, load_model,
                             make_g)
 
-from conftest import decay_model
+from conftest import REPO_ROOT, decay_model
 
 
 def _kernel_args(mode=0, n=1, lam=(-2.0, 1.0), eps=0.01, zeta_kind=0,
@@ -291,6 +293,26 @@ class TestBackends:
         changing = 1 + sum(map(changes, nodes[:-1], nodes[1:]))
         assert 1 <= len(calls) <= changing <= 5
 
+    def test_hits_of_one_step_are_ordered(self, monkeypatch, use_compiled):
+        # z = 2 / (1 + 2t) along x = 1 passes three levels in the first
+        # step; the terminal level is listed after one that z reaches later
+        specs = [EventSpec(kind="z_reaches_value", value=1.997),
+                 EventSpec(kind="z_reaches_value", value=1.998, terminal=True),
+                 EventSpec(kind="z_reaches_value", value=1.999)]
+        runs = []
+        for backend in ("python", "compiled"):
+            monkeypatch.setenv("TURNPIKE_KERNEL", backend)
+            traj = integrate(decay_model(), StateXZ(x=1.0, z=2.0, eps=0.0),
+                             specs, t_max=1.0)
+            assert traj.status == "event" and traj.n_steps == 1
+            assert 1.0 / 1.997 - 0.5 < traj.step_sizes[0]  # z = 1.997 in it
+            assert [e.index for e in traj.events] == [2, 1]
+            hit = traj.events[-1]
+            assert (traj.t[-1], traj.final_state) == (hit.t, (hit.x, hit.w))
+            assert traj(hit.t) == traj.final_state
+            runs.append(traj)
+        assert _fingerprint(runs[0]) == _fingerprint(runs[1])
+
     @pytest.mark.parametrize("backward", [False, True])
     def test_canard_n2_twins_agree(self, models_dir, monkeypatch,
                                    use_compiled, backward):
@@ -459,6 +481,43 @@ class TestValidation:
         with pytest.raises(ModelError, match="rel_tol"):
             integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
                       config=IntegratorConfig(rel_tol=rel_tol), t_max=1.0)
+
+    @pytest.mark.parametrize("max_steps", [-3, 1000.0, math.nan])
+    def test_max_steps_must_be_a_count(self, ddr, backend, max_steps):
+        # the compiled kernel raised ctypes' ValueError or ArgumentError
+        # here, while the Python kernel ran
+        with pytest.raises(ModelError, match="max_steps"):
+            integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
+                      config=IntegratorConfig(max_steps=max_steps), t_max=1.0)
+
+    @pytest.mark.parametrize("kernel", ["python", "compiled"])
+    def test_max_steps_minus_one_is_rejected(self, request, kernel):
+        # in a child with a timeout and 1 GiB of address space: -1 once left
+        # the compiled kernel rerunning with an empty node buffer and a
+        # doubling event buffer until memory ran out
+        if kernel == "compiled":
+            request.getfixturevalue("compiled_kernel")  # skipped without cc
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from turnpike.errors import ModelError\n"
+            "from turnpike.integrate import (IntegratorConfig, active_backend,"
+            " integrate)\n"
+            "from turnpike.model import StateXZ, ddr_model\n"
+            "print(active_backend(ddr_model()))\n"
+            "try:\n"
+            "    integrate(ddr_model(), StateXZ(1.0, 0.5, 0.01),\n"
+            "              config=IntegratorConfig(max_steps=-1), t_max=1.0)\n"
+            "except ModelError as exc:\n"
+            "    print(exc)\n")
+        src = os.pathsep.join(p for p in (str(REPO_ROOT / "src"),
+                                          os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, TURNPIKE_KERNEL=kernel, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            kernel, "max_steps must be an integer >= 0, got -1"]
 
     def test_zero_rel_tol_is_legal(self, ddr, backend):
         traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),

@@ -40,6 +40,16 @@ print(json.dumps(report))
 """
 
 
+@needs_cc
+def test_source_compiles_without_warnings():
+    # strict C99: the step loop stays free of warnings as it is edited
+    proc = subprocess.run(
+        ["cc", "-fsyntax-only", "-std=c99", "-Wall", "-Wextra", "-Wpedantic",
+         "-Werror", str(_dp45_ctypes.SOURCE)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _env(cache, path=None, **extra):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("TURNPIKE_")}
