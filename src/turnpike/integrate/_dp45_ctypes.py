@@ -12,9 +12,10 @@ deleting the directory forces a rebuild. The library takes no Python
 objects and ctypes releases the interpreter lock for the call, so passages
 on several threads run in parallel.
 
-The library is the step loop alone. `CompiledKernel.integrate_kernel`
-takes the first step with its slopes, the decoded events and the ordering
-of the recorded hits from `_dp45_py`, the functions the Python kernel runs.
+The library only steps. `CompiledKernel.integrate_kernel` hands
+`_dp45_py.drive`, which drives the Python kernel too, a `_Run` whose
+advance() resumes the passage in the library and, when the node buffers
+are full, doubles them and resumes again.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from pathlib import Path
 from struct import unpack_from
 
 from ..model import weighted_lam
-from ._dp45_py import _make_rhs, decode_events, initial_step, order_events
+from ._dp45_py import _make_rhs, decode_events, drive, first_state
 
 __all__ = ["CompiledKernel", "build", "load", "why_unavailable"]
 
@@ -34,10 +35,9 @@ SOURCE = Path(__file__).with_name("dp45.c")
 FLAGS = ("-shared", "-fPIC", "-O3", "-ffp-contract=off")
 _EXT = EXTENSION_SUFFIXES[0]
 
-_STATUS = ("t_end", "event", "max_steps", "step_underflow")
+_STATUS = ("t_end", "crossing", "max_steps", "step_underflow")
 _BUFFER_FULL = 4
 _FIRST_NODE_CAP = 4096
-_FIRST_EVENT_CAP = 16
 
 
 class CompiledKernel:
@@ -50,26 +50,30 @@ class CompiledKernel:
     """
 
     def __init__(self, path: Path | str):
-        from ctypes import (CDLL, POINTER, c_double as dbl, c_int as int_,
-                            c_int64 as i64)
+        from ctypes import (CDLL, POINTER, Structure, c_double as dbl,
+                            c_int as int_, c_int64 as i64)
 
-        pd, pi, pl = POINTER(dbl), POINTER(int_), POINTER(i64)
-        fn = CDLL(str(path)).dp45_integrate
+        class State(Structure):
+            """dp45.c's struct dp45_state."""
+            _fields_ = [*((name, dbl) for name in (
+                "t", "x", "w", "h", "fx", "fw", "err_prev", "err_acc_x",
+                "err_acc_w")), ("n_steps", i64), ("n_rejected", i64),
+                ("n_rhs", i64), ("last_rejected", int_)]
+
+        pd, pi = POINTER(dbl), POINTER(int_)
+        fn = CDLL(str(path)).dp45_advance
         fn.argtypes = [
             int_, int_, pd, dbl,            # mode, n, wlam, eps
             int_, pd, int_, dbl,            # zeta kind, params, count; g
-            dbl, dbl, dbl, dbl,             # x0, w0, t_max, time_sign
-            dbl, dbl, dbl,                  # rtol, atol, max_step
-            dbl, dbl, dbl,                  # first step h, fx, fw
-            int_, pi, pd, pi, pi, pi, dbl,  # events: count, on_x, level, dir,
-                                            # term, neg_x; tol
-            i64,                            # max_steps
+            dbl, dbl,                       # t_max, time_sign
+            dbl, dbl, dbl, i64,             # rtol, atol, max_step, max_steps
+            int_, pi, pd, pi,               # events: count, on_x, level, dir
             i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, q
-            i64, pl, pl, pd,                # hits: cap, step, index, txw
-            pl, pd,                         # counts, err_accum
+            POINTER(State),                 # state
         ]
         fn.restype = int_
         self._fn = fn
+        self.State = State
 
     def integrate_kernel(self, mode, n, lam, eps,
                          zeta_kind, zeta_params, g_kind, g_params,
@@ -90,60 +94,59 @@ class CompiledKernel:
         if not len(ev_value) == len(ev_dir) == len(ev_term) == nev:
             raise ValueError("event kind, value, direction and terminal "
                              "sequences differ in length")
-        from ctypes import c_double as dbl, c_int as int_, c_int64 as i64
+        from ctypes import c_double as dbl, c_int as int_
         wl = weighted_lam(lam, eps)
         rhs = _make_rhs(mode, 2 * n, wl, eps, zeta_kind, tuple(zeta_params),
                         None, g_kind, tuple(g_params), None, time_sign)
-        h0, fx, fw, n_start = initial_step(rhs, x0, w0, rtol, atol, max_step,
-                                           t_max, first_step)
-        wlam = (dbl * (2 * n))(*wl)
-        zp = (dbl * len(zeta_params))(*zeta_params)
         evs = decode_events(ev_kind, ev_value, ev_dir, ev_term)
-        evx, evd, evt, evn = ((int_ * nev)(*(ev[j] for ev in evs))
-                              for j in (0, 2, 3, 4))
-        evl = (dbl * nev)(*(ev[1] for ev in evs))
-        counts = (i64 * 5)()
-        err = (dbl * 2)()
-        node_cap = min(max_steps + 1, _FIRST_NODE_CAP)
-        event_cap = _FIRST_EVENT_CAP
-        while True:  # the run is deterministic: a rerun repeats it exactly
-            t, x, w, h = ((dbl * node_cap)() for _ in range(4))
-            q = (dbl * (8 * node_cap))()
-            hit_step, hit_index = (i64 * event_cap)(), (i64 * event_cap)()
-            hit_txw = (dbl * (3 * event_cap))()
-            status = self._fn(
-                mode, n, wlam, eps,
-                zeta_kind, zp, len(zp), float(g_params[0]),
-                x0, w0, t_max, time_sign,
-                rtol, atol, max_step,
-                h0, fx, fw,
-                nev, evx, evl, evd, evt, evn, event_tol,
-                max_steps,
-                node_cap, t, x, w, h, q,
-                event_cap, hit_step, hit_index, hit_txw,
-                counts, err)
+        args = (mode, n, (dbl * (2 * n))(*wl), eps,
+                zeta_kind, (dbl * len(zeta_params))(*zeta_params),
+                len(zeta_params), float(g_params[0]), t_max, time_sign,
+                rtol, atol, max_step, max_steps, nev,
+                (int_ * nev)(*(ev[0] for ev in evs)),
+                (dbl * nev)(*(ev[1] for ev in evs)),
+                (int_ * nev)(*(ev[2] for ev in evs)))
+        state = first_state(self.State, rhs, x0, w0, rtol, atol, max_step,
+                            t_max, first_step)
+        cap = min(max(max_steps, 0) + 1, _FIRST_NODE_CAP)
+        return drive(_Run(self._fn, args, state, cap), evs, event_tol)
+
+
+class _Run:
+    """A compiled passage: the library's arguments, the state and the node
+    buffers, which advance() doubles whenever the library finds them full."""
+
+    def __init__(self, fn, args, state, cap):
+        self._fn, self._args, self.state = fn, args, state
+        self._grow(cap)
+        self.x[0], self.w[0] = state.x, state.w
+
+    def _grow(self, cap):
+        """Buffers of cap nodes that begin with the current ones."""
+        from ctypes import c_double, memmove, sizeof
+
+        for name, width in (("t", 1), ("x", 1), ("w", 1), ("h", 1), ("q", 8)):
+            new = (c_double * (width * cap))()
+            if hasattr(self, name):
+                old = getattr(self, name)
+                memmove(new, old, sizeof(old))
+            setattr(self, name, new)
+        self._cap = cap
+
+    def row(self, i):
+        return _row_at(self.q, i)
+
+    def rows(self):
+        return partial(_row_at,
+                       bytes(memoryview(self.q)[:8 * self.state.n_steps]))
+
+    def advance(self):
+        while True:
+            status = self._fn(*self._args, self._cap, self.t, self.x, self.w,
+                              self.h, self.q, self.state)
             if status != _BUFFER_FULL:
-                break
-            node_cap *= 2
-            event_cap *= 2
-        nn, n_hits, n_steps, n_rejected, n_rhs = counts
-        ts, xs, ws, hs = t[:nn], x[:nn], w[:nn], h[:nn - 1]
-        hits = [(hit_step[k], hit_txw[3 * k], hit_index[k], hit_txw[3 * k + 1],
-                 hit_txw[3 * k + 2]) for k in range(n_hits)]
-        events = order_events(hits, ev_term, ts, xs, ws, hs)
-        return {
-            "status": _STATUS[status],
-            "t": ts,
-            "x": xs,
-            "w": ws,
-            "h": hs,
-            "dense": partial(_row_at, bytes(memoryview(q)[:8 * (nn - 1)])),
-            "events": events,
-            "n_steps": n_steps,
-            "n_rejected": n_rejected,
-            "n_rhs": n_start + n_rhs,
-            "err_accum": tuple(err),
-        }
+                return _STATUS[status]
+            self._grow(2 * self._cap)
 
 
 def _row_at(buf, i):

@@ -1,28 +1,33 @@
 """Pure-Python Dormand-Prince 5(4) kernel, the executable specification.
 
-The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) is the step loop
-alone and performs the same floating-point operations in the same order,
-so the two agree bit for bit; change both together. Squares are written
-as products in both, since a C compiler folds pow(a, 2.0) into a*a while
-CPython's `a ** 2` calls libm pow. What runs once per passage or once per
-event hit is written here only, and both kernels call it: the first step
-with its slopes (`initial_step`), the decoding of event kinds
-(`decode_events`) and the ordering of the recorded hits (`order_events`).
-Only this kernel accepts Python callables for zeta and g (kind code -1).
+The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) performs the same
+floating-point operations in the same order, so the two agree bit for
+bit; change both together. Squares are written as products in both, since
+a C compiler folds pow(a, 2.0) into a*a while CPython's `a ** 2` calls
+libm pow. Only this kernel accepts Python callables for zeta and g (kind
+code -1).
+
+Each kernel only steps: its advance() goes on from a resumable state
+(`first_state` makes the first) until the passage ends or after an
+accepted step over which an event function changes sign. The rest is
+written here once and drives both kernels (`drive`): the events of such a
+step are localized on its dense polynomial by bisection plus a Newton
+polish (`localize`), the return section is kept only where x < 0, and the
+step's hits are taken in (theta, index) order up to the first terminal
+one (`step_hits`).
 
 Implements: FSAL stepping, PI step-size control (0.9 safety, exponents
-0.7/5 and 0.4/5, factor clamped to [0.2, 10]), a quartic dense output,
-event localization by bisection plus Newton polish on the dense
-polynomial in step-local time, and rejection of steps that would take
-z below 0 in the transformed system. Each accepted step keeps its stage
-slopes; `dense_row` turns them into the step's dense-output row only
-when the row is read, by event localization on a step over which an
-event function changes sign or through the result's "dense" accessor.
+0.7/5 and 0.4/5, factor clamped to [0.2, 10]), a quartic dense output and
+rejection of steps that would take z below 0 in the transformed system.
+Each accepted step keeps its stage slopes; `dense_row` turns them into the
+step's dense-output row only when the row is read, by `step_hits` or
+through the result's "dense" accessor.
 """
 from __future__ import annotations
 
 import math
 from functools import partial
+from types import SimpleNamespace
 
 from ..model import _EXP_UNDERFLOW, weighted_lam
 
@@ -132,11 +137,12 @@ def _dense(base, h, q, th):
     return base + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
 
 
-def initial_step(rhs, x, w, rtol, atol, max_step, t_max, first_step):
-    """The first step h, the FSAL slopes (fx, fw) at (x, w) and the number
-    of rhs evaluations made: first_step if it is positive, else the trial
-    Euler step of Hairer, Norsett & Wanner (Solving ODEs I, II.4), and
-    never more than max_step or t_max."""
+def first_state(state_type, rhs, x, w, rtol, atol, max_step, t_max,
+                first_step):
+    """A state_type holding the passage's state at (x, w), t = 0: the FSAL
+    slopes there, and the first step, which is first_step if it is
+    positive, else the trial Euler step of Hairer, Norsett & Wanner
+    (Solving ODEs I, II.4), and never more than max_step or t_max."""
     fx, fw = rhs(x, w)
     n_rhs = 1
     if first_step > 0.0:
@@ -164,7 +170,9 @@ def initial_step(rhs, x, w, rtol, atol, max_step, t_max, first_step):
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         h = min(100.0 * h0, h1)
-    return min(h, max_step, t_max), fx, fw, n_rhs
+    return state_type(t=0.0, x=x, w=w, h=min(h, max_step, t_max), fx=fx,
+                      fw=fw, err_prev=1e-4, err_acc_x=0.0, err_acc_w=0.0,
+                      n_steps=0, n_rejected=0, n_rhs=n_rhs, last_rejected=0)
 
 
 def decode_events(ev_kind, ev_value, ev_dir, ev_term):
@@ -176,69 +184,121 @@ def decode_events(ev_kind, ev_value, ev_dir, ev_term):
             for kind, value, d, term in zip(ev_kind, ev_value, ev_dir, ev_term)]
 
 
-def order_events(hits, ev_term, ts, xs, ws, hs):
-    """The events (index, t, x, w) of a run from the hits its step loop
-    recorded as (step, theta, index, x, w), theta local to the step.
-
-    Each step's hits are taken in (theta, index) order, up to the first
-    terminal one. The loop stops after the step that holds it, so the last
-    node is then moved back to that hit's point, which the loop formed
-    from the step's dense-output row.
-    """
-    events = []
-    for i, th, ie, x_ev, w_ev in sorted(hits):
-        t_ev = ts[i] + th * hs[i]
-        events.append((ie, t_ev, x_ev, w_ev))
-        if ev_term[ie]:
-            ts[-1], xs[-1], ws[-1] = t_ev, x_ev, w_ev
+def localize(base, h, q, level, g0, event_tol):
+    """The step-local time theta in [0, 1] at which the quartic dense output
+    base + h theta (q0 + theta (q1 + ...)) of one component equals level,
+    g0 = base - level being its value at theta = 0 and the crossing known
+    to lie in the step: bisection to event_tol, then a Newton polish."""
+    a, b = 0.0, 1.0
+    ga = g0
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        gm = _dense(base, h, q, m) - level
+        if gm == 0.0:
+            a = b = m
             break
-    return events
+        if (ga < 0.0) != (gm < 0.0):
+            b = m
+        else:
+            a = m
+            ga = gm
+        if b - a < event_tol:
+            break
+    th = 0.5 * (a + b)
+    q0, q1, q2, q3 = q
+    for _ in range(4):
+        gv = _dense(base, h, q, th) - level
+        dgv = h * (q0 + th * (2.0 * q1 + th * (3.0 * q2 + th * 4.0 * q3)))
+        if dgv == 0.0:
+            break
+        step = gv / dgv
+        tn = th - step
+        if tn < 0.0 or tn > 1.0:
+            break
+        th = tn
+        if abs(step) < 1e-17:
+            break
+    return th
 
 
-def integrate_kernel(mode, n, lam, eps,
-                     zeta_kind, zeta_params, g_kind, g_params,
-                     zeta_fn, g_fn,
-                     x0, w0, t_max, time_sign,
-                     rtol, atol, max_step, first_step,
-                     ev_kind, ev_value, ev_dir, ev_term, event_tol,
-                     max_steps):
-    """Integrate from (x0, w0) at t = 0 until a terminal event or t_max.
-
-    Returns a dict with nodes, localized events, counters, a status string
-    ('event', 't_end', 'max_steps', 'step_underflow') and "dense", which
-    maps a step index to that step's dense-output row. The run keeps each
-    step's stage slopes and turns them into a row only when it is read.
-    """
-    rhs = _make_rhs(mode, 2 * n, weighted_lam(lam, eps), eps, zeta_kind,
-                    tuple(zeta_params), zeta_fn, g_kind, tuple(g_params), g_fn,
-                    time_sign)
-    sqrt = math.sqrt
-    evs = [(ie, *ev) for ie, ev in
-           enumerate(decode_events(ev_kind, ev_value, ev_dir, ev_term))]
-    g_end = [(x0 if on_x else w0) - level for _, on_x, level, *_ in evs]
-
-    ts = [0.0]
-    xs = [x0]
-    ws = [w0]
-    hs = []
-    ks = []
+def step_hits(run, evs, event_tol):
+    """The events (index, t, x, w) of run's last step, in (theta, index)
+    order up to the first terminal one, onto which the last node is moved,
+    and whether there is one. A return section counts only where x < 0."""
+    i = run.state.n_steps - 1
+    ts, xs, ws = run.t, run.x, run.w
+    x, w, x_new, w_new, h = xs[i], ws[i], xs[i + 1], ws[i + 1], run.h[i]
+    q = None
     hits = []
-    n_rejected = 0
-    err_acc_x = 0.0
-    err_acc_w = 0.0
+    for ie, (on_x, level, d, _term, neg_x) in enumerate(evs):
+        g0 = (x if on_x else w) - level
+        g1 = (x_new if on_x else w_new) - level
+        if g0 == 0.0 or not (g1 == 0.0 or (g0 < 0.0) != (g1 < 0.0)):
+            continue
+        if d and (d > 0) != (g0 < 0.0):
+            continue  # crossing against the event's direction
+        if q is None:
+            q = run.row(i)
+        th = localize(x if on_x else w, h, q[:4] if on_x else q[4:], level,
+                      g0, event_tol)
+        x_ev = _dense(x, h, q[:4], th)
+        w_ev = _dense(w, h, q[4:], th)
+        if neg_x and not (x_ev < 0.0):
+            continue  # return-section crossing requires x < 0
+        hits.append((th, ie, x_ev, w_ev))
+    events = []
+    for th, ie, x_ev, w_ev in sorted(hits):
+        t_ev = ts[i] + th * h
+        events.append((ie, t_ev, x_ev, w_ev))
+        if evs[ie][3]:
+            ts[i + 1], xs[i + 1], ws[i + 1] = t_ev, x_ev, w_ev
+            return events, True
+    return events, False
 
-    t = 0.0
-    x = x0
-    w = w0
-    h, fx, fw, n_rhs = initial_step(rhs, x, w, rtol, atol, max_step, t_max,
-                                    first_step)
 
-    err_prev = 1e-4
-    last_rejected = False
-    status = "t_end"
-    n_steps = 0
-    abs_x = abs(x)
-    abs_w = abs(w)
+def drive(run, evs, event_tol):
+    """The result dict of the passage in `run`: its `state` (the fields of
+    dp45.c's struct dp45_state), node lists t, x, w and h, row(i), the
+    dense-output row of step i, rows(), the accessor of them all, and
+    advance(), which steps on and returns 'crossing', 't_end', 'max_steps'
+    or 'step_underflow'. The events of each crossing step are added, up to
+    a terminal one."""
+    events = []
+    while True:
+        status = run.advance()
+        if status != "crossing":
+            break
+        hits, terminal = step_hits(run, evs, event_tol)
+        events += hits
+        if terminal:
+            status = "event"
+            break
+    s = run.state
+    nn = s.n_steps + 1
+    return {"status": status, "t": run.t[:nn], "x": run.x[:nn],
+            "w": run.w[:nn], "h": run.h[:nn - 1], "dense": run.rows(),
+            "events": events, "n_steps": s.n_steps,
+            "n_rejected": s.n_rejected, "n_rhs": s.n_rhs,
+            "err_accum": (s.err_acc_x, s.err_acc_w)}
+
+
+def _advance(run):
+    """run.advance() of the Python kernel: step on until the passage ends
+    or after an accepted step over which an event function changes sign in
+    its direction."""
+    rhs, mode, t_max, rtol, atol, max_step, max_steps, evs = run._config
+    evs = [(ie, *ev[:3]) for ie, ev in enumerate(evs)]  # on_x, level, d
+    ts, xs, ws, hs, ks = run.t, run.x, run.w, run.h, run.ks
+    sqrt = math.sqrt
+    s = run.state
+    t, x, w, h, fx, fw = s.t, s.x, s.w, s.h, s.fx, s.fw
+    err_prev, last_rejected = s.err_prev, s.last_rejected
+    err_acc_x, err_acc_w = s.err_acc_x, s.err_acc_w
+    n_steps, n_rejected, n_rhs = s.n_steps, s.n_rejected, s.n_rhs
+    abs_x, abs_w = abs(x), abs(w)
+    # a step's start values of the event functions are the end values
+    # of the step before
+    g_end = [(x if on_x else w) - level for _, on_x, level, _ in evs]
 
     # min(a, b) and max(a, b) below are written out as conditional
     # expressions that keep a on ties and NaN, as the builtins do
@@ -309,12 +369,9 @@ def integrate_kernel(mode, n, lam, eps,
              k1w, k2w, k3w, k4w, k5w, k6w, k7w)
         ks.append(k)
 
-        # event scan over this step; a step's start values are the end
-        # values of the step before, and the dense row is made only for a
-        # step on which some event changes sign
-        q = None
-        stop = False
-        for ie, on_x, level, d, term, neg_x in evs:
+        # accepted: a sign change of an event function ends the call
+        crossing = False
+        for ie, on_x, level, d in evs:
             g0 = g_end[ie]
             g1 = (x_new if on_x else w_new) - level
             g_end[ie] = g1
@@ -322,47 +379,8 @@ def integrate_kernel(mode, n, lam, eps,
                 continue
             if d and (d > 0) != (g0 < 0.0):
                 continue  # crossing against the event's direction
-            if q is None:
-                q = dense_row(k)
-            qc = q[:4] if on_x else q[4:]
-            base = x if on_x else w
-            # bisection on the dense polynomial, to event_tol in local theta
-            a, b = 0.0, 1.0
-            ga = g0
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                gm = _dense(base, h, qc, m) - level
-                if gm == 0.0:
-                    a = b = m
-                    break
-                if (ga < 0.0) != (gm < 0.0):
-                    b = m
-                else:
-                    a = m
-                    ga = gm
-                if b - a < event_tol:
-                    break
-            th = 0.5 * (a + b)
-            # Newton polish on the quartic
-            q0, q1, q2, q3 = qc
-            for _ in range(4):
-                gv = _dense(base, h, qc, th) - level
-                dgv = h * (q0 + th * (2.0 * q1 + th * (3.0 * q2 + th * 4.0 * q3)))
-                if dgv == 0.0:
-                    break
-                step = gv / dgv
-                tn = th - step
-                if tn < 0.0 or tn > 1.0:
-                    break
-                th = tn
-                if abs(step) < 1e-17:
-                    break
-            x_ev = _dense(x, h, q[:4], th)
-            w_ev = _dense(w, h, q[4:], th)
-            if neg_x and not (x_ev < 0.0):
-                continue  # return-section crossing requires x < 0
-            hits.append((n_steps, th, ie, x_ev, w_ev))
-            stop = stop or term
+            crossing = True
+            break
 
         t_next = t_max if last_step else t + h
         ts.append(t_next)
@@ -372,9 +390,6 @@ def integrate_kernel(mode, n, lam, eps,
         err_acc_x += abs(err_x)
         err_acc_w += abs(err_w)
         n_steps += 1
-        if stop:  # a terminal hit: order_events moves the last node to it
-            status = "event"
-            break
 
         # PI controller
         if err_norm == 0.0:
@@ -396,18 +411,49 @@ def integrate_kernel(mode, n, lam, eps,
             h = max_step
         err_prev = 1e-10 if 1e-10 > err_norm else err_norm
         last_rejected = False
+        if crossing:
+            status = "crossing"
+            break
 
-    events = order_events(hits, ev_term, ts, xs, ws, hs)
-    return {
-        "status": status,
-        "t": ts,
-        "x": xs,
-        "w": ws,
-        "h": hs,
-        "dense": partial(_row_at, ks),
-        "events": events,
-        "n_steps": n_steps,
-        "n_rejected": n_rejected,
-        "n_rhs": n_rhs,
-        "err_accum": (err_acc_x, err_acc_w),
-    }
+    s.t, s.x, s.w, s.h, s.fx, s.fw = t, x, w, h, fx, fw
+    s.err_prev, s.last_rejected = err_prev, last_rejected
+    s.err_acc_x, s.err_acc_w = err_acc_x, err_acc_w
+    s.n_steps, s.n_rejected, s.n_rhs = n_steps, n_rejected, n_rhs
+    return status
+
+
+class _Run:
+    """A passage of the Python kernel: its state, its nodes and each accepted
+    step's stage slopes, which `dense_row` turns into the step's row when
+    the row is read."""
+
+    def __init__(self, state, *config):
+        self.state, self._config = state, config
+        self.t, self.x, self.w, self.h = [0.0], [state.x], [state.w], []
+        self.ks = []
+        self.row = partial(_row_at, self.ks)
+
+    def rows(self):
+        return self.row
+
+    advance = _advance
+
+
+def integrate_kernel(mode, n, lam, eps,
+                     zeta_kind, zeta_params, g_kind, g_params,
+                     zeta_fn, g_fn,
+                     x0, w0, t_max, time_sign,
+                     rtol, atol, max_step, first_step,
+                     ev_kind, ev_value, ev_dir, ev_term, event_tol,
+                     max_steps):
+    """Integrate from (x0, w0) at t = 0 until a terminal event or t_max;
+    returns `drive`'s dict, whose status is 'event', 't_end', 'max_steps'
+    or 'step_underflow'."""
+    rhs = _make_rhs(mode, 2 * n, weighted_lam(lam, eps), eps, zeta_kind,
+                    tuple(zeta_params), zeta_fn, g_kind, tuple(g_params), g_fn,
+                    time_sign)
+    evs = decode_events(ev_kind, ev_value, ev_dir, ev_term)
+    state = first_state(SimpleNamespace, rhs, x0, w0, rtol, atol, max_step,
+                        t_max, first_step)
+    run = _Run(state, rhs, mode, t_max, rtol, atol, max_step, max_steps, evs)
+    return drive(run, evs, event_tol)

@@ -8,24 +8,28 @@
  * files, because a compiler folds pow(a, 2.0) into a*a while libm pow may
  * round a*a differently.
  *
- * This file is the step loop only. The caller, through _dp45_py, chooses
- * the first step and its FSAL slopes, decodes each event into a component
- * and a level, and orders the recorded hits afterwards.
+ * This file only steps. It returns when a node buffer is full and after an
+ * accepted step over which an event function changes sign, with the state
+ * of the passage in a caller-owned struct, so the next call resumes it.
+ * _dp45_py drives both kernels through that protocol: it takes the first
+ * step, grows the buffers (through _dp45_ctypes), localizes the events of
+ * a crossing step, applies the x < 0 test and the terminal rule.
  *
  * Only the builtin forms are evaluated here: zeta kinds 0 (constant -1),
  * 1 (ddr-beta, -1 + beta x) and 2 (polynomial, ascending coefficients), and
- * a constant g. The caller owns every buffer; nothing is allocated and no
- * state outlives a call, so concurrent calls are safe.
+ * a constant g. The caller owns every buffer and the state; nothing is
+ * allocated and nothing is kept between calls, so concurrent calls on
+ * different states are safe.
  */
 #include <math.h>
 #include <stdint.h>
 
 enum {
     DP45_T_END = 0,
-    DP45_EVENT = 1,
+    DP45_CROSSING = 1, /* an event function changed sign over the last step */
     DP45_MAX_STEPS = 2,
     DP45_STEP_UNDERFLOW = 3,
-    DP45_BUFFER_FULL = 4 /* enlarge the node or event buffers and rerun */
+    DP45_BUFFER_FULL = 4 /* enlarge the node buffers and call again */
 };
 
 #define EXP_UNDERFLOW 745.0
@@ -131,61 +135,49 @@ static void rhs(const struct field *f, double x, double w,
     *dw_out = f->sign * dw;
 }
 
-static double dense(double base, double h, const double *q, double th)
-{
-    return base + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])));
-}
+/* A passage's resumable state, owned by the caller; the passage has
+ * n_steps + 1 nodes. */
+struct dp45_state {
+    double t, x, w, h, fx, fw;
+    double err_prev;
+    double err_acc_x, err_acc_w; /* summed |local error| of x and w */
+    int64_t n_steps, n_rejected, n_rhs;
+    int last_rejected;
+};
 
-/* Integrate from (x0, w0) at t = 0 until a step holds a terminal hit, or
- * t_max. h is the first step and (fx, fw) the slopes at (x0, w0).
- *
- * Event ie's function is (ev_on_x[ie] ? x : w) - ev_level[ie]; a hit
- * counts where it crosses in direction ev_dir[ie] (0: either) and, if
- * ev_neg_x[ie], where x < 0. Nodes go to t, x, w (node_cap entries), step
- * sizes to h and the dense coefficients (qx[0..3], qw[0..3]) of each step
- * to q (node_cap - 1 and 8 * (node_cap - 1) entries). Every hit of every
- * accepted step goes to hit_step, hit_index and hit_txw (local theta, x, w;
- * hit_cap, hit_cap and 3 * hit_cap entries), in step and event order.
- * counts receives the nodes, hits, accepted steps, rejected steps and
- * right-hand-side evaluations, and err_accum the summed |local error| of x
- * and w. Returns a DP45_* status; after DP45_BUFFER_FULL the outputs are
- * incomplete.
+/* Step the passage in *st on until t_max, max_steps, a step size underflow,
+ * a full node buffer (node_cap nodes) or an accepted step over which an
+ * event function, (ev_on_x[ie] ? x : w) - ev_level[ie], changes sign in
+ * direction ev_dir[ie] (0: either). Node i goes to ts, xs, ws[i], and step
+ * i's size and dense coefficients (qx[0..3], qw[0..3]) to hs[i] and
+ * qs[8 i .. 8 i + 7]. The caller writes node 0 and fills *st first. *st is
+ * valid on every return, so the next call, with the buffers enlarged after
+ * DP45_BUFFER_FULL, goes on where this one stopped.
  */
-int dp45_integrate(int mode, int n, const double *wlam, double eps,
-                   int zeta_kind, const double *zeta_params, int n_zeta_params,
-                   double g_const,
-                   double x0, double w0, double t_max, double time_sign,
-                   double rtol, double atol, double max_step,
-                   double h, double fx, double fw,
-                   int n_ev, const int *ev_on_x, const double *ev_level,
-                   const int *ev_dir, const int *ev_term, const int *ev_neg_x,
-                   double event_tol,
-                   int64_t max_steps,
-                   int64_t node_cap, double *ts, double *xs, double *ws,
-                   double *hs, double *qs,
-                   int64_t hit_cap, int64_t *hit_step, int64_t *hit_index,
-                   double *hit_txw,
-                   int64_t *counts, double *err_accum)
+int dp45_advance(int mode, int n, const double *wlam, double eps,
+                 int zeta_kind, const double *zeta_params, int n_zeta_params,
+                 double g_const, double t_max, double time_sign,
+                 double rtol, double atol, double max_step, int64_t max_steps,
+                 int n_ev, const int *ev_on_x, const double *ev_level,
+                 const int *ev_dir,
+                 int64_t node_cap, double *ts, double *xs, double *ws,
+                 double *hs, double *qs,
+                 struct dp45_state *st)
 {
     const struct field f = {mode, 2 * n, wlam, eps, zeta_kind, zeta_params,
                             n_zeta_params, g_const, time_sign};
-    int64_t n_nodes = 1, n_hits = 0, n_steps = 0, n_rejected = 0, n_rhs = 0;
-    double err_acc_x = 0.0, err_acc_w = 0.0;
-    double t = 0.0, x = x0, w = w0;
-    double err_prev = 1e-4;
-    int last_rejected = 0, status;
-
-    if (node_cap < 1)
-        return DP45_BUFFER_FULL;
-    ts[0] = 0.0;
-    xs[0] = x0;
-    ws[0] = w0;
+    double t = st->t, x = st->x, w = st->w, h = st->h, fx = st->fx;
+    double fw = st->fw, err_prev = st->err_prev;
+    double err_acc_x = st->err_acc_x, err_acc_w = st->err_acc_w;
+    int64_t n_steps = st->n_steps, n_rejected = st->n_rejected;
+    int64_t n_rhs = st->n_rhs;
+    int last_rejected = st->last_rejected, status;
 
     for (;;) {
         double k1x, k1w, k2x, k2w, k3x, k3w, k4x, k4w, k5x, k5w, k6x, k6w;
         double k7x, k7w, ax, aw, x_new, w_new, err_x, err_w, ex, ew, sc_x, sc_w;
         double err_norm, factor, t_next, qx[4], qw[4], kx[7], kw[7];
-        int last_step = 0, stop = 0;
+        int last_step = 0, crossing = 0;
 
         if (t >= t_max) {
             status = DP45_T_END;
@@ -193,6 +185,10 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
         }
         if (n_steps >= max_steps) {
             status = DP45_MAX_STEPS;
+            break;
+        }
+        if (n_steps + 1 >= node_cap) {
+            status = DP45_BUFFER_FULL;
             break;
         }
         if (h >= t_max - t) {
@@ -266,93 +262,28 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
                 qw[j] += kw[s] * P[s][j];
             }
 
-        /* event scan over this step */
-        for (int ie = 0; ie < n_ev; ie++) {
+        /* a sign change of an event function ends the call */
+        for (int ie = 0; ie < n_ev && !crossing; ie++) {
             const int on_x = ev_on_x[ie];
-            const double level = ev_level[ie];
-            const double *q = on_x ? qx : qw;
-            double u0 = on_x ? x : w;
-            double g0 = u0 - level;
-            double g1 = (on_x ? x_new : w_new) - level;
-            double a = 0.0, b = 1.0, ga = g0, th, x_ev, w_ev;
-            int up;
-            if (g0 == 0.0)
+            const double g0 = (on_x ? x : w) - ev_level[ie];
+            const double g1 = (on_x ? x_new : w_new) - ev_level[ie];
+            if (g0 == 0.0 || !(g1 == 0.0 || (g0 < 0.0) != (g1 < 0.0)))
                 continue;
-            if (!(g1 == 0.0 || (g0 < 0.0) != (g1 < 0.0)))
-                continue;
-            up = g0 < 0.0;
-            if (ev_dir[ie] > 0 && !up)
-                continue;
-            if (ev_dir[ie] < 0 && up)
-                continue;
-            /* bisection on the dense polynomial, to event_tol in local theta */
-            for (int it = 0; it < 60; it++) {
-                double m = 0.5 * (a + b);
-                double gm = dense(u0, h, q, m) - level;
-                if (gm == 0.0) {
-                    a = b = m;
-                    break;
-                }
-                if ((ga < 0.0) != (gm < 0.0)) {
-                    b = m;
-                } else {
-                    a = m;
-                    ga = gm;
-                }
-                if (b - a < event_tol)
-                    break;
-            }
-            th = 0.5 * (a + b);
-            /* Newton polish on the quartic */
-            for (int it = 0; it < 4; it++) {
-                double gv = dense(u0, h, q, th) - level;
-                double dgv = h * (q[0] + th * (2.0 * q[1] + th * (3.0 * q[2]
-                                  + th * 4.0 * q[3])));
-                double step, tn;
-                if (dgv == 0.0)
-                    break;
-                step = gv / dgv;
-                tn = th - step;
-                if (tn < 0.0 || tn > 1.0)
-                    break;
-                th = tn;
-                if (fabs(step) < 1e-17)
-                    break;
-            }
-            x_ev = dense(x, h, qx, th);
-            w_ev = dense(w, h, qw, th);
-            if (ev_neg_x[ie] && !(x_ev < 0.0))
-                continue; /* return-section crossing requires x < 0 */
-            if (n_hits >= hit_cap)
-                return DP45_BUFFER_FULL;
-            hit_step[n_hits] = n_steps;
-            hit_index[n_hits] = ie;
-            hit_txw[3 * n_hits] = th;
-            hit_txw[3 * n_hits + 1] = x_ev;
-            hit_txw[3 * n_hits + 2] = w_ev;
-            n_hits++;
-            stop |= ev_term[ie];
+            crossing = ev_dir[ie] == 0 || (ev_dir[ie] > 0) == (g0 < 0.0);
         }
 
-        if (n_nodes >= node_cap)
-            return DP45_BUFFER_FULL;
         t_next = last_step ? t_max : t + h;
-        ts[n_nodes] = t_next;
-        xs[n_nodes] = x_new;
-        ws[n_nodes] = w_new;
-        hs[n_nodes - 1] = h;
+        ts[n_steps + 1] = t_next;
+        xs[n_steps + 1] = x_new;
+        ws[n_steps + 1] = w_new;
+        hs[n_steps] = h;
         for (int j = 0; j < 4; j++) {
-            qs[8 * (n_nodes - 1) + j] = qx[j];
-            qs[8 * (n_nodes - 1) + 4 + j] = qw[j];
+            qs[8 * n_steps + j] = qx[j];
+            qs[8 * n_steps + 4 + j] = qw[j];
         }
-        n_nodes++;
         err_acc_x += fabs(err_x);
         err_acc_w += fabs(err_w);
         n_steps += 1;
-        if (stop) { /* the caller moves the last node to the terminal hit */
-            status = DP45_EVENT;
-            break;
-        }
 
         /* PI controller */
         if (err_norm == 0.0) {
@@ -371,14 +302,16 @@ int dp45_integrate(int mode, int n, const double *wlam, double eps,
         h = py_min(h * factor, max_step);
         err_prev = py_max(err_norm, 1e-10);
         last_rejected = 0;
+        if (crossing) {
+            status = DP45_CROSSING;
+            break;
+        }
     }
 
-    counts[0] = n_nodes;
-    counts[1] = n_hits;
-    counts[2] = n_steps;
-    counts[3] = n_rejected;
-    counts[4] = n_rhs;
-    err_accum[0] = err_acc_x;
-    err_accum[1] = err_acc_w;
+    st->t = t; st->x = x; st->w = w; st->h = h; st->fx = fx; st->fw = fw;
+    st->err_prev = err_prev;
+    st->err_acc_x = err_acc_x; st->err_acc_w = err_acc_w;
+    st->n_steps = n_steps; st->n_rejected = n_rejected; st->n_rhs = n_rhs;
+    st->last_rejected = last_rejected;
     return status;
 }

@@ -249,17 +249,22 @@ def _f_values(model: SlowFastModel, xs: Sequence[float],
     return out
 
 
+def _field(model: SlowFastModel, mode: int, eps: float):
+    """The kernels' right-hand side: mode 0 (x, z), mode 1 (x, y)."""
+    from .integrate import _dp45_py, _model_codes  # they import this module
+    zk, zp, gk, gp = _model_codes(model)
+    return _dp45_py._make_rhs(mode, 2 * model.n, weighted_lam(model.p.lam, eps),
+                              eps, zk, zp, model.zeta, gk, gp, model.g, 1.0)
+
+
 def vector_field_xy(model: SlowFastModel, s: StateXY) -> tuple[float, float]:
     """Right-hand side of the raw system (x', y')."""
-    gy = s.y * float(model.g(s.x, s.y, s.eps))
-    return (s.eps * eval_f_lambda(model, s.x, s.eps) + gy, -s.x * s.y)
+    return _field(model, 1, s.eps)(s.x, s.y)
 
 
 def vector_field_xz(model: SlowFastModel, s: StateXZ) -> tuple[float, float]:
     """Right-hand side of the transformed system (x', z'), y = exp(-1/z)."""
-    y = exp_neg_inv(s.z)
-    gy = y * float(model.g(s.x, y, s.eps)) if y != 0.0 else 0.0
-    return (s.eps * eval_f_lambda(model, s.x, s.eps) + gy, -s.x * s.z * s.z)
+    return _field(model, 0, s.eps)(s.x, s.z)
 
 
 @dataclass(frozen=True)

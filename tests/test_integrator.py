@@ -2,6 +2,7 @@
 import functools
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -313,6 +314,21 @@ class TestBackends:
             runs.append(traj)
         assert _fingerprint(runs[0]) == _fingerprint(runs[1])
 
+    def test_one_localization_for_both_kernels(self, ddr, monkeypatch,
+                                               use_compiled):
+        # the compiled passage localizes its events through _dp45_py too
+        counts, x_out = [], []
+        localize = _dp45_py.localize
+        for backend in ("python", "compiled"):
+            calls = []
+            monkeypatch.setattr(_dp45_py, "localize",
+                                lambda *a: calls.append(a) or localize(*a))
+            monkeypatch.setenv("TURNPIKE_KERNEL", backend)
+            x_out.append(dulac_map_numeric(ddr, 1.016, 0.01)[0])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        assert x_out[0] == x_out[1]
+
     @pytest.mark.parametrize("backward", [False, True])
     def test_canard_n2_twins_agree(self, models_dir, monkeypatch,
                                    use_compiled, backward):
@@ -386,10 +402,9 @@ class TestBackends:
 
     def test_full_buffers_rerun_to_the_same_result(self, compiled_kernel,
                                                    monkeypatch):
-        # start from one-entry buffers: every doubling reruns the passage
+        # start from one-entry buffers, which the passage doubles many times
         from turnpike.integrate import _dp45_ctypes
         monkeypatch.setattr(_dp45_ctypes, "_FIRST_NODE_CAP", 1)
-        monkeypatch.setattr(_dp45_ctypes, "_FIRST_EVENT_CAP", 1)
         ddr = ddr_model()
         levels = {"x_crosses_zero": 0.0, "x_reaches_value": 0.5,
                   "y_reaches_delta_with_x_negative": ddr.z_delta,
@@ -518,6 +533,33 @@ class TestValidation:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             kernel, "max_steps must be an integer >= 0, got -1"]
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_kernels_end_at_once_without_steps(self, compiled_kernel,
+                                               max_steps):
+        # called directly, neither kernel steps; the compiled one runs in a
+        # child with a timeout and 1 GiB of address space, since at -1 its
+        # binding once doubled an empty node buffer without end
+        args = _kernel_args(max_steps=max_steps)
+        code = (
+            "import pickle, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from turnpike.integrate import _dp45_ctypes\n"
+            "args = pickle.load(sys.stdin.buffer)\n"
+            "raw = _dp45_ctypes.load().integrate_kernel(*args)\n"
+            "pickle.dump(raw, sys.stdout.buffer)\n")
+        src = os.pathsep.join(p for p in (str(REPO_ROOT / "src"),
+                                          os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              input=pickle.dumps(args), capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs = [Trajectory("xz", 0.01, raw, []) for raw in
+                (_dp45_py.integrate_kernel(*args), pickle.loads(proc.stdout))]
+        for traj in runs:
+            assert traj.status == "max_steps"
+            assert traj.t == [0.0] and traj.states == [(1.0, 0.5)]
+        assert _fingerprint(runs[0]) == _fingerprint(runs[1])
 
     def test_zero_rel_tol_is_legal(self, ddr, backend):
         traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),

@@ -50,6 +50,33 @@ def test_source_compiles_without_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
+@needs_cc
+def test_state_layout_matches_the_c_struct(tmp_path, compiled_kernel):
+    # the library reads and writes the ctypes copy of struct dp45_state in
+    # place, so a field at a different offset would corrupt it silently
+    from ctypes import sizeof
+
+    state = compiled_kernel.State
+    names = [name for name, _ in state._fields_]
+    harness = tmp_path / "layout.c"
+    harness.write_text(
+        "#include <stddef.h>\n#include <stdio.h>\n"
+        f'#include "{_dp45_ctypes.SOURCE}"\n'
+        "int main(void)\n{\n"
+        '    printf("%zu\\n", sizeof(struct dp45_state));\n'
+        + "".join(f'    printf("%zu\\n", offsetof(struct dp45_state, {n}));\n'
+                  for n in names)
+        + "    return 0;\n}\n")
+    exe = tmp_path / "layout"
+    subprocess.run(["cc", str(harness), "-o", str(exe), "-lm"], check=True,
+                   capture_output=True, timeout=60)
+    printed = [int(v) for v in subprocess.run(
+        [str(exe)], check=True, capture_output=True, text=True,
+        timeout=60).stdout.split()]
+    assert printed == [sizeof(state),
+                       *(getattr(state, n).offset for n in names)]
+
+
 def _env(cache, path=None, **extra):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("TURNPIKE_")}
