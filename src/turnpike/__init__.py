@@ -11,54 +11,46 @@ a turning point of order 2n at the origin:
 - leading-order entry/exit heights and canard parameter tuning for n >= 2,
 - blow-up chart overlays for visual verification.
 """
-from .blowup import (ChartPoint, chart1_exit, overlay_xz2, theoretical_z2_curve,
-                     to_chart_eps1, to_chart_z2)
-from .entryexit import (BasePointMap, DelayPrediction, EntryExitResult,
-                        base_point, canard_slope, classical_delta0,
-                        ddr_delta0_closed_form, entry_exit_constant,
-                        log_y_leading_order, predict_delay_nge2,
-                        section_from_base, solve_canard_parameter,
-                        solve_delta0_n1)
-from .errors import (ChartError, EntryExitError, IntegrationError, ModelError,
-                     QuadratureError, RootError, TurnpikeError)
-from .integrate import (DulacDiagnostics, EventHit, EventSpec,
-                        IntegratorConfig, Trajectory, active_backend,
-                        compiled_kernel_available, dulac_map_numeric,
-                        log_y_at_x0, z_at_x0)
-from .model import (HypothesisReport, PolyP, SlowFastModel, StateXY, StateXZ,
-                    check_hypotheses, ddr_model, eval_f_lambda, exp_neg_inv,
-                    load_model, make_g, make_zeta, vector_field_xy,
-                    vector_field_xz)
-from .quadrature import (QuadResult, adaptive_quad, brentq, classical_sdi,
-                         half_line_integral, pv_fast_half, pv_fast_numeric,
-                         pv_fast_quadratic, pv_slow, regular_slow_part,
-                         whole_line_integral)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "TurnpikeError", "ModelError", "QuadratureError", "RootError",
-    "EntryExitError", "ChartError", "IntegrationError",
-    # model
-    "PolyP", "SlowFastModel", "StateXY", "StateXZ", "HypothesisReport",
-    "exp_neg_inv", "eval_f_lambda", "vector_field_xy", "vector_field_xz",
-    "check_hypotheses", "load_model", "make_zeta", "make_g", "ddr_model",
-    # quadrature
-    "QuadResult", "adaptive_quad", "brentq", "regular_slow_part", "pv_slow",
-    "pv_fast_quadratic", "pv_fast_half", "pv_fast_numeric",
-    "half_line_integral", "whole_line_integral", "classical_sdi",
-    # entry-exit
-    "BasePointMap", "base_point", "section_from_base", "entry_exit_constant",
-    "EntryExitResult", "solve_delta0_n1", "ddr_delta0_closed_form",
-    "DelayPrediction", "predict_delay_nge2", "canard_slope",
-    "solve_canard_parameter", "classical_delta0", "log_y_leading_order",
-    # integration
-    "IntegratorConfig", "EventSpec", "EventHit", "Trajectory",
-    "DulacDiagnostics", "dulac_map_numeric", "log_y_at_x0",
-    "z_at_x0", "compiled_kernel_available", "active_backend",
-    # blow-up charts
-    "ChartPoint", "to_chart_eps1", "to_chart_z2", "theoretical_z2_curve",
-    "chart1_exit", "overlay_xz2",
-]
+# submodule -> its public names; it is imported when first read (PEP 562)
+_EXPORTS = {
+    "errors": ("TurnpikeError", "ModelError", "QuadratureError", "RootError",
+               "EntryExitError", "ChartError", "IntegrationError"),
+    "model": ("PolyP", "SlowFastModel", "StateXY", "StateXZ",
+              "HypothesisReport", "exp_neg_inv", "eval_f_lambda",
+              "vector_field_xy", "vector_field_xz", "check_hypotheses",
+              "load_model", "make_zeta", "make_g", "ddr_model"),
+    "quadrature": ("QuadResult", "adaptive_quad", "brentq",
+                   "regular_slow_part", "pv_slow", "pv_fast_quadratic",
+                   "pv_fast_half", "pv_fast_numeric", "half_line_integral",
+                   "whole_line_integral", "classical_sdi"),
+    "entryexit": ("BasePointMap", "base_point", "section_from_base",
+                  "entry_exit_constant", "EntryExitResult", "solve_delta0_n1",
+                  "ddr_delta0_closed_form", "DelayPrediction",
+                  "predict_delay_nge2", "canard_slope",
+                  "solve_canard_parameter", "classical_delta0",
+                  "log_y_leading_order"),
+    "integrate": ("IntegratorConfig", "EventSpec", "EventHit", "Trajectory",
+                  "DulacDiagnostics", "dulac_map_numeric", "log_y_at_x0",
+                  "z_at_x0", "compiled_kernel_available", "active_backend"),
+    "blowup": ("ChartPoint", "to_chart_eps1", "to_chart_z2",
+               "theoretical_z2_curve", "chart1_exit", "overlay_xz2"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

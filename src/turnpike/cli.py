@@ -16,14 +16,11 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ._util import fmt, parallel_map, write_rows
-from .blowup import theoretical_z2_curve
-from .entryexit import (base_point, check_l_index, predict_delay_nge2,
-                        solve_canard_parameter, solve_delta0_n1, with_lam)
 from .errors import TurnpikeError
-from .integrate import IntegratorConfig, dulac_map_numeric, z_at_x0
 from .model import (PolyP, SlowFastModel, _floats, _linspace,
                     check_hypotheses, load_model, parse_kv_file)
-from .quadrature import pv_fast_numeric, pv_fast_quadratic, whole_line_integral
+
+# A handler imports the layers it runs, so a call loads only those.
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -46,7 +43,8 @@ class ExperimentConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
 
-    def integrator(self) -> IntegratorConfig:
+    def integrator(self):
+        from .integrate import IntegratorConfig
         return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
@@ -99,6 +97,7 @@ def _heights(cfg: ExperimentConfig, model: SlowFastModel,
              eps: float) -> tuple[float, float]:
     """z at x = 0 forward from the first --x-in and backward from --x-out,
     which default to the midpoints of I_in and I_out."""
+    from .integrate import z_at_x0
     x_in = cfg.x_in[0] if cfg.x_in else _mid(model.I_in)
     x_out = cfg.x_out if cfg.x_out is not None else _mid(model.I_out)
     icfg = cfg.integrator()
@@ -118,6 +117,7 @@ def _x_in_grid(cfg: ExperimentConfig, model: SlowFastModel) -> tuple[float, ...]
 
 def cmd_pv_check(cfg: ExperimentConfig, _model: None, lambda0: float,
                  lambda1: float) -> int:
+    from .quadrature import pv_fast_numeric, pv_fast_quadratic
     closed = pv_fast_quadratic(lambda0, lambda1)  # raises on bad lambda
     numeric = pv_fast_numeric(PolyP(n=1, lam=(lambda0, lambda1)),
                               tol=min(cfg.tol * 1e-2, 1e-10))
@@ -143,6 +143,7 @@ def cmd_hypotheses(cfg: ExperimentConfig, model: SlowFastModel) -> int:
 
 
 def cmd_delta0(cfg: ExperimentConfig, model: SlowFastModel) -> int:
+    from .entryexit import solve_delta0_n1
     rows = []
     for x_in in _x_in_grid(cfg, model):
         try:
@@ -159,6 +160,8 @@ def cmd_delta0(cfg: ExperimentConfig, model: SlowFastModel) -> int:
 
 def _dulac_rows(cfg: ExperimentConfig, model: SlowFastModel):
     """Shared sweep for dulac/converge: rows over the (eps, x_in) grid."""
+    from .entryexit import solve_delta0_n1
+    from .integrate import dulac_map_numeric
     xs = _x_in_grid(cfg, model)
     theory: dict[float, tuple[float | None, str]] = {}
     for x_in in xs:
@@ -252,6 +255,8 @@ def cmd_converge(cfg: ExperimentConfig, model: SlowFastModel) -> int:
 
 
 def cmd_nge2(cfg: ExperimentConfig, model: SlowFastModel) -> int:
+    from .entryexit import predict_delay_nge2
+    from .quadrature import whole_line_integral
     W = whole_line_integral(model.p, tol=1e-12).value
     leading = predict_delay_nge2(model.p, cfg.eps[0])  # constants free of eps
 
@@ -280,6 +285,9 @@ def cmd_nge2(cfg: ExperimentConfig, model: SlowFastModel) -> int:
 
 
 def cmd_chart_view(cfg: ExperimentConfig, model: SlowFastModel) -> int:
+    from .blowup import theoretical_z2_curve
+    from .entryexit import base_point
+    from .integrate import dulac_map_numeric
     x_in = cfg.x_in[0] if cfg.x_in else model.I_in[1]
     x_in_b = base_point(model, x_in)
     icfg = cfg.integrator()
@@ -304,6 +312,8 @@ def cmd_chart_view(cfg: ExperimentConfig, model: SlowFastModel) -> int:
 
 
 def cmd_canard_solve(cfg: ExperimentConfig, model: SlowFastModel) -> int:
+    from .entryexit import check_l_index, solve_canard_parameter, with_lam
+    from .quadrature import whole_line_integral
     p = model.p
     bad = [i for i in range(1, 2 * p.n, 2) if p.lam[i] != 0.0]
     if bad:

@@ -205,17 +205,15 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
     """
     cfg = config or IntegratorConfig()
     # plain floats: numpy scalars slow the pure-Python kernel's arithmetic
-    if isinstance(initial, StateXZ):
-        mode = 0
-        w0 = float(initial.z)
-        if w0 < 0.0:
-            raise ModelError(f"initial z must be >= 0, got {w0}")
-    elif isinstance(initial, StateXY):
-        mode = 1
-        w0 = float(initial.y)
-    else:
+    if not isinstance(initial, (StateXZ, StateXY)):
         raise ModelError(f"initial must be StateXZ or StateXY, got {type(initial)}")
-    eps = float(initial.eps)
+    mode, w = (0, "z") if isinstance(initial, StateXZ) else (1, "y")
+    x0, w0, eps = float(initial.x), float(getattr(initial, w)), float(initial.eps)
+    for name, value in (("initial x", x0), (f"initial {w}", w0), ("eps", eps)):
+        if not math.isfinite(value):  # would step to max_steps at t = nan
+            raise ModelError(f"{name} must be finite, got {value}")
+    if mode == 0 and w0 < 0.0:
+        raise ModelError(f"initial z must be >= 0, got {w0}")
     if eps < 0.0:
         raise ModelError(f"eps must be >= 0, got {eps}")
     if time_direction not in (1, -1):
@@ -261,7 +259,7 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
     raw = kernel(mode, model.n, tuple(model.p.lam), eps,
                  zk, tuple(zp), gk, tuple(gp),
                  model.zeta, model.g,
-                 float(initial.x), w0, float(t_max), float(time_direction),
+                 x0, w0, float(t_max), float(time_direction),
                  cfg.rel_tol, cfg.abs_tol, float(cfg.max_step), cfg.first_step,
                  tuple(ev_kind), tuple(ev_value), tuple(ev_dir), tuple(ev_term),
                  cfg.event_tol, max_steps)

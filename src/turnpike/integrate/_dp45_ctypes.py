@@ -182,13 +182,13 @@ def load() -> CompiledKernel | None:
     written, or the build failed (now or before); why_unavailable() says
     which. Only a build attempt writes to the cache.
     """
-    import shutil
-    import subprocess
-    import tempfile
-
     lib, failed = _paths()
     if lib.exists():
         return CompiledKernel(lib)
+    import shutil  # the build path's modules: a warm cache loads none
+    import subprocess
+    import tempfile
+
     if failed.exists() or shutil.which("cc") is None:
         return None
     try:
@@ -214,8 +214,6 @@ def load() -> CompiledKernel | None:
 def why_unavailable() -> str:
     """Why load() returns None: the first line of the build-failure record,
     no `cc` on PATH, or a cache directory that cannot be written."""
-    import shutil
-
     lib, failed = _paths()
     try:
         first = (failed.read_text().splitlines() or [""])[0]
@@ -223,6 +221,8 @@ def why_unavailable() -> str:
         pass
     else:
         return f"building dp45.c failed, see {failed}: {first}"
+    import shutil
+
     if shutil.which("cc") is None:
         return "no C compiler (cc) on PATH"
     return f"the kernel cache {lib.parent} cannot be written"

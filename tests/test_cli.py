@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,14 @@ class TestDulac:
     def test_rejects_nge2_model(self, n2_path):
         assert main(["dulac", "--model", n2_path, "--eps", "0.05"]) == 2
 
+    def test_nan_eps_is_an_error_row(self, ddr_path, capsys):
+        # a NaN eps once ran each passage to max_steps at t = nan
+        assert main(["dulac", "--model", ddr_path, "--eps", "nan",
+                     "--x-in", "1.01"]) == 1
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("nan,1.01,nan,")
+        assert row.endswith(",integration-error: eps must be finite; got nan")
+
     def test_hypothesis_failure_blocks_run(self, write_model, capsys):
         kv = dict(DDR_KV)
         kv["lambda"] = "-1, 3"  # 4 lam0 + lam1^2 = 5 > 0: P is indefinite
@@ -275,6 +284,14 @@ class TestNge2:
         assert rows[0][7] == "z_in<z_out"
         assert rows[0][-1] == "ok"
         assert float(rows[0][3]) < 0.05  # rel_err_in at eps = 0.05
+
+    def test_nan_eps_is_an_error_row(self, n2_path, capsys):
+        assert main(["nge2", "--model", n2_path, "--eps", "nan,0.05"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == ("nan,nan,nan,nan,nan,nan,nan,none,"
+                           "error: eps must be finite; got nan")
+        assert rows[2].startswith("0.050000000000000003,")
+        assert rows[2].endswith(",z_in<z_out,ok")
 
 
 class TestChartView:
@@ -445,29 +462,33 @@ class TestRunTimeDependencies:
     """The program imports no third-party module: scipy and numpy are test
     dependencies, and the program reaches scipy only for the fibers of a
     callable g. ctypes and hashlib are imported only when a passage
-    resolves the compiled kernel."""
+    resolves the compiled kernel, and subprocess only when it builds it.
+    A subcommand loads only the turnpike layers it runs."""
 
     SCRIPT = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 from turnpike.cli import main
-codes = []
+codes, loaded = [], []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             codes.append(main(argv))
         except SystemExit as exc:  # --help
             codes.append(exc.code)
+    loaded.append(sorted(m for m in sys.modules if m.startswith("turnpike.")))
 print(json.dumps({"codes": codes, "imported": sorted(
     {m.split(".")[0] for m in set(sys.modules) - before}
     - set(sys.stdlib_module_names) - {"turnpike"}),
-    "kernel_modules": sorted({"ctypes", "hashlib"} & set(sys.modules))}))
+    "kernel_modules": sorted({"ctypes", "hashlib", "subprocess"}
+                             & set(sys.modules)), "loaded": loaded}))
 """
 
     def run_calls(self, calls):
         """Exit codes of the calls, run in turn in one fresh interpreter,
-        the third-party packages it imported, and which of the modules
-        that bind and key the compiled kernel it imported."""
+        the third-party packages it imported, which of the modules that
+        bind, key and build the compiled kernel it imported, and for each
+        call the turnpike modules loaded once it has returned."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -508,3 +529,43 @@ print(json.dumps({"codes": codes, "imported": sorted(
         assert report["imported"] == []
         # no command here runs a passage, so none looks for the kernel
         assert report["kernel_modules"] == []
+
+    def test_each_command_loads_only_its_layers(self, models_dir, tmp_path):
+        # in this order every call's loaded set also holds all before it
+        ddr, quartic = (str(models_dir / f"{m}.model")
+                        for m in ("ddr", "quartic_n2"))
+        calls = [
+            ["--help"],
+            ["hypotheses", "--model", ddr],
+            ["pv-check", "--", "-2", "1"],
+            ["delta0", "--model", ddr, "--x-in", "1.01"],
+            ["dulac", "--model", ddr, "--eps", "0.01", "--x-in", "1.01"],
+            ["nge2", "--model", quartic, "--eps", "0.05"],
+            ["chart-view", "--model", ddr, "--eps", "0.01", "--x-in", "1.016",
+             "--out", str(tmp_path / "chart.csv")],
+        ]
+        report = self.run_calls(calls)
+        assert report["codes"] == [0] * len(calls)
+        help_, hyp, pv, delta0, dulac, nge2, chart = map(set, report["loaded"])
+        for loaded in (help_, hyp, pv):
+            assert not loaded & {"turnpike.entryexit", "turnpike.integrate",
+                                 "turnpike.blowup"}
+        assert "turnpike.quadrature" not in hyp
+        assert "turnpike.quadrature" in pv
+        assert "turnpike.entryexit" in delta0
+        assert not delta0 & {"turnpike.integrate", "turnpike.blowup"}
+        assert "turnpike.integrate" in dulac
+        assert "turnpike.blowup" not in nge2
+        assert "turnpike.blowup" in chart
+
+    def test_warm_kernel_cache_builds_nothing(self, models_dir):
+        # the first interpreter builds the library into the session's
+        # kernel cache; the second loads it without the build's modules
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on PATH")
+        calls = [["dulac", "--model", str(models_dir / "ddr.model"),
+                  "--eps", "0.01", "--x-in", "1.01"]]
+        self.run_calls(calls)
+        report = self.run_calls(calls)
+        assert report["codes"] == [0]
+        assert report["kernel_modules"] == ["ctypes", "hashlib"]

@@ -473,6 +473,29 @@ class TestValidation:
         with pytest.raises(ModelError, match="StateXZ or StateXY"):
             integrate(ddr, (1.0, 1.0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["x", "z", "y", "eps"])
+    def test_non_finite_start_is_rejected(self, ddr, backend, name, value):
+        # a NaN eps once passed the eps >= 0 test and stepped to max_steps
+        # at t = nan; max_steps = 100 keeps such a run short
+        start = {"x": 1.0, "y" if name == "y" else "z": 0.5, "eps": 0.01}
+        start[name] = value
+        state = (StateXY if "y" in start else StateXZ)(**start)
+        with pytest.raises(ModelError, match=f"{name} must be finite"):
+            integrate(ddr, state, config=IntegratorConfig(max_steps=100),
+                      t_max=1.0)
+
+    def test_passages_from_non_finite_inputs_fail_at_once(self, ddr, backend):
+        # dulac_map_numeric(ddr, 1.01, nan) took 1.75 s and 642 MB on the
+        # compiled kernel and 26 s on the Python one before it failed
+        cfg = IntegratorConfig(max_steps=100)
+        with pytest.raises(ModelError, match="eps must be finite"):
+            dulac_map_numeric(ddr, 1.01, math.nan, cfg)
+        for x in (math.nan, math.inf):
+            for backward in (False, True):
+                with pytest.raises(ModelError, match="x must be finite"):
+                    z_at_x0(ddr, x, 0.01, cfg, backward=backward)
+
     def test_event_spec_guards(self, ddr):
         s = StateXZ(x=1.0, z=1.0, eps=0.01)
         with pytest.raises(ModelError, match="event kind"):

@@ -1,0 +1,64 @@
+"""The package surface: every public name resolves, on first use, to the
+object its submodule defines."""
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import turnpike
+
+from conftest import REPO_ROOT
+
+NAMES = [n for n in turnpike.__all__ if n != "__version__"]
+SUBMODULES = ("errors", "model", "quadrature", "entryexit", "integrate",
+              "blowup")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_name_is_the_object_of_its_defining_module(name):
+    obj = getattr(turnpike, name)
+    assert obj.__module__.startswith("turnpike.")
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_star_import_binds_every_name():
+    ns = {}
+    exec("from turnpike import *", ns)
+    assert set(turnpike.__all__) <= ns.keys()
+    assert all(ns[n] is getattr(turnpike, n) for n in turnpike.__all__)
+
+
+def test_dir_lists_every_name_and_submodule():
+    assert set(turnpike.__all__) | set(SUBMODULES) <= set(dir(turnpike))
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        turnpike.no_such_name
+    assert not hasattr(turnpike, "integrate_kernel")
+
+
+def test_submodule_attributes_are_the_submodules():
+    for name in SUBMODULES:
+        assert getattr(turnpike, name) is sys.modules[f"turnpike.{name}"]
+    assert turnpike.integrate.integrate.__module__ == "turnpike.integrate"
+
+
+def test_import_loads_a_layer_on_first_use():
+    code = (
+        "import sys\n"
+        "import turnpike\n"
+        "print(sorted(m for m in sys.modules if m.startswith('turnpike')))\n"
+        "turnpike.theoretical_z2_curve\n"
+        "print('turnpike.blowup' in sys.modules)\n"
+        "import turnpike as t\n"
+        "print(callable(t.integrate.integrate))\n")
+    src = os.pathsep.join(p for p in (str(REPO_ROOT / "src"),
+                                      os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['turnpike']", "True", "True"]
