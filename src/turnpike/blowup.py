@@ -16,8 +16,8 @@ z2 ~ 1/log(1/x) (n = 1) or z2 ~ 2(n-1) x^(2n-2) (n >= 2) as x -> 0+.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 from .errors import ChartError, QuadratureError
 from .model import SlowFastModel
@@ -35,8 +35,7 @@ __all__ = [
 _EDGE_GAP = 1e-4  # curve evaluation stops this far below the entry base point
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(NamedTuple):
     """A point in one blow-up chart: 'zbar' has coords (rho1, eps1),
     'epsbar' has coords (z2, rho2)."""
 

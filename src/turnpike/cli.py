@@ -12,8 +12,7 @@ import argparse
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._util import fmt, parallel_map, write_rows
 from .errors import TurnpikeError
@@ -25,8 +24,7 @@ from .model import (PolyP, SlowFastModel, _floats, _linspace,
 __all__ = ["ExperimentConfig", "main"]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Validated inputs of one command invocation."""
 
     model_path: str | None = None
@@ -188,10 +186,14 @@ def _dulac_rows(cfg: ExperimentConfig, model: SlowFastModel):
 
 
 def cmd_dulac(cfg: ExperimentConfig, model: SlowFastModel) -> int:
-    rep = check_hypotheses(model, eps_max=max(cfg.eps))
-    if not rep.passed:
-        raise TurnpikeError(
-            f"model fails the standing hypotheses (witness: {rep.witness})")
+    # checked up to the largest finite eps; a NaN or inf eps gets its own
+    # error row from the integrator
+    finite = [e for e in cfg.eps if math.isfinite(e)]
+    if finite:
+        rep = check_hypotheses(model, eps_max=max(finite))
+        if not rep.passed:
+            raise TurnpikeError(
+                f"model fails the standing hypotheses (witness: {rep.witness})")
     _, rows = _dulac_rows(cfg, model)
     write_rows(cfg.out, ("epsilon", "x_in", "x_out_numeric", "x_out_theory",
                          "abs_error", "status"), rows)
@@ -261,7 +263,7 @@ def cmd_nge2(cfg: ExperimentConfig, model: SlowFastModel) -> int:
     leading = predict_delay_nge2(model.p, cfg.eps[0])  # constants free of eps
 
     def run(eps):
-        pred = replace(leading, eps=eps)
+        pred = leading._replace(eps=eps)
         try:
             z_in, z_out = _heights(cfg, model, eps)
         except TurnpikeError as exc:
@@ -332,7 +334,7 @@ def cmd_canard_solve(cfg: ExperimentConfig, model: SlowFastModel) -> int:
     eps = cfg.eps[0] if cfg.eps else 0.02
 
     def gap(poly: PolyP) -> float:
-        z_in, z_out = _heights(cfg, replace(model, p=poly), eps)
+        z_in, z_out = _heights(cfg, model._replace(p=poly), eps)
         return abs(z_in - z_out)
 
     gap_pert = gap(p_pert)

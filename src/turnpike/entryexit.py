@@ -20,8 +20,7 @@ eps^(2n-1)/( int_-inf^0 v/P dv ), whose mismatch is the obstruction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import EntryExitError
 from .model import PolyP, SlowFastModel
@@ -48,8 +47,7 @@ __all__ = [
 _X_FLOOR = 1e-6  # fibers must stay this far from the turning point
 
 
-@dataclass(frozen=True)
-class BasePointMap:
+class BasePointMap(NamedTuple):
     """Fast-fiber projection between the sections y = delta and the line y = 0.
 
     The fibers solve dx/dy = -g(x, y, 0) / x, which is regular while
@@ -146,8 +144,7 @@ def entry_exit_constant(p: PolyP) -> float:
     return -pv_fast_quadratic(p.lam[0], p.lam[1])
 
 
-@dataclass(frozen=True)
-class EntryExitResult:
+class EntryExitResult(NamedTuple):
     """Solved exit data for one entry point (n = 1)."""
     x_in: float
     x_in_b: float
@@ -250,8 +247,7 @@ def ddr_delta0_closed_form(model: SlowFastModel, x_in: float) -> float:
     return -math.sqrt(2.0 * model.delta + x_out_b * x_out_b)
 
 
-@dataclass(frozen=True)
-class DelayPrediction:
+class DelayPrediction(NamedTuple):
     """Leading-order one-sided delays for n >= 2.
 
     z_in_leading and z_out_leading are the eps-free constants; the predicted

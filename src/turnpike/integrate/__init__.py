@@ -16,9 +16,9 @@ import operator
 import os
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import IntegrationError, ModelError
 from ..model import SlowFastModel, StateXY, StateXZ
@@ -56,8 +56,7 @@ _EV_DIRS = {"any": 0, "up": 1, "down": -1}
 _ZETA_CODES = {"constant-minus-one": 0, "ddr-beta": 1, "poly": 2}
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(NamedTuple):
     """Tolerances and limits for the embedded RK 5(4) stepper; integrate()
     rejects an abs_tol that is not positive, a negative or NaN rel_tol and a
     max_steps that is not an integer >= 0."""
@@ -71,8 +70,7 @@ class IntegratorConfig:
     first_step: float = 0.0  # 0: automatic
 
 
-@dataclass(frozen=True)
-class EventSpec:
+class EventSpec(NamedTuple):
     """Poincare-section event on a trajectory.
 
     kind is one of 'x_crosses_zero', 'y_reaches_delta_with_x_negative',
@@ -86,8 +84,7 @@ class EventSpec:
     terminal: bool = False
 
 
-@dataclass(frozen=True)
-class EventHit:
+class EventHit(NamedTuple):
     """A localized event occurrence."""
 
     index: int
@@ -100,10 +97,11 @@ class EventHit:
 class Trajectory:
     """Accepted nodes, dense interpolant, and localized events of one run.
 
-    t and step_sizes are lists of floats; states is a list of (x, w) pairs,
-    w being z or y depending on mode. The object is callable: traj(t)
-    evaluates the quartic dense output, whose rows it reads through the
-    kernel's "dense" accessor, so only the kernel knows how they are kept.
+    t, x, w and step_sizes are lists of floats, w being z or y depending on
+    mode; states, the list of (x, w) pairs, is built when first read. The
+    object is callable: traj(t) evaluates the quartic dense output, whose
+    rows it reads through the kernel's "dense" accessor, so only the kernel
+    knows how they are kept.
     """
 
     def __init__(self, mode: str, eps: float, raw: dict,
@@ -112,7 +110,8 @@ class Trajectory:
         self.eps = eps
         self.status: str = raw["status"]
         self.t: list[float] = raw["t"]
-        self.states: list[tuple[float, float]] = list(zip(raw["x"], raw["w"]))
+        self.x: list[float] = raw["x"]
+        self.w: list[float] = raw["w"]
         self.step_sizes: list[float] = raw["h"]
         self._dense = raw["dense"]  # step index -> 8-tuple row
         self.events = [EventHit(index=ie, spec=specs[ie], t=te, x=xe, w=we)
@@ -122,9 +121,13 @@ class Trajectory:
         self.n_rhs: int = raw["n_rhs"]
         self.err_accum: tuple[float, float] = tuple(raw["err_accum"])
 
+    @cached_property
+    def states(self) -> list[tuple[float, float]]:
+        return list(zip(self.x, self.w))
+
     @property
     def final_state(self) -> tuple[float, float]:
-        return self.states[-1]
+        return self.x[-1], self.w[-1]
 
     def events_of(self, kind: str) -> list[EventHit]:
         return [e for e in self.events if e.spec.kind == kind]
@@ -137,14 +140,13 @@ class Trajectory:
         if not self.t[0] - 1e-12 <= t <= self.t[-1] + 1e-12:
             raise ValueError("dense evaluation outside the integrated range")
         if not self.step_sizes:
-            return self.states[0]
+            return self.x[0], self.w[0]
         i = min(max(bisect_right(self.t, t) - 1, 0), len(self.step_sizes) - 1)
         h = self.step_sizes[i]
         th = (t - self.t[i]) / h
         q = self._dense(i)
-        x0, w0 = self.states[i]
-        return (_dp45_py._dense(x0, h, q[:4], th),
-                _dp45_py._dense(w0, h, q[4:], th))
+        return (_dp45_py._dense(self.x[i], h, q[:4], th),
+                _dp45_py._dense(self.w[i], h, q[4:], th))
 
 
 def _compiled():
@@ -278,8 +280,7 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
     return traj
 
 
-@dataclass(frozen=True)
-class DulacDiagnostics:
+class DulacDiagnostics(NamedTuple):
     """What happened during a section-to-section passage."""
 
     z_min: float
@@ -289,7 +290,7 @@ class DulacDiagnostics:
     n_rejected: int
     n_rhs: int
     err_accum: tuple[float, float]
-    trajectory: Trajectory = field(repr=False)
+    trajectory: Trajectory
 
 
 def dulac_map_numeric(model: SlowFastModel, x_in: float, eps: float,
@@ -325,7 +326,7 @@ def dulac_map_numeric(model: SlowFastModel, x_in: float, eps: float,
     hit = returns[0]
     crossings = traj.events_of("x_crosses_zero")
     z_at_x0 = crossings[0].w if crossings else math.nan
-    z_min = min(w for _x, w in traj.states)
+    z_min = min(traj.w)
     z_min = min(z_min, z_at_x0) if crossings else z_min
     diag = DulacDiagnostics(z_min=z_min, z_at_x0=z_at_x0, t_return=hit.t,
                             n_steps=traj.n_steps, n_rejected=traj.n_rejected,

@@ -13,9 +13,9 @@ which is what makes passages with exponentially small y computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ModelError
 
@@ -50,24 +50,31 @@ def exp_neg_inv(z: float) -> float:
     return math.exp(-r)
 
 
-@dataclass(frozen=True)
-class PolyP:
-    """Rescaled turning-point polynomial P(v) = sum_i lam_i v^i - v^(2n).
-
-    `lam` holds the 2n free coefficients lam_0 .. lam_{2n-1}; the leading
-    coefficient is fixed at -1.
-    """
-
+class _PolyP(NamedTuple):
     n: int
     lam: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ModelError(f"n must be >= 1, got {self.n}")
-        if len(self.lam) != 2 * self.n:
-            raise ModelError(
-                f"lam must have 2n = {2 * self.n} entries, got {len(self.lam)}")
-        object.__setattr__(self, "lam", tuple(float(c) for c in self.lam))
+
+class PolyP(_PolyP):
+    """Rescaled turning-point polynomial P(v) = sum_i lam_i v^i - v^(2n).
+
+    `lam` holds the 2n free coefficients lam_0 .. lam_{2n-1}; the leading
+    coefficient is fixed at -1. Construction and `_replace` validate n and
+    lam and store lam as a tuple of floats.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, lam: Sequence[float]):
+        if n < 1:
+            raise ModelError(f"n must be >= 1, got {n}")
+        if len(lam) != 2 * n:
+            raise ModelError(f"lam must have 2n = {2 * n} entries, got {len(lam)}")
+        return super().__new__(cls, n, tuple(float(c) for c in lam))
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: validate again
+        return cls(*fields)
 
     def coeffs(self) -> tuple[float, ...]:
         """Full coefficient tuple (lam_0, ..., lam_{2n-1}, -1)."""
@@ -101,8 +108,16 @@ class PolyP:
         P peaks where P' changes sign; P' has odd degree 2n - 1, so there is
         at least one such point. For n = 1 it is exactly lam_1 / 2.
         """
-        dp = [i * c for i, c in enumerate(self.coeffs())][1:]
-        return max(self(v) for v in _sign_changes(dp))
+        return _max_over_reals(self.coeffs())
+
+
+# P does not depend on eps, and the quadrature and canard solver ask again
+# for the same coefficients. Keys equal but for the sign of a zero
+# coefficient share an entry; their maxima differ at most in a zero's sign.
+@lru_cache(maxsize=256)
+def _max_over_reals(cs: tuple[float, ...]) -> float:
+    dp = [i * c for i, c in enumerate(cs)][1:]
+    return max(_horner(cs, v) for v in _sign_changes(dp))
 
 
 def _horner(cs: Sequence[float], v):
@@ -144,36 +159,33 @@ def _sign_changes(cs: Sequence[float]) -> list[float]:
     return roots
 
 
-@dataclass(frozen=True)
-class StateXY:
+class StateXY(NamedTuple):
     """Point of the raw planar system, with its eps."""
     x: float
     y: float
     eps: float
 
 
-@dataclass(frozen=True)
-class StateXZ:
+class StateXZ(NamedTuple):
     """Point of the singularly transformed system y = exp(-1/z)."""
     x: float
     z: float
     eps: float
 
 
-@dataclass(frozen=True)
-class SlowFastModel:
-    """Model data: turning-point polynomial, zeta, g, and section geometry.
+def _two_ends(name: str, value: Sequence[float]) -> tuple[float, float]:
+    ends = tuple(float(v) for v in value)
+    if len(ends) != 2:
+        raise ModelError(f"{name} must have exactly two ends, got {ends}")
+    return ends
 
-    zeta(x, eps) must satisfy zeta(0, 0) = -1; g(x, y, eps) is the regular
-    fast factor; delta in (0, 1) is the section height; I contains 0 and all
-    base points; I_in/I_out are the entry/exit section intervals in x.
 
-    zeta_kind/zeta_params and g_kind/g_params are read off the `form` that
-    the callables from make_zeta/make_g carry, so the compiled kernel and the
-    exact fibers see the same functions as everything else; other callables
-    leave the kinds None and run on the general paths.
-    """
+def _form(fn) -> tuple[str | None, tuple[float, ...]]:
+    """The (kind, params) a builtin zeta or g carries; (None, ()) otherwise."""
+    return getattr(fn, "form", (None, ()))
 
+
+class _SlowFastModel(NamedTuple):
     p: PolyP
     zeta: Callable[[float, float], float]
     g: Callable[[float, float, float], float]
@@ -181,32 +193,59 @@ class SlowFastModel:
     I: tuple[float, float]
     I_in: tuple[float, float]
     I_out: tuple[float, float]
-    zeta_kind: str | None = field(init=False)
-    zeta_params: tuple[float, ...] = field(init=False)
-    g_kind: str | None = field(init=False)
-    g_params: tuple[float, ...] = field(init=False)
 
-    def __post_init__(self):
-        for name in ("I", "I_in", "I_out"):
-            ends = tuple(float(v) for v in getattr(self, name))
-            if len(ends) != 2:
-                raise ModelError(f"{name} must have exactly two ends, got {ends}")
-            object.__setattr__(self, name, ends)
-        for name in ("zeta", "g"):
-            kind, params = getattr(getattr(self, name), "form", (None, ()))
-            object.__setattr__(self, f"{name}_kind", kind)
-            object.__setattr__(self, f"{name}_params", params)
-        if not (0.0 < self.delta < 1.0):
-            raise ModelError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.I[0] < 0.0 < self.I[1]):
-            raise ModelError(f"I must contain 0 in its interior, got {self.I}")
-        if not (0.0 < self.I_in[0] <= self.I_in[1]):
-            raise ModelError(f"I_in must be a subinterval of (0, inf): {self.I_in}")
-        if not (self.I_out[0] <= self.I_out[1] < 0.0):
-            raise ModelError(f"I_out must be a subinterval of (-inf, 0): {self.I_out}")
-        z00 = float(self.zeta(0.0, 0.0))
+
+class SlowFastModel(_SlowFastModel):
+    """Model data: turning-point polynomial, zeta, g, and section geometry.
+
+    zeta(x, eps) must satisfy zeta(0, 0) = -1; g(x, y, eps) is the regular
+    fast factor; delta in (0, 1) is the section height; I contains 0 and all
+    base points; I_in/I_out are the entry/exit section intervals in x.
+    Construction and `_replace` validate these.
+
+    zeta_kind/zeta_params and g_kind/g_params are read off the `form` that
+    the callables from make_zeta/make_g carry, so the compiled kernel and the
+    exact fibers see the same functions as everything else; other callables
+    leave the kinds None and run on the general paths.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p, zeta, g, delta, I, I_in, I_out):
+        I, I_in, I_out = (_two_ends("I", I), _two_ends("I_in", I_in),
+                          _two_ends("I_out", I_out))
+        if not (0.0 < delta < 1.0):
+            raise ModelError(f"delta must lie in (0, 1), got {delta}")
+        if not (I[0] < 0.0 < I[1]):
+            raise ModelError(f"I must contain 0 in its interior, got {I}")
+        if not (0.0 < I_in[0] <= I_in[1]):
+            raise ModelError(f"I_in must be a subinterval of (0, inf): {I_in}")
+        if not (I_out[0] <= I_out[1] < 0.0):
+            raise ModelError(f"I_out must be a subinterval of (-inf, 0): {I_out}")
+        z00 = float(zeta(0.0, 0.0))
         if abs(z00 + 1.0) > 1e-12:
             raise ModelError(f"zeta(0, 0) must equal -1, got {z00}")
+        return super().__new__(cls, p, zeta, g, delta, I, I_in, I_out)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: validate again
+        return cls(*fields)
+
+    @property
+    def zeta_kind(self) -> str | None:
+        return _form(self.zeta)[0]
+
+    @property
+    def zeta_params(self) -> tuple[float, ...]:
+        return _form(self.zeta)[1]
+
+    @property
+    def g_kind(self) -> str | None:
+        return _form(self.g)[0]
+
+    @property
+    def g_params(self) -> tuple[float, ...]:
+        return _form(self.g)[1]
 
     @property
     def n(self) -> int:
@@ -267,8 +306,7 @@ def vector_field_xz(model: SlowFastModel, s: StateXZ) -> tuple[float, float]:
     return _field(model, 0, s.eps)(s.x, s.z)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Outcome of the standing-assumption check.
 
     c is the largest margin such that zeta(x, 0) <= -c on I and P <= -c on R;
@@ -310,7 +348,13 @@ def _peak(vals: list[float]) -> tuple[float, int]:
 
 def check_hypotheses(model: SlowFastModel, eps_max: float = 0.05,
                      grid: int = 201) -> HypothesisReport:
-    """Verify negativity of zeta(., 0) on I, of P on R, and of f on I x (0, eps_max]."""
+    """Verify negativity of zeta(., 0) on I, of P on R, and of f on I x (0, eps_max].
+
+    eps_max must be finite and > 0: a NaN one fails every comparison of
+    the f scan, which would then pass without having checked anything.
+    """
+    if not 0.0 < eps_max < math.inf:
+        raise ModelError(f"eps_max must be finite and > 0, got {eps_max:g}")
     xs = _linspace(model.I[0], model.I[1], grid)
     zmax, iz = _peak([float(model.zeta(x, 0.0)) for x in xs])
     witness = None

@@ -21,8 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import QuadratureError, RootError
 from .model import PolyP
@@ -47,8 +46,7 @@ _ZETA_FLOOR = 1e-8  # |zeta(s, 0)| below this makes the slow integral ill-posed
 _SCAN_POINTS = 257  # zeta(., 0) samples checked per regular_slow_part range
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Value with an absolute error estimate and work counter."""
     value: float
     abs_error_estimate: float

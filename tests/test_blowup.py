@@ -1,6 +1,5 @@
 """Blow-up charts: overlap identities, limit curves, cusp asymptotics."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +122,7 @@ class TestLimitCurve:
     def test_vanishing_zeta_rejected_for_n2(self, zeta, x):
         # zeta = -1 + 20 s vanishes at s = 0.05, inside (x, 0.5), where the
         # n = 2 correction (zeta + 1)/(s^3 zeta) has its pole
-        m = replace(build_n2(), zeta=zeta)
+        m = build_n2()._replace(zeta=zeta)
         with pytest.raises(ChartError, match="zeta is not negative on the range"):
             theoretical_z2_curve(m, 0.5, x)
         # the exit search halves x down from 0.25 and meets the same pole

@@ -171,6 +171,17 @@ class TestDulac:
         assert row.startswith("nan,1.01,nan,")
         assert row.endswith(",integration-error: eps must be finite; got nan")
 
+    @pytest.mark.parametrize("eps", ["nan,50", "50,nan", "inf,50"])
+    def test_nonfinite_eps_does_not_skip_the_hypotheses(self, ddr_path, capsys,
+                                                        eps):
+        # f > 0 at eps = 50; a NaN eps_max once passed the check vacuously
+        args = ["dulac", "--model", ddr_path, "--x-in", "1.01", "--eps"]
+        assert main(args + ["50"]) == 2
+        alone = capsys.readouterr()
+        assert "model fails the standing hypotheses (witness: ('f'" in alone.err
+        assert main(args + [eps]) == 2
+        assert capsys.readouterr() == alone
+
     def test_hypothesis_failure_blocks_run(self, write_model, capsys):
         kv = dict(DDR_KV)
         kv["lambda"] = "-1, 3"  # 4 lam0 + lam1^2 = 5 > 0: P is indefinite
@@ -463,7 +474,8 @@ class TestRunTimeDependencies:
     dependencies, and the program reaches scipy only for the fibers of a
     callable g. ctypes and hashlib are imported only when a passage
     resolves the compiled kernel, and subprocess only when it builds it.
-    A subcommand loads only the turnpike layers it runs."""
+    A subcommand loads only the turnpike layers it runs, and no command
+    imports dataclasses or inspect: the records are NamedTuples."""
 
     SCRIPT = """
 import contextlib, io, json, sys
@@ -481,7 +493,9 @@ print(json.dumps({"codes": codes, "imported": sorted(
     {m.split(".")[0] for m in set(sys.modules) - before}
     - set(sys.stdlib_module_names) - {"turnpike"}),
     "kernel_modules": sorted({"ctypes", "hashlib", "subprocess"}
-                             & set(sys.modules)), "loaded": loaded}))
+                             & set(sys.modules)),
+    "record_modules": sorted({"dataclasses", "inspect"} & set(sys.modules)),
+    "loaded": loaded}))
 """
 
     def run_calls(self, calls):
@@ -530,11 +544,13 @@ print(json.dumps({"codes": codes, "imported": sorted(
         # no command here runs a passage, so none looks for the kernel
         assert report["kernel_modules"] == []
 
-    def test_each_command_loads_only_its_layers(self, models_dir, tmp_path):
-        # in this order every call's loaded set also holds all before it
+    @staticmethod
+    def layer_calls(models_dir, tmp_path):
+        """One call of each layer's commands; in this order every call's
+        loaded set also holds all before it."""
         ddr, quartic = (str(models_dir / f"{m}.model")
                         for m in ("ddr", "quartic_n2"))
-        calls = [
+        return [
             ["--help"],
             ["hypotheses", "--model", ddr],
             ["pv-check", "--", "-2", "1"],
@@ -544,6 +560,9 @@ print(json.dumps({"codes": codes, "imported": sorted(
             ["chart-view", "--model", ddr, "--eps", "0.01", "--x-in", "1.016",
              "--out", str(tmp_path / "chart.csv")],
         ]
+
+    def test_each_command_loads_only_its_layers(self, models_dir, tmp_path):
+        calls = self.layer_calls(models_dir, tmp_path)
         report = self.run_calls(calls)
         assert report["codes"] == [0] * len(calls)
         help_, hyp, pv, delta0, dulac, nge2, chart = map(set, report["loaded"])
@@ -557,6 +576,13 @@ print(json.dumps({"codes": codes, "imported": sorted(
         assert "turnpike.integrate" in dulac
         assert "turnpike.blowup" not in nge2
         assert "turnpike.blowup" in chart
+
+    def test_start_up_skips_dataclasses_and_inspect(self, models_dir,
+                                                    tmp_path):
+        calls = self.layer_calls(models_dir, tmp_path)
+        report = self.run_calls(calls)
+        assert report["codes"] == [0] * len(calls)
+        assert report["record_modules"] == []
 
     def test_warm_kernel_cache_builds_nothing(self, models_dir):
         # the first interpreter builds the library into the session's

@@ -1,7 +1,6 @@
 """Entry-exit layer: fiber maps, exit solvers, delay predictions, canard tuning."""
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +64,7 @@ class TestBasePointMap:
 def _ode_fibers(model):
     """The same model with g as a plain callable, so fibers run on solve_ivp."""
     g = model.g_params[0]
-    return replace(model, g=lambda x, y, eps: g)
+    return model._replace(g=lambda x, y, eps: g)
 
 
 class TestExactFibers:
@@ -200,12 +199,12 @@ class TestClosedFormGuards:
             ddr_delta0_closed_form(quartic, 1.2)
 
     def test_requires_ddr_zeta(self, ddr):
-        bad = replace(ddr, zeta=make_zeta("constant-minus-one"))
+        bad = ddr._replace(zeta=make_zeta("constant-minus-one"))
         with pytest.raises(EntryExitError, match="ddr-beta"):
             ddr_delta0_closed_form(bad, 1.016)
 
     def test_requires_g_minus_one(self, ddr):
-        bad = replace(ddr, g=make_g("constant", (-2.0,)))
+        bad = ddr._replace(g=make_g("constant", (-2.0,)))
         with pytest.raises(EntryExitError, match="g = -1"):
             ddr_delta0_closed_form(bad, 1.016)
 

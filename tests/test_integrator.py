@@ -240,8 +240,7 @@ class TestBackends:
 
     def test_callable_zeta_falls_back_to_python(self, ddr, monkeypatch):
         monkeypatch.delenv("TURNPIKE_KERNEL", raising=False)
-        from dataclasses import replace
-        soft = replace(ddr, zeta=lambda x, eps: -1.0 + x)
+        soft = ddr._replace(zeta=lambda x, eps: -1.0 + x)
         assert active_backend(soft) == "python"
         traj = integrate(soft, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
                          t_max=1.0)
@@ -252,8 +251,7 @@ class TestBackends:
         monkeypatch.setenv("TURNPIKE_KERNEL", "compiled")
         assert compiled_kernel_available()
         assert active_backend(ddr) == "compiled"
-        from dataclasses import replace
-        soft = replace(ddr, zeta=lambda x, eps: -1.0 + x)
+        soft = ddr._replace(zeta=lambda x, eps: -1.0 + x)
         with pytest.raises(IntegrationError, match="callable"):
             active_backend(soft)
         with pytest.raises(ValueError, match="builtin"):
@@ -440,10 +438,9 @@ class TestOverflowingField:
 
     @pytest.mark.parametrize("case", sorted(_OVERFLOWS))
     def test_step_underflow_on_every_backend(self, ddr, backend, case):
-        from dataclasses import replace
         kw, t_end = _OVERFLOWS[case]
-        model = replace(ddr, p=PolyP(n=1, lam=kw.get("lam", ddr.p.lam)),
-                        g=make_g("constant", kw.get("g_params", (-1.0,))))
+        model = ddr._replace(p=PolyP(n=1, lam=kw.get("lam", ddr.p.lam)),
+                             g=make_g("constant", kw.get("g_params", (-1.0,))))
         state = (StateXY if kw.get("mode") else StateXZ)(
             kw["x0"], kw["w0"], kw.get("eps", 0.01))
         cfg = IntegratorConfig(first_step=kw.get("first_step", 0.0))
@@ -597,8 +594,7 @@ class TestValidation:
 
 class TestDulacMap:
     def test_left_domain_exit_is_structured(self, ddr):
-        from dataclasses import replace
-        clipped = replace(ddr, I=(-0.5, 0.9))
+        clipped = ddr._replace(I=(-0.5, 0.9))
         with pytest.raises(IntegrationError, match="left I") as ei:
             dulac_map_numeric(clipped, 1.016, 0.01)
         assert ei.value.status == "left_domain"

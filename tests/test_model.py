@@ -1,5 +1,4 @@
 """Model layer: guarded exponential, P polynomial, fields, hypotheses, loader."""
-import dataclasses
 import math
 import sys
 
@@ -204,8 +203,8 @@ class TestBuiltinForms:
             make_g("constant", (-1.0, 2.0))
 
     def test_plain_callables_have_no_kind(self, ddr):
-        m = dataclasses.replace(ddr, zeta=lambda x, eps: -1.0 + x,
-                                g=lambda x, y, eps: -1.0)
+        m = ddr._replace(zeta=lambda x, eps: -1.0 + x,
+                         g=lambda x, y, eps: -1.0)
         assert (m.zeta_kind, m.zeta_params, m.g_kind, m.g_params) == \
             (None, (), None, ())
 
@@ -215,13 +214,13 @@ class TestBuiltinForms:
                           I=ddr.I, I_in=ddr.I_in, I_out=ddr.I_out,
                           zeta_kind="poly")
         with pytest.raises(ValueError):
-            dataclasses.replace(ddr, g_kind=None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+            ddr._replace(g_kind=None)
+        with pytest.raises(AttributeError):
             ddr.zeta_kind = "poly"
 
     def test_replaced_zeta_reaches_the_integrator(self, ddr):
         zeta = make_zeta("constant-minus-one")
-        replaced = dataclasses.replace(ddr, zeta=zeta)
+        replaced = ddr._replace(zeta=zeta)
         fresh = SlowFastModel(p=ddr.p, zeta=zeta, g=make_g("ddr"),
                               delta=ddr.delta, I=ddr.I, I_in=ddr.I_in,
                               I_out=ddr.I_out)
@@ -231,7 +230,7 @@ class TestBuiltinForms:
 
     def test_replaced_g_reaches_the_fibers(self, ddr):
         # x^2 + 2 g y = 1.69 - 2 at y = 0: the fiber meets x = 0 first
-        steep = dataclasses.replace(ddr, g=make_g("constant", (-2.0,)))
+        steep = ddr._replace(g=make_g("constant", (-2.0,)))
         with pytest.raises(EntryExitError, match="no base point"):
             base_point(steep, 1.3)
 
@@ -288,6 +287,14 @@ class TestHypotheses:
         rep = check_hypotheses(m)
         assert not rep.passed
         assert rep.witness is not None and rep.witness[0] == "zeta"
+
+    @pytest.mark.parametrize("eps_max", [math.nan, math.inf, -math.inf, 0.0,
+                                         -0.05])
+    def test_eps_max_must_be_finite_and_positive(self, ddr, eps_max):
+        # a NaN eps_max fails every comparison of the f scan: passed=True,
+        # f_margin=inf without a single check
+        with pytest.raises(ModelError, match="eps_max must be finite and > 0"):
+            check_hypotheses(ddr, eps_max=eps_max)
 
     def test_indefinite_p_fails(self):
         m = build_n2(lam=(-1.0, 3.0, 0.0, 0.0))  # P(1) = 1 > 0
