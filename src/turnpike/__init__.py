@@ -20,9 +20,8 @@ _EXPORTS = {
     "errors": ("TurnpikeError", "ModelError", "QuadratureError", "RootError",
                "EntryExitError", "ChartError", "IntegrationError"),
     "model": ("PolyP", "SlowFastModel", "StateXY", "StateXZ",
-              "HypothesisReport", "exp_neg_inv", "eval_f_lambda",
-              "vector_field_xy", "vector_field_xz", "check_hypotheses",
-              "load_model", "make_zeta", "make_g", "ddr_model"),
+              "HypothesisReport", "check_hypotheses", "load_model",
+              "make_zeta", "make_g", "ddr_model"),
     "quadrature": ("QuadResult", "adaptive_quad", "brentq",
                    "regular_slow_part", "pv_slow", "pv_fast_quadratic",
                    "pv_fast_half", "pv_fast_numeric", "half_line_integral",

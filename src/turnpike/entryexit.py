@@ -110,16 +110,20 @@ class BasePointMap(NamedTuple):
             raise EntryExitError(f"fiber integration failed: {sol.message}")
         return float(sol.y[0][-1]) if ys is None else sol.y[0].tolist()
 
+    def _check_start(self, what: str, x: float) -> None:
+        if not math.isfinite(x):
+            raise EntryExitError(f"{what} must be finite, got {x}")
+        if abs(x) <= self.x_floor:
+            raise EntryExitError(f"{what} too close to 0: {x}")
+
     def __call__(self, x_section: float) -> float:
         """Base point: follow the fiber from (x_section, delta) down to y = 0."""
-        if abs(x_section) <= self.x_floor:
-            raise EntryExitError(f"section point too close to 0: {x_section}")
+        self._check_start("section point", x_section)
         return self._solve(x_section, self.model.delta, 0.0)
 
     def inverse(self, x_base: float) -> float:
         """Section point: follow the fiber from (x_base, 0) up to y = delta."""
-        if abs(x_base) <= self.x_floor:
-            raise EntryExitError(f"base point too close to 0: {x_base}")
+        self._check_start("base point", x_base)
         return self._solve(x_base, 0.0, self.model.delta)
 
     def trace(self, x_section: float, ys: Sequence[float]) -> list[float]:

@@ -8,6 +8,11 @@ zeta/g are builtin forms: the first passage that asks for it builds it with
 `cc` into a per-user cache, or loads it from there (see `._dp45_ctypes`).
 The TURNPIKE_KERNEL environment variable ('auto', 'compiled', 'python')
 overrides the choice; 'python' never builds or loads the library.
+
+integrate() decodes the model and the events once: the model into one
+`_dp45_py.Field`, in which a builtin zeta is its polynomial coefficients
+and a constant g its value, and each EventSpec into a tuple. Both kernels
+take them through the same integrate_kernel(field, x0, w0, t_max, evs, cfg).
 """
 from __future__ import annotations
 
@@ -21,7 +26,8 @@ from numbers import Real
 from typing import NamedTuple, Sequence
 
 from ..errors import IntegrationError, ModelError
-from ..model import SlowFastModel, StateXY, StateXZ
+from ..model import (SlowFastModel, StateXY, StateXZ, weighted_lam,
+                     zeta_coeffs)
 
 from . import _dp45_ctypes, _dp45_py
 
@@ -45,15 +51,14 @@ __all__ = [
     "active_backend",
 ]
 
+# event kind -> (its function is on x, else on w; counts only where x < 0)
 _EV_KINDS = {
-    "x_crosses_zero": 0,
-    "y_reaches_delta_with_x_negative": 1,
-    "x_reaches_value": 2,
-    "z_reaches_value": 3,
+    "x_crosses_zero": (True, False),
+    "y_reaches_delta_with_x_negative": (False, True),
+    "x_reaches_value": (True, False),
+    "z_reaches_value": (False, False),
 }
 _EV_DIRS = {"any": 0, "up": 1, "down": -1}
-
-_ZETA_CODES = {"constant-minus-one": 0, "ddr-beta": 1, "poly": 2}
 
 
 class IntegratorConfig(NamedTuple):
@@ -165,10 +170,33 @@ def compiled_kernel_available() -> bool:
     return _compiled() is not None
 
 
-def _model_codes(model: SlowFastModel) -> tuple[int, tuple, int, tuple]:
-    zk = _ZETA_CODES.get(model.zeta_kind, -1)
-    gk = 0 if model.g_kind == "constant" else -1
-    return zk, model.zeta_params, gk, model.g_params
+def _field(model: SlowFastModel, mode: int, eps: float,
+           sign: float = 1.0) -> _dp45_py.Field:
+    """The kernels' Field of the model at eps: mode 0 (x, z), mode 1 (x, y).
+    A builtin zeta becomes its coefficients and a constant g its value."""
+    zeta = zeta_coeffs(model.zeta)
+    g = model.g_params[0] if model.g_kind == "constant" else model.g
+    return _dp45_py.Field(mode, 2 * model.n, weighted_lam(model.p.lam, eps),
+                          eps, model.zeta if zeta is None else zeta, g, sign)
+
+
+def _kernel_events(events: Sequence[EventSpec], mode: int) -> list[tuple]:
+    """Each EventSpec, checked, as the kernels take it: (on_x, level,
+    direction, terminal, needs_x_negative), its function being
+    (x if on_x else w) - level."""
+    evs = []
+    for spec in events:
+        if spec.kind not in _EV_KINDS:
+            raise ModelError(f"unknown event kind {spec.kind!r}")
+        if spec.direction not in _EV_DIRS:
+            raise ModelError(f"unknown event direction {spec.direction!r}")
+        if mode == 1 and spec.kind == "z_reaches_value":
+            raise ModelError("z events need an (x, z) initial state")
+        on_x, neg_x = _EV_KINDS[spec.kind]
+        level = 0.0 if spec.kind == "x_crosses_zero" else float(spec.value)
+        evs.append((on_x, level, _EV_DIRS[spec.direction],
+                    bool(spec.terminal), neg_x))
+    return evs
 
 
 def active_backend(model: SlowFastModel | None = None) -> str:
@@ -178,10 +206,8 @@ def active_backend(model: SlowFastModel | None = None) -> str:
         return "python"
     if forced not in ("auto", "compiled"):
         raise IntegrationError(f"unknown TURNPIKE_KERNEL value {forced!r}")
-    builtin = True
-    if model is not None:
-        zk, _, gk, _ = _model_codes(model)
-        builtin = zk >= 0 and gk >= 0
+    builtin = model is None or (zeta_coeffs(model.zeta) is not None
+                                and model.g_kind == "constant")
     if forced == "auto":
         return "compiled" if builtin and _compiled() is not None else "python"
     if _compiled() is None:
@@ -232,39 +258,21 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
         raise ModelError(
             f"max_steps must be an integer >= 0, got {cfg.max_steps!r}")
 
+    for name, value in (("t_max", t_max), ("max_time", cfg.max_time)):
+        # a NaN one ran past the exit, a negative one took no step
+        if value is not None and not value >= 0.0:
+            raise ModelError(f"{name} must be >= 0, got {value}")
+
     if t_max is None:
         t_max = cfg.max_time
     if t_max is None:
         t_max = 50.0 * eps ** (-2 * model.n) if eps > 0.0 else 1e4
-
-    ev_kind = []
-    ev_value = []
-    ev_dir = []
-    ev_term = []
-    for spec in events:
-        if spec.kind not in _EV_KINDS:
-            raise ModelError(f"unknown event kind {spec.kind!r}")
-        if spec.direction not in _EV_DIRS:
-            raise ModelError(f"unknown event direction {spec.direction!r}")
-        if mode == 1 and spec.kind == "z_reaches_value":
-            raise ModelError("z events need an (x, z) initial state")
-        ev_kind.append(_EV_KINDS[spec.kind])
-        ev_value.append(float(spec.value))
-        ev_dir.append(_EV_DIRS[spec.direction])
-        ev_term.append(1 if spec.terminal else 0)
-
-    zk, zp, gk, gp = _model_codes(model)
-    backend = active_backend(model)
-    kernel = _dp45_c.integrate_kernel if backend == "compiled" \
-        else _dp45_py.integrate_kernel
-
-    raw = kernel(mode, model.n, tuple(model.p.lam), eps,
-                 zk, tuple(zp), gk, tuple(gp),
-                 model.zeta, model.g,
-                 x0, w0, float(t_max), float(time_direction),
-                 cfg.rel_tol, cfg.abs_tol, float(cfg.max_step), cfg.first_step,
-                 tuple(ev_kind), tuple(ev_value), tuple(ev_dir), tuple(ev_term),
-                 cfg.event_tol, max_steps)
+    evs = _kernel_events(events, mode)
+    field = _field(model, mode, eps, float(time_direction))
+    kernel = _dp45_c if active_backend(model) == "compiled" else _dp45_py
+    raw = kernel.integrate_kernel(
+        field, x0, w0, float(t_max), evs,
+        cfg._replace(max_step=float(cfg.max_step), max_steps=max_steps))
 
     specs = list(events)
     traj = Trajectory("xz" if mode == 0 else "xy", eps, raw, specs)

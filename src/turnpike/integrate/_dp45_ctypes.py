@@ -12,10 +12,12 @@ deleting the directory forces a rebuild. The library takes no Python
 objects and ctypes releases the interpreter lock for the call, so passages
 on several threads run in parallel.
 
-The library only steps. `CompiledKernel.integrate_kernel` hands
-`_dp45_py.drive`, which drives the Python kernel too, a `_Run` whose
-advance() resumes the passage in the library and, when the node buffers
-are full, doubles them and resumes again.
+The library only steps. `CompiledKernel.integrate_kernel` takes what the
+Python kernel takes, the Field and the events integrate() has decoded, and
+passes their fields to the library as they are. It hands `_dp45_py.drive`,
+which drives the Python kernel too, a `_Run` whose advance() resumes the
+passage in the library and, when the node buffers are full, doubles them
+and resumes again.
 """
 from __future__ import annotations
 
@@ -25,8 +27,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from struct import unpack_from
 
-from ..model import weighted_lam
-from ._dp45_py import _make_rhs, decode_events, drive, first_state
+from ._dp45_py import _make_rhs, drive, first_state
 
 __all__ = ["CompiledKernel", "build", "load", "why_unavailable"]
 
@@ -63,10 +64,9 @@ class CompiledKernel:
         pd, pi = POINTER(dbl), POINTER(int_)
         fn = CDLL(str(path)).dp45_advance
         fn.argtypes = [
-            int_, int_, pd, dbl,            # mode, n, wlam, eps
-            int_, pd, int_, dbl,            # zeta kind, params, count; g
-            dbl, dbl,                       # t_max, time_sign
-            dbl, dbl, dbl, i64,             # rtol, atol, max_step, max_steps
+            int_, int_, pd, dbl,            # mode, two_n, wlam, eps
+            pd, int_, dbl, dbl,             # zeta, its length, g, sign
+            dbl, dbl, dbl, dbl, i64,        # t_max, rtol, atol, max_step(s)
             int_, pi, pd, pi,               # events: count, on_x, level, dir
             i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, q
             POINTER(State),                 # state
@@ -75,41 +75,22 @@ class CompiledKernel:
         self._fn = fn
         self.State = State
 
-    def integrate_kernel(self, mode, n, lam, eps,
-                         zeta_kind, zeta_params, g_kind, g_params,
-                         zeta_fn, g_fn,
-                         x0, w0, t_max, time_sign,
-                         rtol, atol, max_step, first_step,
-                         ev_kind, ev_value, ev_dir, ev_term, event_tol,
-                         max_steps):
-        """Integrate from (x0, w0) at t = 0 until a terminal event or t_max.
-
-        zeta_fn and g_fn are ignored: only the builtin forms are compiled.
-        """
-        if zeta_kind not in (0, 1, 2) or g_kind != 0:
-            raise ValueError("compiled kernel requires builtin zeta/g forms")
-        if zeta_kind == 1 and len(zeta_params) < 1:
-            raise ValueError("ddr-beta zeta needs its beta parameter")
-        nev = len(ev_kind)
-        if not len(ev_value) == len(ev_dir) == len(ev_term) == nev:
-            raise ValueError("event kind, value, direction and terminal "
-                             "sequences differ in length")
+    def integrate_kernel(self, field, x0, w0, t_max, evs, cfg):
+        """Integrate the Field from (x0, w0) at t = 0 until a terminal
+        event or t_max, as _dp45_py.integrate_kernel does; the field's zeta
+        must be coefficients and its g a float."""
         from ctypes import c_double as dbl, c_int as int_
-        wl = weighted_lam(lam, eps)
-        rhs = _make_rhs(mode, 2 * n, wl, eps, zeta_kind, tuple(zeta_params),
-                        None, g_kind, tuple(g_params), None, time_sign)
-        evs = decode_events(ev_kind, ev_value, ev_dir, ev_term)
-        args = (mode, n, (dbl * (2 * n))(*wl), eps,
-                zeta_kind, (dbl * len(zeta_params))(*zeta_params),
-                len(zeta_params), float(g_params[0]), t_max, time_sign,
-                rtol, atol, max_step, max_steps, nev,
-                (int_ * nev)(*(ev[0] for ev in evs)),
+        mode, two_n, wlam, eps, zeta, g, sign = field
+        nev = len(evs)
+        args = (mode, two_n, (dbl * two_n)(*wlam), eps,
+                (dbl * len(zeta))(*zeta), len(zeta), g, sign,
+                t_max, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
+                nev, (int_ * nev)(*(ev[0] for ev in evs)),
                 (dbl * nev)(*(ev[1] for ev in evs)),
                 (int_ * nev)(*(ev[2] for ev in evs)))
-        state = first_state(self.State, rhs, x0, w0, rtol, atol, max_step,
-                            t_max, first_step)
-        cap = min(max(max_steps, 0) + 1, _FIRST_NODE_CAP)
-        return drive(_Run(self._fn, args, state, cap), evs, event_tol)
+        state = first_state(self.State, _make_rhs(field), x0, w0, t_max, cfg)
+        cap = min(max(cfg.max_steps, 0) + 1, _FIRST_NODE_CAP)
+        return drive(_Run(self._fn, args, state, cap), evs, cfg.event_tol)
 
 
 class _Run:

@@ -4,8 +4,13 @@ The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) performs the same
 floating-point operations in the same order, so the two agree bit for
 bit; change both together. Squares are written as products in both, since
 a C compiler folds pow(a, 2.0) into a*a while CPython's `a ** 2` calls
-libm pow. Only this kernel accepts Python callables for zeta and g (kind
-code -1).
+libm pow.
+
+Both kernels take the same arguments (`integrate_kernel`): one `Field`,
+the start, t_max, the events that integrate() has checked and decoded
+once, and the IntegratorConfig. Every builtin zeta is a polynomial, given
+by its coefficients and evaluated by Horner's rule from the top one; only
+this kernel also accepts Python callables for zeta and g.
 
 Each kernel only steps: its advance() goes on from a resumable state
 (`first_state` makes the first) until the passage ends or after an
@@ -28,10 +33,12 @@ from __future__ import annotations
 import math
 from functools import partial
 from types import SimpleNamespace
-
-from ..model import _EXP_UNDERFLOW, weighted_lam
+from typing import Callable, NamedTuple
 
 __all__ = ["integrate_kernel"]
+
+# exp(-1/z) underflows to an exact double 0 once 1/z exceeds ~745.13
+_EXP_UNDERFLOW = 745.0
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5, _C6 = 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0
@@ -69,43 +76,59 @@ _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
 
 
-def _make_rhs(mode, two_n, wlam, eps, zk, zp, zfn, gk, gp, gfn, sign):
-    """The signed right-hand side (x, w) -> (x', w') of the (x, z) or (x, y)
-    system, with the model's kinds and coefficients bound once."""
-    rlam = tuple(reversed(wlam))
-    rzp = tuple(reversed(zp))
-    beta = zp[0] if zk == 1 else 0.0
-    gval = gp[0] if gk == 0 else 0.0
+class Field(NamedTuple):
+    """The vector field of one run, as integrate() hands it to a kernel.
+
+    mode 0 is the (x, z) system, y = exp(-1/z), and mode 1 the raw (x, y)
+    one; wlam holds lam_i eps^(2n - i), i < two_n. zeta is the ascending
+    coefficients of a builtin zeta (`model.zeta_coeffs`), else the
+    callable; g is the value of a constant g, else the callable. sign is
+    +1 forward and -1 time-reversed. Only this kernel takes callables.
+    """
+
+    mode: int
+    two_n: int
+    wlam: tuple[float, ...]
+    eps: float
+    zeta: tuple[float, ...] | Callable[[float, float], float]
+    g: float | Callable[[float, float, float], float]
+    sign: float
+
+
+def _make_rhs(field):
+    """The signed right-hand side (x, w) -> (x', w') of the field."""
+    mode, two_n, wlam, eps, zeta, g, sign = field
+    rlam = wlam[::-1]
+    zfn = zeta if callable(zeta) else None
+    if zfn is None:
+        ztop, zrest = zeta[-1], tuple(reversed(zeta[:-1]))
+    gfn = g if callable(g) else None
     exp = math.exp
 
     def rhs(x, w):
         acc = 0.0
         for c in rlam:
             acc = acc * x + c
-        if zk == 1:
-            zeta = -1.0 + beta * x
-        elif zk == 0:
-            zeta = -1.0
-        elif zk == 2:
-            zeta = 0.0
-            for c in rzp:
-                zeta = zeta * x + c
+        if zfn is None:  # Horner from the top coefficient, as dp45.c
+            zv = ztop
+            for c in zrest:
+                zv = zv * x + c
         else:
-            zeta = zfn(x, eps)
+            zv = zfn(x, eps)
         try:
             xp = x ** two_n
         except OverflowError:  # where C's pow returns inf
             xp = math.inf
-        f = acc + xp * zeta
+        f = acc + xp * zv
         if mode:  # raw (x, y)
-            return (sign * (eps * f + w * (gval if gk == 0 else gfn(x, w, eps))),
+            return (sign * (eps * f + w * (g if gfn is None else gfn(x, w, eps))),
                     sign * (-x * w))
         # (x, z), y = exp(-1/z)
         if w <= 0.0 or 1.0 / w > _EXP_UNDERFLOW:
             return sign * (eps * f + 0.0), sign * (-x * w * w)
         y = exp(-1.0 / w)
         if y != 0.0:
-            dx = eps * f + y * (gval if gk == 0 else gfn(x, y, eps))
+            dx = eps * f + y * (g if gfn is None else gfn(x, y, eps))
         else:
             dx = eps * f + 0.0
         return sign * dx, sign * (-x * w * w)
@@ -137,20 +160,19 @@ def _dense(base, h, q, th):
     return base + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
 
 
-def first_state(state_type, rhs, x, w, rtol, atol, max_step, t_max,
-                first_step):
+def first_state(state_type, rhs, x, w, t_max, cfg):
     """A state_type holding the passage's state at (x, w), t = 0: the FSAL
-    slopes there, and the first step, which is first_step if it is
+    slopes there, and the first step, which is cfg.first_step if it is
     positive, else the trial Euler step of Hairer, Norsett & Wanner
-    (Solving ODEs I, II.4), and never more than max_step or t_max."""
+    (Solving ODEs I, II.4), and never more than cfg.max_step or t_max."""
     fx, fw = rhs(x, w)
     n_rhs = 1
-    if first_step > 0.0:
-        h = first_step
+    if cfg.first_step > 0.0:
+        h = cfg.first_step
     else:
         sqrt = math.sqrt
-        sc_x = atol + rtol * abs(x)
-        sc_w = atol + rtol * abs(w)
+        sc_x = cfg.abs_tol + cfg.rel_tol * abs(x)
+        sc_w = cfg.abs_tol + cfg.rel_tol * abs(w)
         ux = x / sc_x
         uw = w / sc_w
         d0 = sqrt(0.5 * (ux * ux + uw * uw))
@@ -170,18 +192,9 @@ def first_state(state_type, rhs, x, w, rtol, atol, max_step, t_max,
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         h = min(100.0 * h0, h1)
-    return state_type(t=0.0, x=x, w=w, h=min(h, max_step, t_max), fx=fx,
+    return state_type(t=0.0, x=x, w=w, h=min(h, cfg.max_step, t_max), fx=fx,
                       fw=fw, err_prev=1e-4, err_acc_x=0.0, err_acc_w=0.0,
                       n_steps=0, n_rejected=0, n_rhs=n_rhs, last_rejected=0)
-
-
-def decode_events(ev_kind, ev_value, ev_dir, ev_term):
-    """Each event as (on_x, level, direction, terminal, needs_x_negative):
-    its function is (x if on_x else w) - level. Kind 0 is x = 0, 1 the
-    return section w = value, which counts only where x < 0, 2 is
-    x = value and 3 is w = value."""
-    return [(kind in (0, 2), 0.0 if kind == 0 else value, d, term, kind == 1)
-            for kind, value, d, term in zip(ev_kind, ev_value, ev_dir, ev_term)]
 
 
 def localize(base, h, q, level, g0, event_tol):
@@ -439,21 +452,14 @@ class _Run:
     advance = _advance
 
 
-def integrate_kernel(mode, n, lam, eps,
-                     zeta_kind, zeta_params, g_kind, g_params,
-                     zeta_fn, g_fn,
-                     x0, w0, t_max, time_sign,
-                     rtol, atol, max_step, first_step,
-                     ev_kind, ev_value, ev_dir, ev_term, event_tol,
-                     max_steps):
-    """Integrate from (x0, w0) at t = 0 until a terminal event or t_max;
+def integrate_kernel(field, x0, w0, t_max, evs, cfg):
+    """Integrate the Field from (x0, w0) at t = 0 until a terminal event or
+    t_max, with integrate()'s decoded events evs, each (on_x, level,
+    direction, terminal, needs_x_negative), and its IntegratorConfig cfg;
     returns `drive`'s dict, whose status is 'event', 't_end', 'max_steps'
     or 'step_underflow'."""
-    rhs = _make_rhs(mode, 2 * n, weighted_lam(lam, eps), eps, zeta_kind,
-                    tuple(zeta_params), zeta_fn, g_kind, tuple(g_params), g_fn,
-                    time_sign)
-    evs = decode_events(ev_kind, ev_value, ev_dir, ev_term)
-    state = first_state(SimpleNamespace, rhs, x0, w0, rtol, atol, max_step,
-                        t_max, first_step)
-    run = _Run(state, rhs, mode, t_max, rtol, atol, max_step, max_steps, evs)
-    return drive(run, evs, event_tol)
+    rhs = _make_rhs(field)
+    state = first_state(SimpleNamespace, rhs, x0, w0, t_max, cfg)
+    run = _Run(state, rhs, field.mode, t_max, cfg.rel_tol, cfg.abs_tol,
+               cfg.max_step, cfg.max_steps, evs)
+    return drive(run, evs, cfg.event_tol)

@@ -15,11 +15,13 @@
  * step, grows the buffers (through _dp45_ctypes), localizes the events of
  * a crossing step, applies the x < 0 test and the terminal rule.
  *
- * Only the builtin forms are evaluated here: zeta kinds 0 (constant -1),
- * 1 (ddr-beta, -1 + beta x) and 2 (polynomial, ascending coefficients), and
- * a constant g. The caller owns every buffer and the state; nothing is
- * allocated and nothing is kept between calls, so concurrent calls on
- * different states are safe.
+ * Only the builtin forms are evaluated here: zeta as one polynomial, given
+ * by its ascending coefficients (-1 + beta x and -1 are the ddr and the
+ * constant forms), and a constant g. integrate() decodes the model and the
+ * events once; the arguments are the fields of its Field and its decoded
+ * events. The caller owns every buffer and the state; nothing is allocated
+ * and nothing is kept between calls, so concurrent calls on different
+ * states are safe.
  */
 #include <math.h>
 #include <stdint.h>
@@ -84,15 +86,14 @@ static const double P[7][4] = {
      69997945.0 / 29380423.0},
 };
 
-/* The vector field of one run. */
+/* The vector field of one run, _dp45_py's Field. */
 struct field {
     int mode; /* 0: (x, z) with y = exp(-1/z); 1: raw (x, y) */
     int two_n;
     const double *wlam; /* lam[i] * eps^(2n - i), i < 2n */
     double eps;
-    int zeta_kind;
-    const double *zeta_params;
-    int n_zeta_params;
+    const double *zeta; /* ascending coefficients of zeta(x) */
+    int n_zeta;         /* >= 1 */
     double g;
     double sign; /* +1 forward, -1 time-reversed */
 };
@@ -100,26 +101,17 @@ struct field {
 static double py_min(double a, double b) { return b < a ? b : a; }
 static double py_max(double a, double b) { return b > a ? b : a; }
 
-static double zeta_eval(const struct field *f, double x)
-{
-    double acc = 0.0;
-    if (f->zeta_kind == 0)
-        return -1.0;
-    if (f->zeta_kind == 1)
-        return -1.0 + f->zeta_params[0] * x;
-    for (int i = f->n_zeta_params - 1; i >= 0; i--)
-        acc = acc * x + f->zeta_params[i];
-    return acc;
-}
-
 static void rhs(const struct field *f, double x, double w,
                 double *dx_out, double *dw_out)
 {
-    double acc = 0.0, fx, y, dx, dw;
+    double acc = 0.0, zeta = f->zeta[f->n_zeta - 1], fx, y, dx, dw;
     for (int i = f->two_n - 1; i >= 0; i--)
         acc = acc * x + f->wlam[i];
+    /* Horner from the top coefficient: exactly -1.0 + beta * x for ddr */
+    for (int i = f->n_zeta - 2; i >= 0; i--)
+        zeta = zeta * x + f->zeta[i];
     /* as CPython's float **, which applies pow to |x| (the power is even) */
-    fx = acc + pow(fabs(x), (double)f->two_n) * zeta_eval(f, x);
+    fx = acc + pow(fabs(x), (double)f->two_n) * zeta;
     if (f->mode == 0) {
         if (w <= 0.0 || 1.0 / w > EXP_UNDERFLOW)
             y = 0.0;
@@ -154,18 +146,17 @@ struct dp45_state {
  * valid on every return, so the next call, with the buffers enlarged after
  * DP45_BUFFER_FULL, goes on where this one stopped.
  */
-int dp45_advance(int mode, int n, const double *wlam, double eps,
-                 int zeta_kind, const double *zeta_params, int n_zeta_params,
-                 double g_const, double t_max, double time_sign,
-                 double rtol, double atol, double max_step, int64_t max_steps,
+int dp45_advance(int mode, int two_n, const double *wlam, double eps,
+                 const double *zeta, int n_zeta, double g, double sign,
+                 double t_max, double rtol, double atol, double max_step,
+                 int64_t max_steps,
                  int n_ev, const int *ev_on_x, const double *ev_level,
                  const int *ev_dir,
                  int64_t node_cap, double *ts, double *xs, double *ws,
                  double *hs, double *qs,
                  struct dp45_state *st)
 {
-    const struct field f = {mode, 2 * n, wlam, eps, zeta_kind, zeta_params,
-                            n_zeta_params, g_const, time_sign};
+    const struct field f = {mode, two_n, wlam, eps, zeta, n_zeta, g, sign};
     double t = st->t, x = st->x, w = st->w, h = st->h, fx = st->fx;
     double fw = st->fw, err_prev = st->err_prev;
     double err_acc_x = st->err_acc_x, err_acc_w = st->err_acc_w;

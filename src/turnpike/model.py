@@ -25,29 +25,12 @@ __all__ = [
     "StateXY",
     "StateXZ",
     "HypothesisReport",
-    "exp_neg_inv",
-    "eval_f_lambda",
-    "vector_field_xy",
-    "vector_field_xz",
     "check_hypotheses",
     "load_model",
     "make_zeta",
     "make_g",
     "ddr_model",
 ]
-
-# exp(-1/z) underflows to an exact double 0 once 1/z exceeds ~745.13
-_EXP_UNDERFLOW = 745.0
-
-
-def exp_neg_inv(z: float) -> float:
-    """Guarded exp(-1/z): exactly 0.0 for z <= 0 and once 1/z > 745."""
-    if z <= 0.0:
-        return 0.0
-    r = 1.0 / z
-    if r > _EXP_UNDERFLOW:
-        return 0.0
-    return math.exp(-r)
 
 
 class _PolyP(NamedTuple):
@@ -257,24 +240,16 @@ class SlowFastModel(_SlowFastModel):
         return -1.0 / math.log(self.delta)
 
 
-def eval_f_lambda(model: SlowFastModel, x: float, eps: float) -> float:
-    """Slow drift f(x, eps) = sum_i eps^(2n-i) lam_i x^i + x^(2n) zeta(x, eps).
-
-    Exact for eps = 0 as well (limit x^(2n) zeta(x, 0)); this expanded form
-    avoids the 0/0 of the rescaled P(x/eps) representation.
-    """
-    return _f_values(model, (x,), eps)[0]
-
-
-def weighted_lam(lam: Sequence[float], eps: float) -> list[float]:
+def weighted_lam(lam: Sequence[float], eps: float) -> tuple[float, ...]:
     """The eps-weighted coefficients lam_i * eps^(2n - i), i < 2n, of f."""
     two_n = len(lam)
-    return [lam[i] * eps ** (two_n - i) for i in range(two_n)]
+    return tuple(lam[i] * eps ** (two_n - i) for i in range(two_n))
 
 
 def _f_values(model: SlowFastModel, xs: Sequence[float],
               eps: float) -> list[float]:
-    """eval_f_lambda at each x of xs, the coefficients weighted once."""
+    """f(x, eps) = sum_i eps^(2n-i) lam_i x^i + x^(2n) zeta(x, eps) at each
+    x of xs, the coefficients weighted once; exact at eps = 0 too."""
     two_n = 2 * model.p.n
     # Horner in x, highest coefficient first
     wlam = weighted_lam(model.p.lam, eps)[::-1]
@@ -286,24 +261,6 @@ def _f_values(model: SlowFastModel, xs: Sequence[float],
             acc = acc * x + c
         out.append(acc + x ** two_n * float(zeta(x, eps)))
     return out
-
-
-def _field(model: SlowFastModel, mode: int, eps: float):
-    """The kernels' right-hand side: mode 0 (x, z), mode 1 (x, y)."""
-    from .integrate import _dp45_py, _model_codes  # they import this module
-    zk, zp, gk, gp = _model_codes(model)
-    return _dp45_py._make_rhs(mode, 2 * model.n, weighted_lam(model.p.lam, eps),
-                              eps, zk, zp, model.zeta, gk, gp, model.g, 1.0)
-
-
-def vector_field_xy(model: SlowFastModel, s: StateXY) -> tuple[float, float]:
-    """Right-hand side of the raw system (x', y')."""
-    return _field(model, 1, s.eps)(s.x, s.y)
-
-
-def vector_field_xz(model: SlowFastModel, s: StateXZ) -> tuple[float, float]:
-    """Right-hand side of the transformed system (x', z'), y = exp(-1/z)."""
-    return _field(model, 0, s.eps)(s.x, s.z)
 
 
 class HypothesisReport(NamedTuple):
@@ -406,14 +363,25 @@ def make_zeta(kind: str, params: Sequence[float] = ()) -> Callable[[float, float
         if abs(cs[0] + 1.0) > 1e-12:
             raise ModelError("zeta 'poly' must have c0 = -1")
 
-        def zpoly(x, eps, _cs=cs):
-            acc = 0.0
-            for c in reversed(_cs):
-                acc = acc * x + c
-            return acc
+        def zpoly(x, eps):
+            return _horner(cs, x)
 
         return _with_form(zpoly, kind, cs)
     raise ModelError(f"unknown zeta kind {kind!r}")
+
+
+def zeta_coeffs(zeta: Callable[[float, float], float]
+                ) -> tuple[float, ...] | None:
+    """Ascending coefficients in x of a builtin zeta, each form being a
+    polynomial: 'ddr-beta' is (-1, beta), 'constant-minus-one' (-1,) and
+    'poly' its own. None for any other callable. Horner's rule from the
+    top coefficient on them gives each form's value bit for bit."""
+    kind, params = _form(zeta)
+    if kind == "ddr-beta":
+        return (-1.0, params[0])
+    if kind == "constant-minus-one":
+        return (-1.0,)
+    return params if kind == "poly" else None
 
 
 def make_g(kind: str, params: Sequence[float] = ()) -> Callable[[float, float, float], float]:

@@ -24,7 +24,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import QuadratureError, RootError
-from .model import PolyP
+from .model import PolyP, zeta_coeffs
 
 __all__ = [
     "QuadResult",
@@ -281,16 +281,6 @@ def _zeta_guard(zeta: Callable[[float, float], float], a: float,
             raise _ill_posed(a + k * step)
 
 
-def _linear_slope(zeta: Callable[[float, float], float]) -> float | None:
-    """beta if zeta is a builtin form equal to -1 + beta s, else None."""
-    kind, params = getattr(zeta, "form", (None, ()))
-    if kind == "poly" and len(params) <= 2 and params[0] == -1.0:
-        params = params[1:]
-    elif kind not in ("ddr-beta", "constant-minus-one"):
-        return None
-    return params[0] if params else 0.0
-
-
 def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
                       tol: float = DEFAULT_TOL, *, power: int = 1) -> QuadResult:
     """Integral of r(s) = (zeta(s,0)+1)/(s^power zeta(s,0)) over [a, b]
@@ -308,10 +298,11 @@ def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
         r = regular_slow_part(zeta, b, a, tol, power=power)
         return QuadResult(-r.value, r.abs_error_estimate, r.subdivisions)
 
-    beta = _linear_slope(zeta)
-    if beta is None:
+    cs = zeta_coeffs(zeta)
+    if cs is None or len(cs) > 2 or cs[0] != -1.0:  # not -1 + beta s
         _zeta_guard(zeta, a, b)
     else:
+        beta = cs[1] if len(cs) == 2 else 0.0
         za, zb = -1.0 + beta * a, -1.0 + beta * b
         if not (max(za, zb) < -_ZETA_FLOOR or min(za, zb) > _ZETA_FLOOR):
             raise _ill_posed(1.0 / beta)  # beta != 0: zeta = -1 never fails

@@ -325,6 +325,32 @@ class TestChartView:
         assert z2n == pytest.approx(z2t, abs=0.15)
 
 
+class TestNonFiniteEntryPoint:
+    """The fibre map names a non-finite entry point; a NaN one once reached
+    the relation solve, which read "need x_out_b < 0 < x_in_b; got
+    (-2.862695855858086; nan)"."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_delta0_row(self, ddr_path, capsys, value):
+        assert main(["delta0", "--model", ddr_path, f"--x-in={value}"]) == 1
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.endswith(f",error: section point must be finite; got {value}")
+
+    def test_dulac_row(self, ddr_path, capsys):
+        assert main(["dulac", "--model", ddr_path, "--eps", "0.01",
+                     "--x-in", "nan"]) == 1
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.endswith(
+            ",theory-error: section point must be finite; got nan")
+
+    def test_chart_view_is_a_usage_error(self, ddr_path, capsys):
+        # as any entry point without a base point
+        assert main(["chart-view", "--model", ddr_path, "--eps", "0.01",
+                     "--x-in", "nan"]) == 2
+        assert "section point must be finite, got nan" in \
+            capsys.readouterr().err
+
+
 class TestCanardSolveGuards:
     def test_even_index(self, models_dir):
         path = str(models_dir / "canard_n2.model")

@@ -60,6 +60,18 @@ class TestBasePointMap:
         with pytest.raises(EntryExitError, match="too close"):
             base_point(ddr, 1e-7)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_named(self, ddr, value):
+        # both fibre solvers, the exact one and solve_ivp's
+        for model in (ddr, _ode_fibers(ddr)):
+            bpm = BasePointMap(model)
+            with pytest.raises(EntryExitError,
+                               match=f"section point must be finite, got {value}"):
+                bpm(value)
+            with pytest.raises(EntryExitError,
+                               match=f"base point must be finite, got {value}"):
+                bpm.inverse(value)
+
 
 def _ode_fibers(model):
     """The same model with g as a plain callable, so fibers run on solve_ivp."""

@@ -3,6 +3,7 @@ import functools
 import math
 import os
 import pickle
+import struct
 import subprocess
 import sys
 
@@ -16,24 +17,25 @@ from turnpike.integrate import (EventSpec, IntegratorConfig, Trajectory,
                                 active_backend, compiled_kernel_available,
                                 dulac_map_numeric, integrate, log_y_at_x0,
                                 z_at_x0)
-from turnpike.integrate import _EV_DIRS, _EV_KINDS, _dp45_py
+from turnpike.integrate import _dp45_py, _field, _kernel_events
 from turnpike.model import (PolyP, StateXY, StateXZ, ddr_model, load_model,
-                            make_g)
+                            make_g, make_zeta, weighted_lam)
 
 from conftest import REPO_ROOT, decay_model
 
 
-def _kernel_args(mode=0, n=1, lam=(-2.0, 1.0), eps=0.01, zeta_kind=0,
-                 zeta_params=(), g_params=(-1.0,), x0=1.0, w0=0.5, t_max=1.0,
-                 time_sign=1.0, rtol=1e-12, atol=1e-12, max_step=math.inf,
-                 first_step=0.0, events=(), event_tol=1e-13, max_steps=10_000):
-    """Positional arguments of integrate_kernel, in its order."""
-    return (mode, n, lam, eps, zeta_kind, zeta_params, 0, g_params,
-            None, None, x0, w0, t_max, time_sign, rtol, atol, max_step,
-            first_step, tuple(_EV_KINDS[e.kind] for e in events),
-            tuple(e.value for e in events),
-            tuple(_EV_DIRS[e.direction] for e in events),
-            tuple(int(e.terminal) for e in events), event_tol, max_steps)
+def _kernel_args(mode=0, n=1, lam=(-2.0, 1.0), eps=0.01, zeta=(-1.0,),
+                 g=-1.0, x0=1.0, w0=0.5, t_max=1.0, time_sign=1.0, rtol=1e-12,
+                 atol=1e-12, max_step=math.inf, first_step=0.0, events=(),
+                 event_tol=1e-13, max_steps=10_000):
+    """Arguments of integrate_kernel, in its order; zeta is the ascending
+    coefficients of the field's polynomial zeta and g its constant."""
+    field = _dp45_py.Field(mode, 2 * n, weighted_lam(lam, eps), eps, zeta, g,
+                           time_sign)
+    cfg = IntegratorConfig(rel_tol=rtol, abs_tol=atol, max_step=max_step,
+                           event_tol=event_tol, max_steps=max_steps,
+                           first_step=first_step)
+    return field, x0, w0, t_max, _kernel_events(events, mode), cfg
 
 
 def _fingerprint(traj: Trajectory) -> tuple:
@@ -254,8 +256,6 @@ class TestBackends:
         soft = ddr._replace(zeta=lambda x, eps: -1.0 + x)
         with pytest.raises(IntegrationError, match="callable"):
             active_backend(soft)
-        with pytest.raises(ValueError, match="builtin"):
-            use_compiled.integrate_kernel(*_kernel_args(zeta_kind=-1))
 
     def test_twins_agree_step_for_step(self, ddr, monkeypatch, use_compiled):
         monkeypatch.setenv("TURNPIKE_KERNEL", "python")
@@ -350,17 +350,19 @@ class TestBackends:
     def test_kernels_agree_bitwise(self, compiled_kernel, data):
         n = data.draw(st.sampled_from((1, 2, 3)), label="n")
         mode = data.draw(st.sampled_from((0, 1)), label="mode")
+        # constant, linear (ddr) and general polynomial zeta
         zk = data.draw(st.sampled_from((0, 1, 2)), label="zeta_kind")
         coef = st.floats(-2.0, 2.0)
-        zp = {0: (), 1: (data.draw(st.floats(-1.0, 1.0), label="beta"),),
-              2: tuple(data.draw(st.lists(coef, min_size=1, max_size=4),
-                                 label="zeta_poly"))}[zk]
+        zeta = {0: (-1.0,),
+                1: (-1.0, data.draw(st.floats(-1.0, 1.0), label="beta")),
+                2: tuple(data.draw(st.lists(coef, min_size=1, max_size=4),
+                                   label="zeta_poly"))}[zk]
         kw = dict(
-            mode=mode, n=n, zeta_kind=zk, zeta_params=zp,
+            mode=mode, n=n, zeta=zeta,
             lam=tuple(data.draw(st.lists(coef, min_size=2 * n,
                                          max_size=2 * n), label="lam")),
             eps=data.draw(st.floats(0.0, 0.3), label="eps"),
-            g_params=(data.draw(coef, label="g"),),
+            g=data.draw(coef, label="g"),
             x0=data.draw(st.floats(-1.5, 1.5), label="x0"),
             w0=data.draw(st.floats(0.0 if mode == 0 else -1.0, 1.0),
                          label="w0"),
@@ -411,8 +413,8 @@ class TestBackends:
                            terminal=kind.startswith("y") and direction == "up")
                  for kind, value in levels.items()
                  for direction in ("any", "up", "down")]
-        args = _kernel_args(events=specs, zeta_kind=1, zeta_params=(1.0,),
-                            eps=0.05, x0=1.016, w0=ddr.z_delta, t_max=1e3)
+        args = _kernel_args(events=specs, zeta=(-1.0, 1.0), eps=0.05,
+                            x0=1.016, w0=ddr.z_delta, t_max=1e3)
         runs = [Trajectory("xz", 0.05, k.integrate_kernel(*args), specs)
                 for k in (_dp45_py, compiled_kernel)]
         assert runs[0].status == "event"
@@ -423,11 +425,10 @@ class TestBackends:
 # fields that overflow: g * y is inf at the start (a zero first-step
 # estimate), and x^2 overflows in the first steps
 _OVERFLOWS = {
-    "huge_g": (dict(mode=1, zeta_kind=1, zeta_params=(1.0,), g_params=(1e10,),
-                    x0=1.0, w0=1e300), 0.0),
-    "huge_lam": (dict(lam=(1e300, 1e300), eps=0.3, zeta_kind=1,
-                      zeta_params=(1.0,), x0=1e200, w0=0.5, first_step=1e-3),
-                 0.00125),
+    "huge_g": (dict(mode=1, zeta=(-1.0, 1.0), g=1e10, x0=1.0, w0=1e300),
+               0.0),
+    "huge_lam": (dict(lam=(1e300, 1e300), eps=0.3, zeta=(-1.0, 1.0),
+                      x0=1e200, w0=0.5, first_step=1e-3), 0.00125),
 }
 
 
@@ -440,7 +441,7 @@ class TestOverflowingField:
     def test_step_underflow_on_every_backend(self, ddr, backend, case):
         kw, t_end = _OVERFLOWS[case]
         model = ddr._replace(p=PolyP(n=1, lam=kw.get("lam", ddr.p.lam)),
-                             g=make_g("constant", kw.get("g_params", (-1.0,))))
+                             g=make_g("constant", (kw.get("g", -1.0),)))
         state = (StateXY if kw.get("mode") else StateXZ)(
             kw["x0"], kw["w0"], kw.get("eps", 0.01))
         cfg = IntegratorConfig(first_step=kw.get("first_step", 0.0))
@@ -459,6 +460,37 @@ class TestOverflowingField:
         ends = [(r.status, r.t, r.n_steps, r.n_rejected, r.n_rhs) for r in runs]
         assert ends[0][0] == "step_underflow"
         assert ends[0] == ends[1]
+
+
+_SPECIAL_X = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300)
+
+
+class TestField:
+    """The kernels' field: every builtin zeta is one polynomial."""
+
+    @given(beta=st.floats(-1e3, 1e3),
+           x=st.one_of(st.sampled_from(_SPECIAL_X), st.floats()),
+           w=st.floats(0.0, 2.0), eps=st.floats(0.0, 0.3),
+           mode=st.sampled_from((0, 1)), sign=st.sampled_from((1.0, -1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_polynomial_zeta_is_the_old_zeta(self, beta, x, w, eps, mode,
+                                             sign):
+        # Horner from the top coefficient computes beta * x + -1.0, which
+        # is -1.0 + beta * x in every bit, NaN and the infinities included
+        def bits(rhs):
+            return struct.pack("2d", *rhs(x, w))
+
+        for zeta, old in ((make_zeta("ddr-beta", (beta,)),
+                           lambda x, e: -1.0 + beta * x),
+                          (make_zeta("constant-minus-one"),
+                           lambda x, e: -1.0)):
+            model = ddr_model()._replace(zeta=zeta)
+            field = _field(model, mode, eps, sign)
+            assert isinstance(field.zeta, tuple)
+            ref = _field(model._replace(zeta=old), mode, eps, sign)
+            assert ref.zeta is old
+            assert bits(_dp45_py._make_rhs(field)) == \
+                bits(_dp45_py._make_rhs(ref))
 
 
 class TestValidation:
@@ -580,6 +612,21 @@ class TestValidation:
             assert traj.status == "max_steps"
             assert traj.t == [0.0] and traj.states == [(1.0, 0.5)]
         assert _fingerprint(runs[0]) == _fingerprint(runs[1])
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    @pytest.mark.parametrize("name", ["t_max", "max_time"])
+    def test_end_time_must_not_be_negative(self, ddr, backend, name, value):
+        # a NaN t_max ran past the exit until "step size underflow at t =
+        # 23090.3"; a negative one returned a trajectory of no step
+        def run(end):
+            return integrate(
+                ddr, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
+                **({"t_max": end} if name == "t_max" else
+                   {"config": IntegratorConfig(max_time=end)}))
+
+        with pytest.raises(ModelError, match=f"{name} must be >= 0"):
+            run(value)
+        assert run(0.0).t == [0.0]
 
     def test_zero_rel_tol_is_legal(self, ddr, backend):
         traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),

@@ -51,6 +51,17 @@ def test_source_compiles_without_warnings():
 
 
 @needs_cc
+def test_source_builds_clean_with_the_kernel_flags(tmp_path):
+    # the optimized build that load() makes, with every warning an error:
+    # an argument the step loop no longer reads fails here
+    proc = subprocess.run(
+        ["cc", *_dp45_ctypes.FLAGS, "-Wall", "-Wextra", "-Werror",
+         str(_dp45_ctypes.SOURCE), "-o", str(tmp_path / "dp45.so"), "-lm"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_cc
 def test_state_layout_matches_the_c_struct(tmp_path, compiled_kernel):
     # the library reads and writes the ctypes copy of struct dp45_state in
     # place, so a field at a different offset would corrupt it silently

@@ -1,4 +1,5 @@
-"""Model layer: guarded exponential, P polynomial, fields, hypotheses, loader."""
+"""Model layer: P polynomial, the kernels' field and its guarded
+exponential, hypotheses, loader."""
 import math
 import sys
 
@@ -9,36 +10,56 @@ from hypothesis import strategies as st
 
 from turnpike.entryexit import base_point
 from turnpike.errors import EntryExitError, ModelError
-from turnpike.integrate import active_backend, dulac_map_numeric
-from turnpike.model import (PolyP, SlowFastModel, StateXY, StateXZ,
-                            _linspace, check_hypotheses, ddr_model, eval_f_lambda,
-                            exp_neg_inv, load_model, make_g, make_zeta,
-                            vector_field_xy, vector_field_xz)
+from turnpike.integrate import _field, active_backend, dulac_map_numeric
+from turnpike.integrate._dp45_py import _make_rhs
+from turnpike.model import (PolyP, SlowFastModel, StateXY, StateXZ, _f_values,
+                            _linspace, check_hypotheses, ddr_model, load_model,
+                            make_g, make_zeta)
 
 from conftest import DDR_KV, build_n2
 
 
+def _rhs(model, mode, eps):
+    """The kernels' right-hand side of the model at eps: mode 0 is the
+    (x, z) system, mode 1 the (x, y) one."""
+    return _make_rhs(_field(model, mode, eps))
+
+
+def _f(model, x, eps):
+    return _f_values(model, (x,), eps)[0]
+
+
+_UNIT_G = _rhs(ddr_model()._replace(g=make_g("constant", (1.0,))), 0, 0.0)
+
+
+def _y(z):
+    """y = exp(-1/z) as the (x, z) field has it: x' at eps = 0 and g = 1."""
+    return _UNIT_G(0.5, z)[0]
+
+
 class TestExpNegInv:
+    """The (x, z) field's guarded y = exp(-1/z)."""
+
     def test_zero_and_negative_clamp(self):
-        assert exp_neg_inv(0.0) == 0.0
-        assert exp_neg_inv(-1.0) == 0.0
-        assert exp_neg_inv(-1e-300) == 0.0
+        assert _y(0.0) == 0.0
+        assert _y(-1.0) == 0.0
+        assert _y(-1e-300) == 0.0
 
     def test_underflow_guard(self):
-        # 1/z > 745 would underflow exp; the guard returns an exact zero
-        assert exp_neg_inv(1e-3) == 0.0
-        assert exp_neg_inv(1.0 / 746.0) == 0.0
-        assert exp_neg_inv(1.0 / 744.0) == math.exp(-744.0)
+        # 1/z > 745 would underflow exp; the guard gives an exact zero
+        assert _y(1e-3) == 0.0
+        assert _y(1.0 / 746.0) == 0.0
+        assert _y(1.0 / 744.0) == math.exp(-744.0)
 
     def test_reference_values(self):
-        assert exp_neg_inv(1.0) == pytest.approx(math.exp(-1.0), rel=0, abs=0)
-        assert exp_neg_inv(0.5) == math.exp(-2.0)
+        assert _y(1.0) == pytest.approx(math.exp(-1.0), rel=0, abs=0)
+        assert _y(0.5) == math.exp(-2.0)
 
     @given(st.floats(min_value=1e-2, max_value=1e6))
     def test_monotone_and_bounded(self, z):
-        v = exp_neg_inv(z)
+        v = _y(z)
         assert 0.0 <= v < 1.0
-        assert exp_neg_inv(z * 2.0) >= v
+        assert _y(z * 2.0) >= v
 
 
 class TestPolyP:
@@ -238,14 +259,14 @@ class TestBuiltinForms:
 class TestVectorFields:
     def test_eval_f_lambda_hand_value(self, ddr):
         # f(0.1, 0.01) = -2 eps^2 + eps x + x^2 (-1 + x) = -0.0082
-        assert eval_f_lambda(ddr, 0.1, 0.01) == pytest.approx(-0.0082, rel=1e-14)
+        assert _f(ddr, 0.1, 0.01) == pytest.approx(-0.0082, rel=1e-14)
         # eps = 0 keeps only the x^(2n) zeta(x, 0) term
-        assert eval_f_lambda(ddr, 0.5, 0.0) == pytest.approx(-0.125, rel=1e-14)
-        assert eval_f_lambda(ddr, 0.0, 0.02) == pytest.approx(-8e-4, rel=1e-14)
+        assert _f(ddr, 0.5, 0.0) == pytest.approx(-0.125, rel=1e-14)
+        assert _f(ddr, 0.0, 0.02) == pytest.approx(-8e-4, rel=1e-14)
 
     def test_raw_field(self, ddr):
-        dx, dy = vector_field_xy(ddr, StateXY(x=0.2, y=0.3, eps=0.01))
-        f = eval_f_lambda(ddr, 0.2, 0.01)
+        dx, dy = _rhs(ddr, 1, 0.01)(0.2, 0.3)
+        f = _f(ddr, 0.2, 0.01)
         assert dx == pytest.approx(0.01 * f - 0.3, rel=1e-14)
         assert dy == pytest.approx(-0.06, rel=1e-14)
 
@@ -255,15 +276,15 @@ class TestVectorFields:
     def test_transform_consistency(self, x, z, eps):
         # under y = exp(-1/z): dy/dt = (y / z^2) dz/dt, dx/dt agrees
         m = ddr_model()
-        y = exp_neg_inv(z)
-        dxz, dz = vector_field_xz(m, StateXZ(x=x, z=z, eps=eps))
-        dxy, dy = vector_field_xy(m, StateXY(x=x, y=y, eps=eps))
+        y = math.exp(-1.0 / z)
+        dxz, dz = _rhs(m, 0, eps)(x, z)
+        dxy, dy = _rhs(m, 1, eps)(x, y)
         assert dxz == pytest.approx(dxy, rel=1e-12, abs=1e-300)
         assert dy == pytest.approx(y / z ** 2 * dz, rel=1e-12, abs=1e-300)
 
     def test_z_field_ignores_y_when_underflowed(self, ddr):
-        dx, dz = vector_field_xz(ddr, StateXZ(x=0.5, z=1e-4, eps=0.01))
-        assert dx == pytest.approx(0.01 * eval_f_lambda(ddr, 0.5, 0.01), rel=1e-14)
+        dx, dz = _rhs(ddr, 0, 0.01)(0.5, 1e-4)
+        assert dx == pytest.approx(0.01 * _f(ddr, 0.5, 0.01), rel=1e-14)
         assert dz == pytest.approx(-0.5 * 1e-8, rel=1e-14)
 
 
@@ -316,8 +337,7 @@ class TestHypotheses:
             witness = ("P", math.nan, math.nan, pmax)
         f_margin = math.inf
         for eps in np.linspace(eps_max / grid, eps_max, grid):
-            fvals = np.array([eval_f_lambda(model, float(x), float(eps))
-                              for x in xs])
+            fvals = np.array([_f(model, float(x), float(eps)) for x in xs])
             fmax = float(fvals.max())
             if -fmax < f_margin:
                 f_margin = -fmax
