@@ -64,15 +64,14 @@ _EV_DIRS = {"any": 0, "up": 1, "down": -1}
 class IntegratorConfig(NamedTuple):
     """Tolerances and limits for the embedded RK 5(4) stepper; integrate()
     rejects an abs_tol that is not positive, a negative or NaN rel_tol and a
-    max_steps that is not an integer >= 0."""
+    max_steps that is not an integer >= 0. The first step is always the
+    trial step of Hairer, Norsett & Wanner, and events are localized to
+    1e-13 in step-local time."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    event_tol: float = 1e-13
     max_steps: int = 2_000_000
     max_time: float | None = None  # None: 50 * eps^(-2n), the passage scale
-    first_step: float = 0.0  # 0: automatic
 
 
 class EventSpec(NamedTuple):
@@ -105,8 +104,8 @@ class Trajectory:
     t, x, w and step_sizes are lists of floats, w being z or y depending on
     mode; states, the list of (x, w) pairs, is built when first read. The
     object is callable: traj(t) evaluates the quartic dense output, whose
-    rows it reads through the kernel's "dense" accessor, so only the kernel
-    knows how they are kept.
+    rows it reads through the kernel's "dense" accessor: either kernel
+    keeps each step's stage slopes, and `_dp45_py.dense_row` forms a row.
     """
 
     def __init__(self, mode: str, eps: float, raw: dict,
@@ -124,7 +123,6 @@ class Trajectory:
         self.n_steps: int = raw["n_steps"]
         self.n_rejected: int = raw["n_rejected"]
         self.n_rhs: int = raw["n_rhs"]
-        self.err_accum: tuple[float, float] = tuple(raw["err_accum"])
 
     @cached_property
     def states(self) -> list[tuple[float, float]]:
@@ -266,13 +264,18 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
     if t_max is None:
         t_max = cfg.max_time
     if t_max is None:
-        t_max = 50.0 * eps ** (-2 * model.n) if eps > 0.0 else 1e4
+        try:
+            t_max = 50.0 * eps ** (-2 * model.n) if eps > 0.0 else 1e4
+        except OverflowError:
+            raise ModelError(
+                f"eps = {eps!r} overflows the default passage time "
+                f"50 * eps^(-{2 * model.n}); set IntegratorConfig.max_time"
+            ) from None
     evs = _kernel_events(events, mode)
     field = _field(model, mode, eps, float(time_direction))
     kernel = _dp45_c if active_backend(model) == "compiled" else _dp45_py
-    raw = kernel.integrate_kernel(
-        field, x0, w0, float(t_max), evs,
-        cfg._replace(max_step=float(cfg.max_step), max_steps=max_steps))
+    raw = kernel.integrate_kernel(field, x0, w0, float(t_max), evs,
+                                  cfg._replace(max_steps=max_steps))
 
     specs = list(events)
     traj = Trajectory("xz" if mode == 0 else "xy", eps, raw, specs)
@@ -297,7 +300,6 @@ class DulacDiagnostics(NamedTuple):
     n_steps: int
     n_rejected: int
     n_rhs: int
-    err_accum: tuple[float, float]
     trajectory: Trajectory
 
 
@@ -338,8 +340,7 @@ def dulac_map_numeric(model: SlowFastModel, x_in: float, eps: float,
     z_min = min(z_min, z_at_x0) if crossings else z_min
     diag = DulacDiagnostics(z_min=z_min, z_at_x0=z_at_x0, t_return=hit.t,
                             n_steps=traj.n_steps, n_rejected=traj.n_rejected,
-                            n_rhs=traj.n_rhs,
-                            err_accum=traj.err_accum, trajectory=traj)
+                            n_rhs=traj.n_rhs, trajectory=traj)
     return hit.x, diag
 
 

@@ -27,7 +27,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from struct import unpack_from
 
-from ._dp45_py import _make_rhs, drive, first_state
+from ._dp45_py import _make_rhs, dense_row, drive, first_state
 
 __all__ = ["CompiledKernel", "build", "load", "why_unavailable"]
 
@@ -46,8 +46,9 @@ class CompiledKernel:
 
     It returns what the Python kernel returns: t, x, w and h as lists of
     floats, and events and counters as Python floats and ints.
-    "dense" keeps the filled part of the library's buffer of dense-output
-    rows as bytes and unpacks a row into an 8-tuple when it is read.
+    "dense" keeps the filled part of the library's buffer of stage slopes
+    as bytes and, as the Python kernel does, turns a step's 14 slopes into
+    its row with `dense_row` when the row is read.
     """
 
     def __init__(self, path: Path | str):
@@ -57,18 +58,18 @@ class CompiledKernel:
         class State(Structure):
             """dp45.c's struct dp45_state."""
             _fields_ = [*((name, dbl) for name in (
-                "t", "x", "w", "h", "fx", "fw", "err_prev", "err_acc_x",
-                "err_acc_w")), ("n_steps", i64), ("n_rejected", i64),
-                ("n_rhs", i64), ("last_rejected", int_)]
+                "t", "x", "w", "h", "fx", "fw", "err_prev")),
+                ("n_steps", i64), ("n_rejected", i64), ("n_rhs", i64),
+                ("last_rejected", int_)]
 
         pd, pi = POINTER(dbl), POINTER(int_)
         fn = CDLL(str(path)).dp45_advance
         fn.argtypes = [
             int_, int_, pd, dbl,            # mode, two_n, wlam, eps
             pd, int_, dbl, dbl,             # zeta, its length, g, sign
-            dbl, dbl, dbl, dbl, i64,        # t_max, rtol, atol, max_step(s)
+            dbl, dbl, dbl, i64,             # t_max, rtol, atol, max_steps
             int_, pi, pd, pi,               # events: count, on_x, level, dir
-            i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, q
+            i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, k
             POINTER(State),                 # state
         ]
         fn.restype = int_
@@ -84,13 +85,13 @@ class CompiledKernel:
         nev = len(evs)
         args = (mode, two_n, (dbl * two_n)(*wlam), eps,
                 (dbl * len(zeta))(*zeta), len(zeta), g, sign,
-                t_max, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
+                t_max, cfg.rel_tol, cfg.abs_tol, cfg.max_steps,
                 nev, (int_ * nev)(*(ev[0] for ev in evs)),
                 (dbl * nev)(*(ev[1] for ev in evs)),
                 (int_ * nev)(*(ev[2] for ev in evs)))
         state = first_state(self.State, _make_rhs(field), x0, w0, t_max, cfg)
         cap = min(max(cfg.max_steps, 0) + 1, _FIRST_NODE_CAP)
-        return drive(_Run(self._fn, args, state, cap), evs, cfg.event_tol)
+        return drive(_Run(self._fn, args, state, cap), evs)
 
 
 class _Run:
@@ -106,7 +107,7 @@ class _Run:
         """Buffers of cap nodes that begin with the current ones."""
         from ctypes import c_double, memmove, sizeof
 
-        for name, width in (("t", 1), ("x", 1), ("w", 1), ("h", 1), ("q", 8)):
+        for name, width in (("t", 1), ("x", 1), ("w", 1), ("h", 1), ("k", 14)):
             new = (c_double * (width * cap))()
             if hasattr(self, name):
                 old = getattr(self, name)
@@ -115,16 +116,16 @@ class _Run:
         self._cap = cap
 
     def row(self, i):
-        return _row_at(self.q, i)
+        return _row_at(self.k, i)
 
     def rows(self):
         return partial(_row_at,
-                       bytes(memoryview(self.q)[:8 * self.state.n_steps]))
+                       bytes(memoryview(self.k)[:14 * self.state.n_steps]))
 
     def advance(self):
         while True:
             status = self._fn(*self._args, self._cap, self.t, self.x, self.w,
-                              self.h, self.q, self.state)
+                              self.h, self.k, self.state)
             if status != _BUFFER_FULL:
                 return _STATUS[status]
             self._grow(2 * self._cap)
@@ -132,14 +133,20 @@ class _Run:
 
 def _row_at(buf, i):
     """Row i of a run's dense output (a module function, so results pickle)."""
-    return unpack_from("8d", buf, 64 * i)
+    return dense_row(unpack_from("14d", buf, 112 * i))
 
 
 def _paths() -> tuple[Path, Path]:
     """The cached library for this dp45.c and its build-failure record."""
-    import hashlib
+    try:  # the interpreter's own sha256: hashlib also loads OpenSSL
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 on
+        except ImportError:
+            from hashlib import sha256
 
-    key = hashlib.sha256(b"\0".join(
+    key = sha256(b"\0".join(
         (SOURCE.read_bytes(), " ".join(FLAGS).encode(), _EXT.encode())
     )).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME")

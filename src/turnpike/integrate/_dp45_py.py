@@ -21,12 +21,13 @@ polish (`localize`), the return section is kept only where x < 0, and the
 step's hits are taken in (theta, index) order up to the first terminal
 one (`step_hits`).
 
-Implements: FSAL stepping, PI step-size control (0.9 safety, exponents
-0.7/5 and 0.4/5, factor clamped to [0.2, 10]), a quartic dense output and
-rejection of steps that would take z below 0 in the transformed system.
-Each accepted step keeps its stage slopes; `dense_row` turns them into the
-step's dense-output row only when the row is read, by `step_hits` or
-through the result's "dense" accessor.
+Implements: FSAL stepping from the trial step of Hairer, Norsett & Wanner,
+PI step-size control (0.9 safety, exponents 0.7/5 and 0.4/5, factor
+clamped to [0.2, 10]), a quartic dense output and rejection of steps that
+would take z below 0 in the transformed system. Each kernel keeps the
+stage slopes of every accepted step; `dense_row`, the one place a
+dense-output row is formed, turns them into the step's row only when the
+row is read, by `step_hits` or through the result's "dense" accessor.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ __all__ = ["integrate_kernel"]
 _EXP_UNDERFLOW = 745.0
 
 # Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5, _C6 = 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0
 _A21 = 0.2
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
 _A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -74,6 +74,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
+
+# width in step-local time theta at which event bisection stops
+_EVENT_TOL = 1e-13
 
 
 class Field(NamedTuple):
@@ -139,7 +142,7 @@ def _make_rhs(field):
 def dense_row(k):
     """The dense-output row (qx0..qx3, qw0..qw3) of one step from its stage
     slopes k = (k1x..k7x, k1w..k7w): Q = K^T P, each sum starting at 0.0
-    and taking the rows of _P in order, as dp45.c does."""
+    and taking the rows of _P in order. Both kernels' rows come from here."""
     row = []
     for c in (0, 7):
         for j in range(4):
@@ -162,46 +165,39 @@ def _dense(base, h, q, th):
 
 def first_state(state_type, rhs, x, w, t_max, cfg):
     """A state_type holding the passage's state at (x, w), t = 0: the FSAL
-    slopes there, and the first step, which is cfg.first_step if it is
-    positive, else the trial Euler step of Hairer, Norsett & Wanner
-    (Solving ODEs I, II.4), and never more than cfg.max_step or t_max."""
+    slopes there, and the first step, the trial Euler step of Hairer,
+    Norsett & Wanner (Solving ODEs I, II.4), never more than t_max."""
+    sqrt = math.sqrt
     fx, fw = rhs(x, w)
-    n_rhs = 1
-    if cfg.first_step > 0.0:
-        h = cfg.first_step
+    sc_x = cfg.abs_tol + cfg.rel_tol * abs(x)
+    sc_w = cfg.abs_tol + cfg.rel_tol * abs(w)
+    ux = x / sc_x
+    uw = w / sc_w
+    d0 = sqrt(0.5 * (ux * ux + uw * uw))
+    vx = fx / sc_x
+    vw = fw / sc_w
+    d1 = sqrt(0.5 * (vx * vx + vw * vw))
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    f1x, f1w = rhs(x + h0 * fx, w + h0 * fw)
+    vx = (f1x - fx) / sc_x
+    vw = (f1w - fw) / sc_w
+    d2 = sqrt(0.5 * (vx * vx + vw * vw))
+    # h0 is 0 when d1 is inf; divide as IEEE 754 does
+    d2 = d2 / h0 if h0 != 0.0 else (math.inf if d2 > 0.0 else math.nan)
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
     else:
-        sqrt = math.sqrt
-        sc_x = cfg.abs_tol + cfg.rel_tol * abs(x)
-        sc_w = cfg.abs_tol + cfg.rel_tol * abs(w)
-        ux = x / sc_x
-        uw = w / sc_w
-        d0 = sqrt(0.5 * (ux * ux + uw * uw))
-        vx = fx / sc_x
-        vw = fw / sc_w
-        d1 = sqrt(0.5 * (vx * vx + vw * vw))
-        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        f1x, f1w = rhs(x + h0 * fx, w + h0 * fw)
-        n_rhs += 1
-        vx = (f1x - fx) / sc_x
-        vw = (f1w - fw) / sc_w
-        d2 = sqrt(0.5 * (vx * vx + vw * vw))
-        # h0 is 0 when d1 is inf; divide as IEEE 754 does
-        d2 = d2 / h0 if h0 != 0.0 else (math.inf if d2 > 0.0 else math.nan)
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.2
-        h = min(100.0 * h0, h1)
-    return state_type(t=0.0, x=x, w=w, h=min(h, cfg.max_step, t_max), fx=fx,
-                      fw=fw, err_prev=1e-4, err_acc_x=0.0, err_acc_w=0.0,
-                      n_steps=0, n_rejected=0, n_rhs=n_rhs, last_rejected=0)
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return state_type(t=0.0, x=x, w=w, h=min(100.0 * h0, h1, t_max), fx=fx,
+                      fw=fw, err_prev=1e-4, n_steps=0, n_rejected=0, n_rhs=2,
+                      last_rejected=0)
 
 
-def localize(base, h, q, level, g0, event_tol):
+def localize(base, h, q, level, g0):
     """The step-local time theta in [0, 1] at which the quartic dense output
     base + h theta (q0 + theta (q1 + ...)) of one component equals level,
     g0 = base - level being its value at theta = 0 and the crossing known
-    to lie in the step: bisection to event_tol, then a Newton polish."""
+    to lie in the step: bisection to _EVENT_TOL, then a Newton polish."""
     a, b = 0.0, 1.0
     ga = g0
     for _ in range(60):
@@ -215,7 +211,7 @@ def localize(base, h, q, level, g0, event_tol):
         else:
             a = m
             ga = gm
-        if b - a < event_tol:
+        if b - a < _EVENT_TOL:
             break
     th = 0.5 * (a + b)
     q0, q1, q2, q3 = q
@@ -234,7 +230,7 @@ def localize(base, h, q, level, g0, event_tol):
     return th
 
 
-def step_hits(run, evs, event_tol):
+def step_hits(run, evs):
     """The events (index, t, x, w) of run's last step, in (theta, index)
     order up to the first terminal one, onto which the last node is moved,
     and whether there is one. A return section counts only where x < 0."""
@@ -252,8 +248,7 @@ def step_hits(run, evs, event_tol):
             continue  # crossing against the event's direction
         if q is None:
             q = run.row(i)
-        th = localize(x if on_x else w, h, q[:4] if on_x else q[4:], level,
-                      g0, event_tol)
+        th = localize(x if on_x else w, h, q[:4] if on_x else q[4:], level, g0)
         x_ev = _dense(x, h, q[:4], th)
         w_ev = _dense(w, h, q[4:], th)
         if neg_x and not (x_ev < 0.0):
@@ -269,7 +264,7 @@ def step_hits(run, evs, event_tol):
     return events, False
 
 
-def drive(run, evs, event_tol):
+def drive(run, evs):
     """The result dict of the passage in `run`: its `state` (the fields of
     dp45.c's struct dp45_state), node lists t, x, w and h, row(i), the
     dense-output row of step i, rows(), the accessor of them all, and
@@ -281,7 +276,7 @@ def drive(run, evs, event_tol):
         status = run.advance()
         if status != "crossing":
             break
-        hits, terminal = step_hits(run, evs, event_tol)
+        hits, terminal = step_hits(run, evs)
         events += hits
         if terminal:
             status = "event"
@@ -291,22 +286,20 @@ def drive(run, evs, event_tol):
     return {"status": status, "t": run.t[:nn], "x": run.x[:nn],
             "w": run.w[:nn], "h": run.h[:nn - 1], "dense": run.rows(),
             "events": events, "n_steps": s.n_steps,
-            "n_rejected": s.n_rejected, "n_rhs": s.n_rhs,
-            "err_accum": (s.err_acc_x, s.err_acc_w)}
+            "n_rejected": s.n_rejected, "n_rhs": s.n_rhs}
 
 
 def _advance(run):
     """run.advance() of the Python kernel: step on until the passage ends
     or after an accepted step over which an event function changes sign in
     its direction."""
-    rhs, mode, t_max, rtol, atol, max_step, max_steps, evs = run._config
+    rhs, mode, t_max, rtol, atol, max_steps, evs = run._config
     evs = [(ie, *ev[:3]) for ie, ev in enumerate(evs)]  # on_x, level, d
     ts, xs, ws, hs, ks = run.t, run.x, run.w, run.h, run.ks
     sqrt = math.sqrt
     s = run.state
     t, x, w, h, fx, fw = s.t, s.x, s.w, s.h, s.fx, s.fw
     err_prev, last_rejected = s.err_prev, s.last_rejected
-    err_acc_x, err_acc_w = s.err_acc_x, s.err_acc_w
     n_steps, n_rejected, n_rhs = s.n_steps, s.n_rejected, s.n_rhs
     abs_x, abs_w = abs(x), abs(w)
     # a step's start values of the event functions are the end values
@@ -400,8 +393,6 @@ def _advance(run):
         xs.append(x_new)
         ws.append(w_new)
         hs.append(h)
-        err_acc_x += abs(err_x)
-        err_acc_w += abs(err_w)
         n_steps += 1
 
         # PI controller
@@ -420,8 +411,6 @@ def _advance(run):
         abs_w = abs_w_new
         fx, fw = k7x, k7w
         h *= factor
-        if max_step < h:
-            h = max_step
         err_prev = 1e-10 if 1e-10 > err_norm else err_norm
         last_rejected = False
         if crossing:
@@ -430,7 +419,6 @@ def _advance(run):
 
     s.t, s.x, s.w, s.h, s.fx, s.fw = t, x, w, h, fx, fw
     s.err_prev, s.last_rejected = err_prev, last_rejected
-    s.err_acc_x, s.err_acc_w = err_acc_x, err_acc_w
     s.n_steps, s.n_rejected, s.n_rhs = n_steps, n_rejected, n_rhs
     return status
 
@@ -461,5 +449,5 @@ def integrate_kernel(field, x0, w0, t_max, evs, cfg):
     rhs = _make_rhs(field)
     state = first_state(SimpleNamespace, rhs, x0, w0, t_max, cfg)
     run = _Run(state, rhs, field.mode, t_max, cfg.rel_tol, cfg.abs_tol,
-               cfg.max_step, cfg.max_steps, evs)
-    return drive(run, evs, cfg.event_tol)
+               cfg.max_steps, evs)
+    return drive(run, evs)

@@ -12,8 +12,10 @@
  * accepted step over which an event function changes sign, with the state
  * of the passage in a caller-owned struct, so the next call resumes it.
  * _dp45_py drives both kernels through that protocol: it takes the first
- * step, grows the buffers (through _dp45_ctypes), localizes the events of
- * a crossing step, applies the x < 0 test and the terminal rule.
+ * step, grows the buffers (through _dp45_ctypes), forms a step's dense
+ * output from the stage slopes kept here (dense_row) when it is read,
+ * localizes the events of a crossing step, applies the x < 0 test and the
+ * terminal rule.
  *
  * Only the builtin forms are evaluated here: zeta as one polynomial, given
  * by its ascending coefficients (-1 + beta x and -1 are the ddr and the
@@ -69,23 +71,6 @@ enum {
 #define E6 (-22.0 / 525.0)
 #define E7 (1.0 / 40.0)
 
-/* dense-output coefficients: u(theta) = u0 + h * sum_j theta^(j+1) * (K^T P)_j */
-static const double P[7][4] = {
-    {1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
-     -12715105075.0 / 11282082432.0},
-    {0.0, 0.0, 0.0, 0.0},
-    {0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
-     87487479700.0 / 32700410799.0},
-    {0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
-     -10690763975.0 / 1880347072.0},
-    {0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
-     701980252875.0 / 199316789632.0},
-    {0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
-     -1453857185.0 / 822651844.0},
-    {0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
-     69997945.0 / 29380423.0},
-};
-
 /* The vector field of one run, _dp45_py's Field. */
 struct field {
     int mode; /* 0: (x, z) with y = exp(-1/z); 1: raw (x, y) */
@@ -132,7 +117,6 @@ static void rhs(const struct field *f, double x, double w,
 struct dp45_state {
     double t, x, w, h, fx, fw;
     double err_prev;
-    double err_acc_x, err_acc_w; /* summed |local error| of x and w */
     int64_t n_steps, n_rejected, n_rhs;
     int last_rejected;
 };
@@ -141,25 +125,23 @@ struct dp45_state {
  * a full node buffer (node_cap nodes) or an accepted step over which an
  * event function, (ev_on_x[ie] ? x : w) - ev_level[ie], changes sign in
  * direction ev_dir[ie] (0: either). Node i goes to ts, xs, ws[i], and step
- * i's size and dense coefficients (qx[0..3], qw[0..3]) to hs[i] and
- * qs[8 i .. 8 i + 7]. The caller writes node 0 and fills *st first. *st is
+ * i's size and stage slopes (k1x..k7x, k1w..k7w) to hs[i] and
+ * ks[14 i .. 14 i + 13]. The caller writes node 0 and fills *st first. *st is
  * valid on every return, so the next call, with the buffers enlarged after
  * DP45_BUFFER_FULL, goes on where this one stopped.
  */
 int dp45_advance(int mode, int two_n, const double *wlam, double eps,
                  const double *zeta, int n_zeta, double g, double sign,
-                 double t_max, double rtol, double atol, double max_step,
-                 int64_t max_steps,
+                 double t_max, double rtol, double atol, int64_t max_steps,
                  int n_ev, const int *ev_on_x, const double *ev_level,
                  const int *ev_dir,
                  int64_t node_cap, double *ts, double *xs, double *ws,
-                 double *hs, double *qs,
+                 double *hs, double *ks,
                  struct dp45_state *st)
 {
     const struct field f = {mode, two_n, wlam, eps, zeta, n_zeta, g, sign};
     double t = st->t, x = st->x, w = st->w, h = st->h, fx = st->fx;
     double fw = st->fw, err_prev = st->err_prev;
-    double err_acc_x = st->err_acc_x, err_acc_w = st->err_acc_w;
     int64_t n_steps = st->n_steps, n_rejected = st->n_rejected;
     int64_t n_rhs = st->n_rhs;
     int last_rejected = st->last_rejected, status;
@@ -167,7 +149,7 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
     for (;;) {
         double k1x, k1w, k2x, k2w, k3x, k3w, k4x, k4w, k5x, k5w, k6x, k6w;
         double k7x, k7w, ax, aw, x_new, w_new, err_x, err_w, ex, ew, sc_x, sc_w;
-        double err_norm, factor, t_next, qx[4], qw[4], kx[7], kw[7];
+        double err_norm, factor, t_next, *k;
         int last_step = 0, crossing = 0;
 
         if (t >= t_max) {
@@ -240,19 +222,6 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
             continue;
         }
 
-        /* accepted: dense coefficients Q = K^T P */
-        kx[0] = k1x; kx[1] = k2x; kx[2] = k3x; kx[3] = k4x;
-        kx[4] = k5x; kx[5] = k6x; kx[6] = k7x;
-        kw[0] = k1w; kw[1] = k2w; kw[2] = k3w; kw[3] = k4w;
-        kw[4] = k5w; kw[5] = k6w; kw[6] = k7w;
-        for (int j = 0; j < 4; j++)
-            qx[j] = qw[j] = 0.0;
-        for (int s = 0; s < 7; s++)
-            for (int j = 0; j < 4; j++) {
-                qx[j] += kx[s] * P[s][j];
-                qw[j] += kw[s] * P[s][j];
-            }
-
         /* a sign change of an event function ends the call */
         for (int ie = 0; ie < n_ev && !crossing; ie++) {
             const int on_x = ev_on_x[ie];
@@ -268,12 +237,11 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
         xs[n_steps + 1] = x_new;
         ws[n_steps + 1] = w_new;
         hs[n_steps] = h;
-        for (int j = 0; j < 4; j++) {
-            qs[8 * n_steps + j] = qx[j];
-            qs[8 * n_steps + 4 + j] = qw[j];
-        }
-        err_acc_x += fabs(err_x);
-        err_acc_w += fabs(err_w);
+        k = ks + 14 * n_steps;
+        k[0] = k1x; k[1] = k2x; k[2] = k3x; k[3] = k4x;
+        k[4] = k5x; k[5] = k6x; k[6] = k7x;
+        k[7] = k1w; k[8] = k2w; k[9] = k3w; k[10] = k4w;
+        k[11] = k5w; k[12] = k6w; k[13] = k7w;
         n_steps += 1;
 
         /* PI controller */
@@ -290,7 +258,7 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
         w = w_new;
         fx = k7x;
         fw = k7w;
-        h = py_min(h * factor, max_step);
+        h *= factor;
         err_prev = py_max(err_norm, 1e-10);
         last_rejected = 0;
         if (crossing) {
@@ -301,7 +269,6 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
 
     st->t = t; st->x = x; st->w = w; st->h = h; st->fx = fx; st->fw = fw;
     st->err_prev = err_prev;
-    st->err_acc_x = err_acc_x; st->err_acc_w = err_acc_w;
     st->n_steps = n_steps; st->n_rejected = n_rejected; st->n_rhs = n_rhs;
     st->last_rejected = last_rejected;
     return status;

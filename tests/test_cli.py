@@ -171,6 +171,16 @@ class TestDulac:
         assert row.startswith("nan,1.01,nan,")
         assert row.endswith(",integration-error: eps must be finite; got nan")
 
+    def test_tiny_eps_is_an_error_row(self, ddr_path, capsys):
+        # 50 * eps^(-2), the default passage time, once raised OverflowError
+        assert main(["dulac", "--model", ddr_path, "--eps", "1e-200",
+                     "--x-in", "1.01"]) == 1
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("9.9999999999999998e-201,1.01,nan,")
+        assert row.endswith(
+            ",integration-error: eps = 1e-200 overflows the default passage"
+            " time 50 * eps^(-2); set IntegratorConfig.max_time")
+
     @pytest.mark.parametrize("eps", ["nan,50", "50,nan", "inf,50"])
     def test_nonfinite_eps_does_not_skip_the_hypotheses(self, ddr_path, capsys,
                                                         eps):
@@ -302,6 +312,16 @@ class TestNge2:
         assert rows[1] == ("nan,nan,nan,nan,nan,nan,nan,none,"
                            "error: eps must be finite; got nan")
         assert rows[2].startswith("0.050000000000000003,")
+        assert rows[2].endswith(",z_in<z_out,ok")
+
+    def test_tiny_eps_is_an_error_row(self, n2_path, capsys):
+        # 50 * eps^(-4), the default passage time, once raised OverflowError
+        assert main(["nge2", "--model", n2_path, "--eps", "1e-90,0.05"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == (
+            "9.9999999999999999e-91,nan,nan,nan,nan,nan,nan,none,error: "
+            "eps = 1e-90 overflows the default passage time 50 * eps^(-4); "
+            "set IntegratorConfig.max_time")
         assert rows[2].endswith(",z_in<z_out,ok")
 
 
@@ -498,8 +518,10 @@ class TestOptionTables:
 class TestRunTimeDependencies:
     """The program imports no third-party module: scipy and numpy are test
     dependencies, and the program reaches scipy only for the fibers of a
-    callable g. ctypes and hashlib are imported only when a passage
-    resolves the compiled kernel, and subprocess only when it builds it.
+    callable g. ctypes is imported only when a passage resolves the
+    compiled kernel, and subprocess only when it builds it; the kernel's
+    cache key takes the interpreter's own sha256, so neither hashlib nor
+    its OpenSSL module _hashlib is loaded.
     A subcommand loads only the turnpike layers it runs, and no command
     imports dataclasses or inspect: the records are NamedTuples."""
 
@@ -518,7 +540,7 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"codes": codes, "imported": sorted(
     {m.split(".")[0] for m in set(sys.modules) - before}
     - set(sys.stdlib_module_names) - {"turnpike"}),
-    "kernel_modules": sorted({"ctypes", "hashlib", "subprocess"}
+    "kernel_modules": sorted({"ctypes", "hashlib", "_hashlib", "subprocess"}
                              & set(sys.modules)),
     "record_modules": sorted({"dataclasses", "inspect"} & set(sys.modules)),
     "loaded": loaded}))
@@ -613,6 +635,7 @@ print(json.dumps({"codes": codes, "imported": sorted(
     def test_warm_kernel_cache_builds_nothing(self, models_dir):
         # the first interpreter builds the library into the session's
         # kernel cache; the second loads it without the build's modules
+        # and keys it without hashlib
         if shutil.which("cc") is None:
             pytest.skip("no C compiler (cc) on PATH")
         calls = [["dulac", "--model", str(models_dir / "ddr.model"),
@@ -620,4 +643,4 @@ print(json.dumps({"codes": codes, "imported": sorted(
         self.run_calls(calls)
         report = self.run_calls(calls)
         assert report["codes"] == [0]
-        assert report["kernel_modules"] == ["ctypes", "hashlib"]
+        assert report["kernel_modules"] == ["ctypes"]
