@@ -2,9 +2,9 @@
 
 The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) performs the same
 floating-point operations in the same order, so the two agree bit for
-bit; change both together. Squares are written as products in both, since
-a C compiler folds pow(a, 2.0) into a*a while CPython's `a ** 2` calls
-libm pow.
+bit; change both together. Squares and x^2n are written as products in
+both, since a C compiler folds pow(a, 2.0) into a*a while CPython's
+`a ** 2` calls libm pow.
 
 Both kernels take the same arguments (`integrate_kernel`): one `Field`,
 the start, t_max, the events that integrate() has checked and decoded
@@ -118,10 +118,9 @@ def _make_rhs(field):
                 zv = zv * x + c
         else:
             zv = zfn(x, eps)
-        try:
-            xp = x ** two_n
-        except OverflowError:  # where C's pow returns inf
-            xp = math.inf
+        xp = xx = x * x  # x^2n by products as in dp45.c, inf on overflow
+        for _ in range(2, two_n, 2):
+            xp *= xx
         f = acc + xp * zv
         if mode:  # raw (x, y)
             return (sign * (eps * f + w * (g if gfn is None else gfn(x, w, eps))),

@@ -4,9 +4,9 @@
  * performs the same floating-point operations in the same order, so the two
  * agree bit for bit. Build it with -ffp-contract=off (no fused multiply-add)
  * and never with -ffast-math. Python's min/max keep the first argument on
- * ties and NaN, which py_min/py_max reproduce; squares are products in both
- * files, because a compiler folds pow(a, 2.0) into a*a while libm pow may
- * round a*a differently.
+ * ties and NaN, which py_min/py_max reproduce; squares and x^2n are
+ * products in both files, because a compiler folds pow(a, 2.0) into a*a
+ * while libm pow may round a*a differently.
  *
  * This file only steps. It returns when a node buffer is full and after an
  * accepted step over which an event function changes sign, with the state
@@ -89,14 +89,15 @@ static double py_max(double a, double b) { return b > a ? b : a; }
 static void rhs(const struct field *f, double x, double w,
                 double *dx_out, double *dw_out)
 {
-    double acc = 0.0, zeta = f->zeta[f->n_zeta - 1], fx, y, dx, dw;
+    double acc = 0.0, zeta = f->zeta[f->n_zeta - 1], xp = x * x, fx, y, dx, dw;
     for (int i = f->two_n - 1; i >= 0; i--)
         acc = acc * x + f->wlam[i];
     /* Horner from the top coefficient: exactly -1.0 + beta * x for ddr */
     for (int i = f->n_zeta - 2; i >= 0; i--)
         zeta = zeta * x + f->zeta[i];
-    /* as CPython's float **, which applies pow to |x| (the power is even) */
-    fx = acc + pow(fabs(x), (double)f->two_n) * zeta;
+    for (int i = 2; i < f->two_n; i += 2) /* x^2n: ((x x) (x x)) (x x) ... */
+        xp *= x * x;
+    fx = acc + xp * zeta;
     if (f->mode == 0) {
         if (w <= 0.0 || 1.0 / w > EXP_UNDERFLOW)
             y = 0.0;
