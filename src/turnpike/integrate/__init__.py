@@ -64,9 +64,8 @@ _EV_DIRS = {"any": 0, "up": 1, "down": -1}
 class IntegratorConfig(NamedTuple):
     """Tolerances and limits for the embedded RK 5(4) stepper; integrate()
     rejects an abs_tol that is not positive, a negative or NaN rel_tol and a
-    max_steps that is not an integer >= 0. The first step is always the
-    trial step of Hairer, Norsett & Wanner, and events are localized to
-    1e-13 in step-local time."""
+    max_steps that is not an integer >= 0. The first step (the trial step)
+    and the event tolerance (1e-13) are fixed in `_dp45_py`."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
@@ -267,10 +266,11 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
         try:
             t_max = 50.0 * eps ** (-2 * model.n) if eps > 0.0 else 1e4
         except OverflowError:
+            t_max = math.inf
+        if t_max == math.inf:  # would step on to max_steps
             raise ModelError(
                 f"eps = {eps!r} overflows the default passage time "
-                f"50 * eps^(-{2 * model.n}); set IntegratorConfig.max_time"
-            ) from None
+                f"50 * eps^(-{2 * model.n}); set IntegratorConfig.max_time")
     evs = _kernel_events(events, mode)
     field = _field(model, mode, eps, float(time_direction))
     kernel = _dp45_c if active_backend(model) == "compiled" else _dp45_py

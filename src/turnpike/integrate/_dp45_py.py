@@ -166,21 +166,20 @@ def first_state(state_type, rhs, x, w, t_max, cfg):
     """A state_type holding the passage's state at (x, w), t = 0: the FSAL
     slopes there, and the first step, the trial Euler step of Hairer,
     Norsett & Wanner (Solving ODEs I, II.4), never more than t_max."""
-    sqrt = math.sqrt
     fx, fw = rhs(x, w)
     sc_x = cfg.abs_tol + cfg.rel_tol * abs(x)
     sc_w = cfg.abs_tol + cfg.rel_tol * abs(w)
     ux = x / sc_x
     uw = w / sc_w
-    d0 = sqrt(0.5 * (ux * ux + uw * uw))
+    d0 = math.sqrt(0.5 * (ux * ux + uw * uw))
     vx = fx / sc_x
     vw = fw / sc_w
-    d1 = sqrt(0.5 * (vx * vx + vw * vw))
+    d1 = math.sqrt(0.5 * (vx * vx + vw * vw))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     f1x, f1w = rhs(x + h0 * fx, w + h0 * fw)
     vx = (f1x - fx) / sc_x
     vw = (f1w - fw) / sc_w
-    d2 = sqrt(0.5 * (vx * vx + vw * vw))
+    d2 = math.sqrt(0.5 * (vx * vx + vw * vw))
     # h0 is 0 when d1 is inf; divide as IEEE 754 does
     d2 = d2 / h0 if h0 != 0.0 else (math.inf if d2 > 0.0 else math.nan)
     if d1 <= 1e-15 and d2 <= 1e-15:

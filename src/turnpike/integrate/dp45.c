@@ -12,10 +12,9 @@
  * accepted step over which an event function changes sign, with the state
  * of the passage in a caller-owned struct, so the next call resumes it.
  * _dp45_py drives both kernels through that protocol: it takes the first
- * step, grows the buffers (through _dp45_ctypes), forms a step's dense
- * output from the stage slopes kept here (dense_row) when it is read,
- * localizes the events of a crossing step, applies the x < 0 test and the
- * terminal rule.
+ * step, grows the buffers (through _dp45_ctypes), forms dense-output rows
+ * from the stage slopes kept here, localizes the events of a crossing
+ * step, applies the x < 0 test and the terminal rule.
  *
  * Only the builtin forms are evaluated here: zeta as one polynomial, given
  * by its ascending coefficients (-1 + beta x and -1 are the ddr and the
@@ -116,8 +115,7 @@ static void rhs(const struct field *f, double x, double w,
 /* A passage's resumable state, owned by the caller; the passage has
  * n_steps + 1 nodes. */
 struct dp45_state {
-    double t, x, w, h, fx, fw;
-    double err_prev;
+    double t, x, w, h, fx, fw, err_prev;
     int64_t n_steps, n_rejected, n_rhs;
     int last_rejected;
 };

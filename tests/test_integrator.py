@@ -603,6 +603,13 @@ class TestValidation:
             run(value)
         assert run(0.0).t == [0.0]
 
+    @pytest.mark.parametrize("eps", [1e-200, 1e-154])
+    def test_default_passage_time_must_be_finite(self, ddr, eps):
+        # 50 eps^-2 raised OverflowError at eps = 1e-200; at 1e-154 it was
+        # inf, and the passage ran to max_steps, 2,000,000 steps
+        with pytest.raises(ModelError, match="set IntegratorConfig.max_time"):
+            integrate(ddr, StateXZ(x=1.01, z=ddr.z_delta, eps=eps))
+
     def test_zero_rel_tol_is_legal(self, ddr, backend):
         traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
                          config=IntegratorConfig(rel_tol=0.0), t_max=1.0)
