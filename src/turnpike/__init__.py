@@ -25,18 +25,16 @@ _EXPORTS = {
     "quadrature": ("QuadResult", "adaptive_quad", "brentq",
                    "regular_slow_part", "pv_slow", "pv_fast_quadratic",
                    "pv_fast_half", "pv_fast_numeric", "half_line_integral",
-                   "whole_line_integral", "classical_sdi"),
-    "entryexit": ("BasePointMap", "base_point", "section_from_base",
-                  "entry_exit_constant", "EntryExitResult", "solve_delta0_n1",
-                  "ddr_delta0_closed_form", "DelayPrediction",
-                  "predict_delay_nge2", "canard_slope",
-                  "solve_canard_parameter", "classical_delta0",
-                  "log_y_leading_order"),
+                   "whole_line_integral"),
+    "entryexit": ("BasePointMap", "base_point", "EntryExitResult",
+                  "solve_delta0_n1", "ddr_delta0_closed_form",
+                  "DelayPrediction", "predict_delay_nge2", "canard_slope",
+                  "solve_canard_parameter"),
     "integrate": ("IntegratorConfig", "EventSpec", "EventHit", "Trajectory",
-                  "DulacDiagnostics", "dulac_map_numeric", "log_y_at_x0",
-                  "z_at_x0", "compiled_kernel_available", "active_backend"),
-    "blowup": ("ChartPoint", "to_chart_eps1", "to_chart_z2",
-               "theoretical_z2_curve", "chart1_exit", "overlay_xz2"),
+                  "DulacDiagnostics", "dulac_map_numeric", "z_at_x0",
+                  "compiled_kernel_available", "active_backend"),
+    "blowup": ("ChartPoint", "to_chart_z2", "theoretical_z2_curve",
+               "overlay_xz2"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

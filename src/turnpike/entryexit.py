@@ -34,7 +34,6 @@ __all__ = [
     "DelayPrediction",
     "base_point",
     "section_from_base",
-    "entry_exit_constant",
     "solve_delta0_n1",
     "ddr_delta0_closed_form",
     "predict_delay_nge2",
@@ -141,13 +140,6 @@ def section_from_base(model: SlowFastModel, x_base: float, *, tol: float = 1e-13
     return BasePointMap(model, tol=tol).inverse(x_base)
 
 
-def entry_exit_constant(p: PolyP) -> float:
-    """K = lam_1 pi / sqrt(-4 lam_0 - lam_1^2), taken from the closed form."""
-    if p.n != 1:
-        raise EntryExitError("the scalar entry-exit constant exists for n = 1 only")
-    return -pv_fast_quadratic(p.lam[0], p.lam[1])
-
-
 class EntryExitResult(NamedTuple):
     """Solved exit data for one entry point (n = 1)."""
     x_in: float
@@ -190,7 +182,7 @@ def solve_delta0_n1(model: SlowFastModel, x_in: float,
     if x_in_b <= 0.0:
         raise EntryExitError(
             f"entry fiber from x_in = {x_in} lands at x_in_b = {x_in_b:.6g} <= 0")
-    K = entry_exit_constant(model.p)
+    K = -pv_fast_quadratic(*model.p.lam)
     seen: dict[float, float] = {}
 
     def F(a: float) -> float:
@@ -241,7 +233,7 @@ def ddr_delta0_closed_form(model: SlowFastModel, x_in: float) -> float:
             f"x_in = {x_in} is below the fold of the entry fiber "
             f"(x_in^2 <= 2 delta = {2 * model.delta:g})")
     b = math.sqrt(under)
-    eK = math.exp(entry_exit_constant(model.p))
+    eK = math.exp(-pv_fast_quadratic(*model.p.lam))
     denom = beta * (eK + 1.0) * b - 1.0
     if denom >= 0.0:
         raise EntryExitError(

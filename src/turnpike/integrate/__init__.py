@@ -64,8 +64,9 @@ _EV_DIRS = {"any": 0, "up": 1, "down": -1}
 class IntegratorConfig(NamedTuple):
     """Tolerances and limits for the embedded RK 5(4) stepper; integrate()
     rejects an abs_tol that is not positive, a negative or NaN rel_tol and a
-    max_steps that is not an integer >= 0. The first step (the trial step)
-    and the event tolerance (1e-13) are fixed in `_dp45_py`."""
+    max_steps that is not an integer >= 0. The first step is always the
+    trial step, and `_dp45_py.localize` finds event times by Brent's
+    method; neither has an option."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12

@@ -68,7 +68,7 @@ class CompiledKernel:
             int_, int_, pd, dbl,            # mode, two_n, wlam, eps
             pd, int_, dbl, dbl,             # zeta, its length, g, sign
             dbl, dbl, dbl, i64,             # t_max, rtol, atol, max_steps
-            int_, pi, pd, pi,               # events: count, on_x, level, dir
+            int_, pi, pd,                   # events: count, on_x, level
             i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, k
             POINTER(State),                 # state
         ]
@@ -87,8 +87,7 @@ class CompiledKernel:
                 (dbl * len(zeta))(*zeta), len(zeta), g, sign,
                 t_max, cfg.rel_tol, cfg.abs_tol, cfg.max_steps,
                 nev, (int_ * nev)(*(ev[0] for ev in evs)),
-                (dbl * nev)(*(ev[1] for ev in evs)),
-                (int_ * nev)(*(ev[2] for ev in evs)))
+                (dbl * nev)(*(ev[1] for ev in evs)))
         state = first_state(self.State, _make_rhs(field), x0, w0, t_max, cfg)
         cap = min(max(cfg.max_steps, 0) + 1, _FIRST_NODE_CAP)
         return drive(_Run(self._fn, args, state, cap), evs)

@@ -14,12 +14,13 @@ this kernel also accepts Python callables for zeta and g.
 
 Each kernel only steps: its advance() goes on from a resumable state
 (`first_state` makes the first) until the passage ends or after an
-accepted step over which an event function changes sign. The rest is
-written here once and drives both kernels (`drive`): the events of such a
-step are localized on its dense polynomial by bisection plus a Newton
-polish (`localize`), the return section is kept only where x < 0, and the
-step's hits are taken in (theta, index) order up to the first terminal
-one (`step_hits`).
+accepted step over which an event function changes sign, in either
+direction. Every event rule is written here once and drives both kernels
+(`drive`, `step_hits`): a sign change against the event's direction is
+dropped, the others are localized on the step's dense polynomial by the
+package's Brent solver (`localize`), the return section is kept only
+where x < 0, and the step's hits are taken in (theta, index) order up to
+the first terminal one.
 
 Implements: FSAL stepping from the trial step of Hairer, Norsett & Wanner,
 PI step-size control (0.9 safety, exponents 0.7/5 and 0.4/5, factor
@@ -35,6 +36,9 @@ import math
 from functools import partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
+
+from ..errors import RootError
+from ..quadrature import brentq
 
 __all__ = ["integrate_kernel"]
 
@@ -74,9 +78,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
-
-# width in step-local time theta at which event bisection stops
-_EVENT_TOL = 1e-13
 
 
 class Field(NamedTuple):
@@ -191,41 +192,16 @@ def first_state(state_type, rhs, x, w, t_max, cfg):
                       last_rejected=0)
 
 
-def localize(base, h, q, level, g0):
+def localize(base, h, q, level):
     """The step-local time theta in [0, 1] at which the quartic dense output
-    base + h theta (q0 + theta (q1 + ...)) of one component equals level,
-    g0 = base - level being its value at theta = 0 and the crossing known
-    to lie in the step: bisection to _EVENT_TOL, then a Newton polish."""
-    a, b = 0.0, 1.0
-    ga = g0
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        gm = _dense(base, h, q, m) - level
-        if gm == 0.0:
-            a = b = m
-            break
-        if (ga < 0.0) != (gm < 0.0):
-            b = m
-        else:
-            a = m
-            ga = gm
-        if b - a < _EVENT_TOL:
-            break
-    th = 0.5 * (a + b)
-    q0, q1, q2, q3 = q
-    for _ in range(4):
-        gv = _dense(base, h, q, th) - level
-        dgv = h * (q0 + th * (2.0 * q1 + th * (3.0 * q2 + th * 4.0 * q3)))
-        if dgv == 0.0:
-            break
-        step = gv / dgv
-        tn = th - step
-        if tn < 0.0 or tn > 1.0:
-            break
-        th = tn
-        if abs(step) < 1e-17:
-            break
-    return th
+    base + h theta (q0 + theta (q1 + ...)) of one component equals level:
+    Brent's root of it on [0, 1], to about 1e-15, or 1 where rounding
+    leaves the quartic without a sign change there."""
+    try:
+        return brentq(lambda th: _dense(base, h, q, th) - level, 0.0, 1.0,
+                      xtol=1e-15)
+    except RootError:
+        return 1.0
 
 
 def step_hits(run, evs):
@@ -246,7 +222,7 @@ def step_hits(run, evs):
             continue  # crossing against the event's direction
         if q is None:
             q = run.row(i)
-        th = localize(x if on_x else w, h, q[:4] if on_x else q[4:], level, g0)
+        th = localize(x if on_x else w, h, q[:4] if on_x else q[4:], level)
         x_ev = _dense(x, h, q[:4], th)
         w_ev = _dense(w, h, q[4:], th)
         if neg_x and not (x_ev < 0.0):
@@ -289,10 +265,9 @@ def drive(run, evs):
 
 def _advance(run):
     """run.advance() of the Python kernel: step on until the passage ends
-    or after an accepted step over which an event function changes sign in
-    its direction."""
+    or after an accepted step over which an event function changes sign."""
     rhs, mode, t_max, rtol, atol, max_steps, evs = run._config
-    evs = [(ie, *ev[:3]) for ie, ev in enumerate(evs)]  # on_x, level, d
+    evs = [ev[:2] for ev in evs]  # on_x, level
     ts, xs, ws, hs, ks = run.t, run.x, run.w, run.h, run.ks
     sqrt = math.sqrt
     s = run.state
@@ -300,9 +275,6 @@ def _advance(run):
     err_prev, last_rejected = s.err_prev, s.last_rejected
     n_steps, n_rejected, n_rhs = s.n_steps, s.n_rejected, s.n_rhs
     abs_x, abs_w = abs(x), abs(w)
-    # a step's start values of the event functions are the end values
-    # of the step before
-    g_end = [(x if on_x else w) - level for _, on_x, level, _ in evs]
 
     # min(a, b) and max(a, b) below are written out as conditional
     # expressions that keep a on ties and NaN, as the builtins do
@@ -375,16 +347,12 @@ def _advance(run):
 
         # accepted: a sign change of an event function ends the call
         crossing = False
-        for ie, on_x, level, d in evs:
-            g0 = g_end[ie]
+        for on_x, level in evs:
+            g0 = (x if on_x else w) - level
             g1 = (x_new if on_x else w_new) - level
-            g_end[ie] = g1
-            if g0 == 0.0 or not (g1 == 0.0 or (g0 < 0.0) != (g1 < 0.0)):
-                continue
-            if d and (d > 0) != (g0 < 0.0):
-                continue  # crossing against the event's direction
-            crossing = True
-            break
+            if g0 != 0.0 and (g1 == 0.0 or (g0 < 0.0) != (g1 < 0.0)):
+                crossing = True
+                break
 
         t_next = t_max if last_step else t + h
         ts.append(t_next)

@@ -9,12 +9,13 @@
  * while libm pow may round a*a differently.
  *
  * This file only steps. It returns when a node buffer is full and after an
- * accepted step over which an event function changes sign, with the state
- * of the passage in a caller-owned struct, so the next call resumes it.
- * _dp45_py drives both kernels through that protocol: it takes the first
- * step, grows the buffers (through _dp45_ctypes), forms dense-output rows
- * from the stage slopes kept here, localizes the events of a crossing
- * step, applies the x < 0 test and the terminal rule.
+ * accepted step over which an event function changes sign, in either
+ * direction, with the state of the passage in a caller-owned struct, so the
+ * next call resumes it. _dp45_py drives both kernels through that protocol:
+ * it takes the first step, grows the buffers (through _dp45_ctypes), forms
+ * dense-output rows from the stage slopes kept here, and applies every
+ * event rule: the direction filter, localization, the x < 0 test and the
+ * terminal rule.
  *
  * Only the builtin forms are evaluated here: zeta as one polynomial, given
  * by its ascending coefficients (-1 + beta x and -1 are the ddr and the
@@ -123,17 +124,16 @@ struct dp45_state {
 /* Step the passage in *st on until t_max, max_steps, a step size underflow,
  * a full node buffer (node_cap nodes) or an accepted step over which an
  * event function, (ev_on_x[ie] ? x : w) - ev_level[ie], changes sign in
- * direction ev_dir[ie] (0: either). Node i goes to ts, xs, ws[i], and step
- * i's size and stage slopes (k1x..k7x, k1w..k7w) to hs[i] and
- * ks[14 i .. 14 i + 13]. The caller writes node 0 and fills *st first. *st is
- * valid on every return, so the next call, with the buffers enlarged after
- * DP45_BUFFER_FULL, goes on where this one stopped.
+ * either direction. Node i goes to ts, xs, ws[i], and step i's size and
+ * stage slopes (k1x..k7x, k1w..k7w) to hs[i] and ks[14 i .. 14 i + 13]. The
+ * caller writes node 0 and fills *st first. *st is valid on every return, so
+ * the next call, with the buffers enlarged after DP45_BUFFER_FULL, goes on
+ * where this one stopped.
  */
 int dp45_advance(int mode, int two_n, const double *wlam, double eps,
                  const double *zeta, int n_zeta, double g, double sign,
                  double t_max, double rtol, double atol, int64_t max_steps,
                  int n_ev, const int *ev_on_x, const double *ev_level,
-                 const int *ev_dir,
                  int64_t node_cap, double *ts, double *xs, double *ws,
                  double *hs, double *ks,
                  struct dp45_state *st)
@@ -226,9 +226,7 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
             const int on_x = ev_on_x[ie];
             const double g0 = (on_x ? x : w) - ev_level[ie];
             const double g1 = (on_x ? x_new : w_new) - ev_level[ie];
-            if (g0 == 0.0 || !(g1 == 0.0 || (g0 < 0.0) != (g1 < 0.0)))
-                continue;
-            crossing = ev_dir[ie] == 0 || (ev_dir[ie] > 0) == (g0 < 0.0);
+            crossing = g0 != 0.0 && (g1 == 0.0 || (g0 < 0.0) != (g1 < 0.0));
         }
 
         t_next = last_step ? t_max : t + h;

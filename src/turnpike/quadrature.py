@@ -416,7 +416,4 @@ def whole_line_integral(p: PolyP, tol: float = DEFAULT_TOL) -> QuadResult:
 def classical_sdi(h_over_f: Callable[[float], float], x_in: float, x_out: float,
                   tol: float = DEFAULT_TOL) -> QuadResult:
     """Slow divergence integral int_{x_in}^{x_out} (h/f)(s) ds (signed)."""
-    if x_in <= x_out:
-        return adaptive_quad(h_over_f, x_in, x_out, tol)
-    r = adaptive_quad(h_over_f, x_out, x_in, tol)
-    return QuadResult(-r.value, r.abs_error_estimate, r.subdivisions)
+    return adaptive_quad(h_over_f, x_in, x_out, tol)

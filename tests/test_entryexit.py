@@ -10,14 +10,14 @@ from scipy.optimize import brentq
 
 from turnpike.entryexit import (BasePointMap, base_point, canard_slope,
                                 classical_delta0, ddr_delta0_closed_form,
-                                entry_exit_constant, log_y_leading_order,
+                                log_y_leading_order,
                                 predict_delay_nge2, section_from_base,
                                 solve_canard_parameter, solve_delta0_n1)
 from turnpike.errors import EntryExitError, QuadratureError
 from turnpike.integrate import log_y_at_x0, z_at_x0
 from turnpike.model import (PolyP, SlowFastModel, ddr_model, make_g,
                             make_zeta)
-from turnpike.quadrature import whole_line_integral
+from turnpike.quadrature import pv_fast_quadratic, whole_line_integral
 
 # frozen reference data for the worked model at x_in = 1.016
 X_IN_B_REF = 0.17959955456514937  # sqrt(1.016^2 - 2 * 0.5)
@@ -120,12 +120,17 @@ class TestExactFibers:
 
 
 class TestEntryExitConstant:
-    def test_worked_value(self, ddr):
-        assert entry_exit_constant(ddr.p) == pytest.approx(K_REF, rel=1e-15)
+    """K = -pv_fast_quadratic(lam_0, lam_1), which only n = 1 has."""
 
-    def test_rejects_nge2(self):
-        with pytest.raises(EntryExitError):
-            entry_exit_constant(PolyP(n=2, lam=(-1.0, 0.0, 0.0, 0.0)))
+    def test_worked_value(self, ddr):
+        assert -pv_fast_quadratic(*ddr.p.lam) == pytest.approx(K_REF,
+                                                               rel=1e-15)
+
+    def test_rejects_nge2(self, quartic):
+        # both solvers that read K refuse an n = 2 model before they do
+        for solve in (solve_delta0_n1, ddr_delta0_closed_form):
+            with pytest.raises(EntryExitError, match="n = 1"):
+                solve(quartic, 1.2)
 
 
 class TestSolveDelta0:

@@ -7,9 +7,10 @@ import struct
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from turnpike.errors import IntegrationError, ModelError
@@ -110,6 +111,23 @@ class TestDecayOracle:
         assert traj.status == "t_end"
         assert len(traj.events_of("z_reaches_value")) == 1
         assert traj.t[-1] == 1.0
+
+    def test_crossing_against_the_direction_is_no_hit(self, backend,
+                                                      monkeypatch):
+        # z falls through 1 at t = 1/2: the kernel stops after that step,
+        # and step_hits drops the crossing, which is not "up"
+        stops = []
+        step_hits = _dp45_py.step_hits
+        monkeypatch.setattr(_dp45_py, "step_hits",
+                            lambda *a: stops.append(a) or step_hits(*a))
+        start = StateXZ(x=1.0, z=2.0, eps=0.0)
+        ev = EventSpec(kind="z_reaches_value", value=1.0, direction="up",
+                       terminal=True)
+        traj = integrate(decay_model(), start, [ev], t_max=1.0)
+        assert len(stops) == 1
+        assert traj.status == "t_end" and traj.events == []
+        plain = integrate(decay_model(), start, t_max=1.0)
+        assert _fingerprint(traj) == _fingerprint(plain)
 
 
 @functools.lru_cache(maxsize=1)
@@ -411,6 +429,43 @@ _OVERFLOWS = {
 }
 
 
+class TestLocalize:
+    """Event times on one step's quartic dense output."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_theta_is_the_root_of_the_quartic(self, data):
+        # a quartic dominated by its linear term has one simple root on
+        # [0, 1], which rounding moves by a few 1e-16 at most
+        real = st.floats(-1.0, 1.0)
+        q0 = data.draw(st.floats(1.0, 2.0), label="q0") * data.draw(
+            st.sampled_from((-1.0, 1.0)), label="sign")
+        q = (q0, *(0.05 * q0 * data.draw(real, label=f"q{k}")
+                   for k in (1, 2, 3)))
+        base = data.draw(real, label="base")
+        h = data.draw(st.floats(0.5, 2.0), label="h")
+        level = _dp45_py._dense(base, h, q, data.draw(st.floats(0.0, 1.0),
+                                                      label="root"))
+        g0, g1 = base - level, _dp45_py._dense(base, h, q, 1.0) - level
+        assume(g0 != 0.0 and (g1 == 0.0 or (g0 < 0.0) != (g1 < 0.0)))
+        th = _dp45_py.localize(base, h, q, level)
+        with mpmath.workprec(200):
+            b, hm, lv, *qm = map(mpmath.mpf, (base, h, level, *q))
+            root = mpmath.findroot(
+                lambda t: b + hm * t * (qm[0] + t * (qm[1] + t * (
+                    qm[2] + t * qm[3]))) - lv, (0, 1), solver="anderson")
+            assert abs(th - root) <= 1e-14
+
+    @pytest.mark.parametrize("base, level, q", [
+        # the crossing rounds away: 1 + 1e-16 is 1 in double precision
+        (1.0, 1.0 + 2.0 ** -52, (1e-16, 0.0, 0.0, 0.0)),
+        # 0.1 - theta + theta^2 dips below 0 and is back above it at 1
+        (0.0, -0.1, (-1.0, 1.0, 0.0, 0.0)),
+    ])
+    def test_no_sign_change_gives_the_step_end(self, base, level, q):
+        assert _dp45_py.localize(base, 1.0, q, level) == 1.0
+
+
 class TestOverflowingField:
     """Both kernels end an overflowing run alike: CPython's ** gives inf
     where it would raise, as C's pow does, and a zero first-step estimate
@@ -435,6 +490,18 @@ class TestOverflowingField:
                 for k in (_dp45_py, compiled_kernel)]
         assert runs[0].status == "step_underflow" and runs[0].t == [0.0]
         assert _fingerprint(runs[0]) == _fingerprint(runs[1])
+
+    def test_kernels_agree_when_stages_overflow(self, compiled_kernel):
+        # from a finite start and trial step, y' = -x y at x = -10 carries
+        # y = 1e307 past double range within a few steps: the step loop
+        # itself meets inf and NaN stages (compared up to NaN sign bits)
+        args = _kernel_args(mode=1, zeta=(-1.0, 1.0), g=0.0, x0=-10.0,
+                            w0=1e307, t_max=10.0)
+        runs = [k.integrate_kernel(*args) for k in (_dp45_py, compiled_kernel)]
+        assert runs[0]["n_rhs"] > 2 and math.isnan(runs[0]["w"][-1])
+        py, c = ([r[k] for k in ("status", "t", "n_steps", "n_rejected",
+                                 "n_rhs")] for r in runs)
+        assert py == c
 
 
 _SPECIAL_X = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300)

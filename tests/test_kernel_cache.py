@@ -5,6 +5,7 @@ kernel once; each test points XDG_CACHE_HOME at its own directory.
 """
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -86,6 +87,27 @@ def test_state_layout_matches_the_c_struct(tmp_path, compiled_kernel):
         timeout=60).stdout.split()]
     assert printed == [sizeof(state),
                        *(getattr(state, n).offset for n in names)]
+
+
+@needs_cc
+def test_advance_parameters_match_the_argtypes(compiled_kernel):
+    # ctypes converts the arguments by argtypes alone, so a parameter added
+    # or dropped on one side shifts every later one without an error
+    from ctypes import POINTER, c_double, c_int, c_int64
+
+    params = re.search(r"^int dp45_advance\((.*?)\)\s*\{",
+                       _dp45_ctypes.SOURCE.read_text(), re.M | re.S)[1]
+    kinds = {"int": c_int, "int64_t": c_int64, "double": c_double,
+             "double *": POINTER(c_double), "int *": POINTER(c_int),
+             "struct dp45_state *": POINTER(compiled_kernel.State)}
+    declared = []
+    for param in params.split(","):
+        ctype, star = re.fullmatch(r"(?:const )?([\w ]+?) ?(\*?)\w+",
+                                   param.strip()).groups()
+        declared.append(kinds[ctype + (" *" if star else "")])
+    argtypes = compiled_kernel._fn.argtypes
+    assert len(declared) == len(argtypes)
+    assert declared == argtypes
 
 
 def _env(cache, path=None, **extra):
