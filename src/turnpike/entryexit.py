@@ -44,29 +44,28 @@ __all__ = [
 ]
 
 _X_FLOOR = 1e-6  # fibers must stay this far from the turning point
+_FIBER_RTOL = 1e-14  # rel_tol of the fibers of a callable g
 
 
 class BasePointMap(NamedTuple):
     """Fast-fiber projection between the sections y = delta and the line y = 0.
 
     The fibers solve dx/dy = -g(x, y, 0) / x, which is regular while
-    |x| >= x_floor; crossing the floor aborts with a structured error. For a
-    constant g (g_kind == "constant") the fibers are exact: x^2 + 2 g y is
+    |x| >= _X_FLOOR; crossing the floor aborts with a structured error. For
+    a constant g (g_kind == "constant") the fibers are exact: x^2 + 2 g y is
     conserved, so x(y1) = sign(x0) sqrt(x0^2 + 2 g (y0 - y1)). x^2 is then
     linear in y, so |x| can only reach the floor at the end of the run and
-    one check there replaces the ODE's floor event. Callable g is
-    integrated with DOP853 at rtol = tol, by SciPy's solve_ivp, which is
-    imported there, on first use, and nowhere else; without SciPy those
-    fibers raise EntryExitError.
+    one check there replaces the ODE's floor event. A callable g is
+    integrated by the package's DP45 driver (`integrate._dp45_py.solve`) in
+    s = |y - y0|, at rel_tol _FIBER_RTOL and abs_tol 1e-15, with a terminal
+    event at x = copysign(_X_FLOOR, x0); `trace` reads its dense output.
     """
 
     model: SlowFastModel
-    tol: float = 1e-13
-    x_floor: float = _X_FLOOR
 
     def _floor_error(self, x0: float, y1: float) -> EntryExitError:
         return EntryExitError(
-            f"fiber from x = {x0:.6g} reached |x| = {self.x_floor:g} before "
+            f"fiber from x = {x0:.6g} reached |x| = {_X_FLOOR:g} before "
             f"y = {y1:g}; no base point on this side")
 
     def _solve(self, x0: float, y0: float, y1: float,
@@ -78,41 +77,37 @@ class BasePointMap(NamedTuple):
             def x_at(y: float) -> float:
                 return math.copysign(math.sqrt(x0 * x0 + two_g * (y0 - y)), x0)
 
-            if x0 * x0 + two_g * (y0 - y1) <= self.x_floor ** 2:
+            if x0 * x0 + two_g * (y0 - y1) <= _X_FLOOR ** 2:
                 raise self._floor_error(x0, y1)
             return x_at(y1) if ys is None else [x_at(y) for y in ys]
 
-        try:
-            from scipy.integrate import solve_ivp  # only callable g gets here
-        except ImportError as exc:
-            raise EntryExitError(
-                "the fibers of a callable g are integrated by SciPy's "
-                f"solve_ivp, and SciPy cannot be imported: {exc}") from exc
+        # only callable g gets here, so delta0 never loads the integrator
+        from .integrate import IntegratorConfig, Trajectory
+        from .integrate._dp45_py import solve
 
-        g = self.model.g
-        floor = self.x_floor
+        g, sigma = self.model.g, math.copysign(1.0, y1 - y0)
 
-        def rhs(y, xv):
-            return [-g(xv[0], y, 0.0) / xv[0]]
+        def rhs(x, y):
+            return -sigma * g(x, y, 0.0) / x, sigma
 
-        def hit_floor(y, xv):
-            return abs(xv[0]) - floor
-        hit_floor.terminal = True
-        hit_floor.direction = -1
-
-        sol = solve_ivp(rhs, (y0, y1), [x0], method="DOP853",
-                        rtol=self.tol, atol=1e-15, events=[hit_floor],
-                        t_eval=ys, dense_output=False)
-        if sol.status == 1:  # floor event
+        # a decoded terminal event, in either direction, on x = +-_X_FLOOR
+        floor = (True, math.copysign(_X_FLOOR, x0), 0, True, False)
+        raw = solve(rhs, 1, x0, y0, abs(y1 - y0), [floor],
+                    IntegratorConfig(rel_tol=_FIBER_RTOL, abs_tol=1e-15))
+        if raw["status"] == "event":
             raise self._floor_error(x0, y1)
-        if not sol.success:
-            raise EntryExitError(f"fiber integration failed: {sol.message}")
-        return float(sol.y[0][-1]) if ys is None else sol.y[0].tolist()
+        if raw["status"] != "t_end":
+            raise EntryExitError(
+                f"fiber integration failed: status {raw['status']!r}")
+        if ys is None:
+            return raw["x"][-1]
+        fiber = Trajectory("xy", 0.0, raw, [])
+        return [fiber(abs(y - y0))[0] for y in ys]
 
     def _check_start(self, what: str, x: float) -> None:
         if not math.isfinite(x):
             raise EntryExitError(f"{what} must be finite, got {x}")
-        if abs(x) <= self.x_floor:
+        if abs(x) <= _X_FLOOR:
             raise EntryExitError(f"{what} too close to 0: {x}")
 
     def __call__(self, x_section: float) -> float:
@@ -130,14 +125,14 @@ class BasePointMap(NamedTuple):
         return self._solve(x_section, self.model.delta, 0.0, ys=ys)
 
 
-def base_point(model: SlowFastModel, x_section: float, *, tol: float = 1e-13) -> float:
+def base_point(model: SlowFastModel, x_section: float) -> float:
     """Project a section point (x_section, delta) along its fast fiber to y = 0."""
-    return BasePointMap(model, tol=tol)(x_section)
+    return BasePointMap(model)(x_section)
 
 
-def section_from_base(model: SlowFastModel, x_base: float, *, tol: float = 1e-13) -> float:
+def section_from_base(model: SlowFastModel, x_base: float) -> float:
     """Inverse fiber map: lift (x_base, 0) to the section y = delta."""
-    return BasePointMap(model, tol=tol).inverse(x_base)
+    return BasePointMap(model).inverse(x_base)
 
 
 class EntryExitResult(NamedTuple):

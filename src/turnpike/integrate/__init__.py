@@ -220,9 +220,9 @@ def active_backend(model: SlowFastModel | None = None) -> str:
 def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
               events: Sequence[EventSpec] = (),
               config: IntegratorConfig | None = None,
-              *, t_max: float | None = None,
-              time_direction: int = 1) -> Trajectory:
-    """Integrate the model from `initial` until a terminal event or t_max.
+              *, time_direction: int = 1) -> Trajectory:
+    """Integrate the model from `initial` until a terminal event or the
+    config's max_time.
 
     The system is chosen by the state type: StateXZ runs the transformed
     system (z' = -x z^2, never leaving z >= 0), StateXY the raw one.
@@ -256,13 +256,10 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
         raise ModelError(
             f"max_steps must be an integer >= 0, got {cfg.max_steps!r}")
 
-    for name, value in (("t_max", t_max), ("max_time", cfg.max_time)):
-        # a NaN one ran past the exit, a negative one took no step
-        if value is not None and not value >= 0.0:
-            raise ModelError(f"{name} must be >= 0, got {value}")
-
-    if t_max is None:
-        t_max = cfg.max_time
+    t_max = cfg.max_time
+    # a NaN one ran past the exit, a negative one took no step
+    if t_max is not None and not t_max >= 0.0:
+        raise ModelError(f"max_time must be >= 0, got {t_max}")
     if t_max is None:
         try:
             t_max = 50.0 * eps ** (-2 * model.n) if eps > 0.0 else 1e4

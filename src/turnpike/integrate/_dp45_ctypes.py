@@ -14,20 +14,18 @@ on several threads run in parallel.
 
 The library only steps. `CompiledKernel.integrate_kernel` takes what the
 Python kernel takes, the Field and the events integrate() has decoded, and
-passes their fields to the library as they are. It hands `_dp45_py.drive`,
-which drives the Python kernel too, a `_Run` whose advance() resumes the
-passage in the library and, when the node buffers are full, doubles them
-and resumes again.
+passes their fields to the library as they are. Its step(run) closure
+resumes the passage in the library, on the `_dp45_py.Run` that the Python
+kernel runs on too, and `_dp45_py.drive` drives both.
 """
 from __future__ import annotations
 
 import os
-from functools import partial
+from ctypes import CDLL, POINTER, c_double as dbl, c_int as int_, c_int64 as i64
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
-from struct import unpack_from
 
-from ._dp45_py import _make_rhs, dense_row, drive, first_state
+from ._dp45_py import Run, State, _make_rhs, drive, first_state
 
 __all__ = ["CompiledKernel", "build", "load", "why_unavailable"]
 
@@ -36,32 +34,14 @@ SOURCE = Path(__file__).with_name("dp45.c")
 FLAGS = ("-shared", "-fPIC", "-O3", "-ffp-contract=off")
 _EXT = EXTENSION_SUFFIXES[0]
 
-_STATUS = ("t_end", "crossing", "max_steps", "step_underflow")
-_BUFFER_FULL = 4
-_FIRST_NODE_CAP = 4096
+_STATUS = ("t_end", "crossing", "max_steps", "step_underflow", "buffer_full")
 
 
 class CompiledKernel:
-    """`integrate_kernel` of `_dp45_py`, run by the shared library at `path`.
-
-    It returns what the Python kernel returns: t, x, w and h as lists of
-    floats, and events and counters as Python floats and ints.
-    "dense" keeps the filled part of the library's buffer of stage slopes
-    as bytes and, as the Python kernel does, turns a step's 14 slopes into
-    its row with `dense_row` when the row is read.
-    """
+    """`integrate_kernel` of `_dp45_py`, run by the shared library at `path`;
+    it returns what the Python kernel returns."""
 
     def __init__(self, path: Path | str):
-        from ctypes import (CDLL, POINTER, Structure, c_double as dbl,
-                            c_int as int_, c_int64 as i64)
-
-        class State(Structure):
-            """dp45.c's struct dp45_state."""
-            _fields_ = [*((name, dbl) for name in (
-                "t", "x", "w", "h", "fx", "fw", "err_prev")),
-                ("n_steps", i64), ("n_rejected", i64), ("n_rhs", i64),
-                ("last_rejected", int_)]
-
         pd, pi = POINTER(dbl), POINTER(int_)
         fn = CDLL(str(path)).dp45_advance
         fn.argtypes = [
@@ -74,13 +54,11 @@ class CompiledKernel:
         ]
         fn.restype = int_
         self._fn = fn
-        self.State = State
 
     def integrate_kernel(self, field, x0, w0, t_max, evs, cfg):
         """Integrate the Field from (x0, w0) at t = 0 until a terminal
         event or t_max, as _dp45_py.integrate_kernel does; the field's zeta
         must be coefficients and its g a float."""
-        from ctypes import c_double as dbl, c_int as int_
         mode, two_n, wlam, eps, zeta, g, sign = field
         nev = len(evs)
         args = (mode, two_n, (dbl * two_n)(*wlam), eps,
@@ -88,51 +66,14 @@ class CompiledKernel:
                 t_max, cfg.rel_tol, cfg.abs_tol, cfg.max_steps,
                 nev, (int_ * nev)(*(ev[0] for ev in evs)),
                 (dbl * nev)(*(ev[1] for ev in evs)))
-        state = first_state(self.State, _make_rhs(field), x0, w0, t_max, cfg)
-        cap = min(max(cfg.max_steps, 0) + 1, _FIRST_NODE_CAP)
-        return drive(_Run(self._fn, args, state, cap), evs)
+        fn = self._fn
 
+        def step(run):
+            return _STATUS[fn(*args, run.cap, run.t, run.x, run.w, run.h,
+                              run.k, run.state)]
 
-class _Run:
-    """A compiled passage: the library's arguments, the state and the node
-    buffers, which advance() doubles whenever the library finds them full."""
-
-    def __init__(self, fn, args, state, cap):
-        self._fn, self._args, self.state = fn, args, state
-        self._grow(cap)
-        self.x[0], self.w[0] = state.x, state.w
-
-    def _grow(self, cap):
-        """Buffers of cap nodes that begin with the current ones."""
-        from ctypes import c_double, memmove, sizeof
-
-        for name, width in (("t", 1), ("x", 1), ("w", 1), ("h", 1), ("k", 14)):
-            new = (c_double * (width * cap))()
-            if hasattr(self, name):
-                old = getattr(self, name)
-                memmove(new, old, sizeof(old))
-            setattr(self, name, new)
-        self._cap = cap
-
-    def row(self, i):
-        return _row_at(self.k, i)
-
-    def rows(self):
-        return partial(_row_at,
-                       bytes(memoryview(self.k)[:14 * self.state.n_steps]))
-
-    def advance(self):
-        while True:
-            status = self._fn(*self._args, self._cap, self.t, self.x, self.w,
-                              self.h, self.k, self.state)
-            if status != _BUFFER_FULL:
-                return _STATUS[status]
-            self._grow(2 * self._cap)
-
-
-def _row_at(buf, i):
-    """Row i of a run's dense output (a module function, so results pickle)."""
-    return dense_row(unpack_from("14d", buf, 112 * i))
+        state = first_state(_make_rhs(field), x0, w0, t_max, cfg)
+        return drive(Run(step, state, cfg.max_steps), evs)
 
 
 def _paths() -> tuple[Path, Path]:

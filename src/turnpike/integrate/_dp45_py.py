@@ -1,4 +1,5 @@
-"""Pure-Python Dormand-Prince 5(4) kernel, the executable specification.
+"""Pure-Python Dormand-Prince 5(4) kernel, the executable specification,
+and the one driver of every ODE the package solves.
 
 The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) performs the same
 floating-point operations in the same order, so the two agree bit for
@@ -12,15 +13,19 @@ once, and the IntegratorConfig. Every builtin zeta is a polynomial, given
 by its coefficients and evaluated by Horner's rule from the top one; only
 this kernel also accepts Python callables for zeta and g.
 
-Each kernel only steps: its advance() goes on from a resumable state
-(`first_state` makes the first) until the passage ends or after an
-accepted step over which an event function changes sign, in either
-direction. Every event rule is written here once and drives both kernels
-(`drive`, `step_hits`): a sign change against the event's direction is
-dropped, the others are localized on the step's dense polynomial by the
-package's Brent solver (`localize`), the return section is kept only
-where x < 0, and the step's hits are taken in (theta, index) order up to
-the first terminal one.
+Each kernel only steps: its step(run) goes on from the resumable `State`
+(`first_state` makes the first) until the passage ends, the node buffers
+are full or after an accepted step over which an event function changes
+sign, in either direction. Both kernels write into one `Run`, whose
+buffers and state have dp45.c's layout, and whose advance() grows the
+buffers and resumes. `solve` runs any right-hand side on the Python
+kernel: the passage's field (`integrate_kernel`) and the fast fibres of a
+callable g (`entryexit.BasePointMap`). Every event rule is written here
+once and drives both kernels (`drive`, `step_hits`): a sign change
+against the event's direction is dropped, the others are localized on
+the step's dense polynomial by the package's Brent solver (`localize`),
+the return section is kept only where x < 0, and the step's hits are
+taken in (theta, index) order up to the first terminal one.
 
 Implements: FSAL stepping from the trial step of Hairer, Norsett & Wanner,
 PI step-size control (0.9 safety, exponents 0.7/5 and 0.4/5, factor
@@ -33,14 +38,17 @@ row is read, by `step_hits` or through the result's "dense" accessor.
 from __future__ import annotations
 
 import math
+from ctypes import Structure, c_double, c_int, c_int64, memmove, sizeof
 from functools import partial
-from types import SimpleNamespace
+from struct import unpack_from
 from typing import Callable, NamedTuple
 
 from ..errors import RootError
 from ..quadrature import brentq
 
-__all__ = ["integrate_kernel"]
+__all__ = ["integrate_kernel", "solve"]
+
+_FIRST_NODE_CAP = 4096
 
 # exp(-1/z) underflows to an exact double 0 once 1/z exceeds ~745.13
 _EXP_UNDERFLOW = 745.0
@@ -153,9 +161,10 @@ def dense_row(k):
     return tuple(row)
 
 
-def _row_at(ks, i):
-    """Row i of a run's dense output (a module function, so results pickle)."""
-    return dense_row(ks[i])
+def _row_at(buf, i):
+    """Row i of a run's dense output from its buffer of stage slopes (a
+    module function, so results pickle)."""
+    return dense_row(unpack_from("14d", buf, 112 * i))
 
 
 def _dense(base, h, q, th):
@@ -163,10 +172,54 @@ def _dense(base, h, q, th):
     return base + h * th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
 
 
-def first_state(state_type, rhs, x, w, t_max, cfg):
-    """A state_type holding the passage's state at (x, w), t = 0: the FSAL
-    slopes there, and the first step, the trial Euler step of Hairer,
-    Norsett & Wanner (Solving ODEs I, II.4), never more than t_max."""
+class State(Structure):
+    """dp45.c's struct dp45_state: a passage's resumable state, read and
+    written in place by both kernels; the passage has n_steps + 1 nodes."""
+    _fields_ = [*((name, c_double) for name in (
+        "t", "x", "w", "h", "fx", "fw", "err_prev")),
+        ("n_steps", c_int64), ("n_rejected", c_int64), ("n_rhs", c_int64),
+        ("last_rejected", c_int)]
+
+
+class Run:
+    """A passage on either kernel: its State, and ctypes node buffers of cap
+    nodes in dp45.c's layout, t, x, w, the step sizes h and the 14 stage
+    slopes k of each accepted step. advance() calls the kernel's
+    step(run) again, with buffers twice as large, for as long as it
+    returns 'buffer_full', and returns its status."""
+
+    def __init__(self, step, state, max_steps):
+        self._step, self.state, self.cap = step, state, 0
+        self._grow(min(max(max_steps, 0) + 1, _FIRST_NODE_CAP))
+        self.x[0], self.w[0] = state.x, state.w
+
+    def _grow(self, cap):
+        """Buffers of cap nodes that begin with the current ones."""
+        for name, width in (("t", 1), ("x", 1), ("w", 1), ("h", 1), ("k", 14)):
+            new = (c_double * (width * cap))()
+            if self.cap:
+                old = getattr(self, name)
+                memmove(new, old, sizeof(old))
+            setattr(self, name, new)
+        self.cap = cap
+
+    def row(self, i):
+        return _row_at(self.k, i)
+
+    def rows(self):
+        return partial(_row_at,
+                       bytes(memoryview(self.k)[:14 * self.state.n_steps]))
+
+    def advance(self):
+        while (status := self._step(self)) == "buffer_full":
+            self._grow(2 * self.cap)
+        return status
+
+
+def first_state(rhs, x, w, t_max, cfg):
+    """The State of the passage at (x, w), t = 0: the FSAL slopes there,
+    and the first step, the trial Euler step of Hairer, Norsett & Wanner
+    (Solving ODEs I, II.4), never more than t_max."""
     fx, fw = rhs(x, w)
     sc_x = cfg.abs_tol + cfg.rel_tol * abs(x)
     sc_w = cfg.abs_tol + cfg.rel_tol * abs(w)
@@ -187,9 +240,9 @@ def first_state(state_type, rhs, x, w, t_max, cfg):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return state_type(t=0.0, x=x, w=w, h=min(100.0 * h0, h1, t_max), fx=fx,
-                      fw=fw, err_prev=1e-4, n_steps=0, n_rejected=0, n_rhs=2,
-                      last_rejected=0)
+    return State(t=0.0, x=x, w=w, h=min(100.0 * h0, h1, t_max), fx=fx, fw=fw,
+                 err_prev=1e-4, n_steps=0, n_rejected=0, n_rhs=2,
+                 last_rejected=0)
 
 
 def localize(base, h, q, level):
@@ -239,12 +292,11 @@ def step_hits(run, evs):
 
 
 def drive(run, evs):
-    """The result dict of the passage in `run`: its `state` (the fields of
-    dp45.c's struct dp45_state), node lists t, x, w and h, row(i), the
-    dense-output row of step i, rows(), the accessor of them all, and
-    advance(), which steps on and returns 'crossing', 't_end', 'max_steps'
-    or 'step_underflow'. The events of each crossing step are added, up to
-    a terminal one."""
+    """The result dict of the passage in the Run `run`, whose advance()
+    steps on and returns 'crossing', 't_end', 'max_steps' or
+    'step_underflow': the status, node lists t, x, w and h, "dense", the
+    accessor of the dense-output rows, the counters and the events of each
+    crossing step, up to a terminal one."""
     events = []
     while True:
         status = run.advance()
@@ -263,12 +315,12 @@ def drive(run, evs):
             "n_rejected": s.n_rejected, "n_rhs": s.n_rhs}
 
 
-def _advance(run):
-    """run.advance() of the Python kernel: step on until the passage ends
-    or after an accepted step over which an event function changes sign."""
-    rhs, mode, t_max, rtol, atol, max_steps, evs = run._config
-    evs = [ev[:2] for ev in evs]  # on_x, level
-    ts, xs, ws, hs, ks = run.t, run.x, run.w, run.h, run.ks
+def _step(rhs, mode, t_max, rtol, atol, max_steps, evs, run):
+    """step(run) of the Python kernel, as dp45_advance: step on until the
+    passage ends, the buffers are full or after an accepted step over which
+    an event function, (x if on_x else w) - level for (on_x, level) in evs,
+    changes sign."""
+    ts, xs, ws, hs, ks, cap = run.t, run.x, run.w, run.h, run.k, run.cap
     sqrt = math.sqrt
     s = run.state
     t, x, w, h, fx, fw = s.t, s.x, s.w, s.h, s.fx, s.fw
@@ -284,6 +336,9 @@ def _advance(run):
             break
         if n_steps >= max_steps:
             status = "max_steps"
+            break
+        if n_steps + 1 >= cap:
+            status = "buffer_full"
             break
         last_step = False
         if h >= t_max - t:
@@ -334,16 +389,12 @@ def _advance(run):
             last_rejected = True
             continue
 
-        if err_norm > 1.0:
+        if not err_norm <= 1.0:  # a NaN error norm rejects the step too
             factor = _SAFETY * err_norm ** (-_ALPHA)
             h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             n_rejected += 1
             last_rejected = True
             continue
-
-        k = (k1x, k2x, k3x, k4x, k5x, k6x, k7x,
-             k1w, k2w, k3w, k4w, k5w, k6w, k7w)
-        ks.append(k)
 
         # accepted: a sign change of an event function ends the call
         crossing = False
@@ -355,10 +406,13 @@ def _advance(run):
                 break
 
         t_next = t_max if last_step else t + h
-        ts.append(t_next)
-        xs.append(x_new)
-        ws.append(w_new)
-        hs.append(h)
+        ts[n_steps + 1] = t_next
+        xs[n_steps + 1] = x_new
+        ws[n_steps + 1] = w_new
+        hs[n_steps] = h
+        ks[14 * n_steps:14 * n_steps + 14] = (
+            k1x, k2x, k3x, k4x, k5x, k6x, k7x,
+            k1w, k2w, k3w, k4w, k5w, k6w, k7w)
         n_steps += 1
 
         # PI controller
@@ -389,31 +443,21 @@ def _advance(run):
     return status
 
 
-class _Run:
-    """A passage of the Python kernel: its state, its nodes and each accepted
-    step's stage slopes, which `dense_row` turns into the step's row when
-    the row is read."""
-
-    def __init__(self, state, *config):
-        self.state, self._config = state, config
-        self.t, self.x, self.w, self.h = [0.0], [state.x], [state.w], []
-        self.ks = []
-        self.row = partial(_row_at, self.ks)
-
-    def rows(self):
-        return self.row
-
-    advance = _advance
+def solve(rhs, mode, x0, w0, t_max, evs, cfg):
+    """Integrate (x, w)' = rhs(x, w) on the Python kernel from (x0, w0) at
+    t = 0 until a terminal event or t_max; mode 0 rejects a step that takes
+    w below 0, mode 1 does not. evs are decoded events, each (on_x, level,
+    direction, terminal, needs_x_negative), and cfg an IntegratorConfig;
+    returns `drive`'s dict, whose status is 'event', 't_end', 'max_steps'
+    or 'step_underflow'."""
+    step = partial(_step, rhs, mode, t_max, cfg.rel_tol, cfg.abs_tol,
+                   cfg.max_steps, [ev[:2] for ev in evs])
+    state = first_state(rhs, x0, w0, t_max, cfg)
+    return drive(Run(step, state, cfg.max_steps), evs)
 
 
 def integrate_kernel(field, x0, w0, t_max, evs, cfg):
     """Integrate the Field from (x0, w0) at t = 0 until a terminal event or
-    t_max, with integrate()'s decoded events evs, each (on_x, level,
-    direction, terminal, needs_x_negative), and its IntegratorConfig cfg;
-    returns `drive`'s dict, whose status is 'event', 't_end', 'max_steps'
-    or 'step_underflow'."""
-    rhs = _make_rhs(field)
-    state = first_state(SimpleNamespace, rhs, x0, w0, t_max, cfg)
-    run = _Run(state, rhs, field.mode, t_max, cfg.rel_tol, cfg.abs_tol,
-               cfg.max_steps, evs)
-    return drive(run, evs)
+    t_max, with integrate()'s decoded events evs and its IntegratorConfig
+    cfg, as `solve` does."""
+    return solve(_make_rhs(field), field.mode, x0, w0, t_max, evs, cfg)

@@ -12,7 +12,7 @@
  * accepted step over which an event function changes sign, in either
  * direction, with the state of the passage in a caller-owned struct, so the
  * next call resumes it. _dp45_py drives both kernels through that protocol:
- * it takes the first step, grows the buffers (through _dp45_ctypes), forms
+ * it takes the first step, grows the buffers (its Run), forms
  * dense-output rows from the stage slopes kept here, and applies every
  * event rule: the direction filter, localization, the x < 0 test and the
  * terminal rule.
@@ -213,7 +213,7 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
             continue;
         }
 
-        if (err_norm > 1.0) {
+        if (!(err_norm <= 1.0)) { /* a NaN error norm rejects the step too */
             factor = py_max(MIN_FACTOR, SAFETY * pow(err_norm, -ALPHA));
             h *= factor;
             n_rejected += 1;

@@ -241,7 +241,8 @@ def test_criterion_09_canard_restoration():
 
 
 def test_criterion_10_integrator_self_test(crit4_trajectories, crit8_runs):
-    traj = integrate(decay_model(), StateXZ(x=1.0, z=2.0, eps=0.0), t_max=1.0)
+    traj = integrate(decay_model(), StateXZ(x=1.0, z=2.0, eps=0.0),
+                     config=IntegratorConfig(max_time=1.0))
     z_err = abs(traj.final_state[1] - 2.0 / 3.0)
 
     zd = ddr_model().z_delta

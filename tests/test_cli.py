@@ -517,11 +517,12 @@ class TestOptionTables:
 
 class TestRunTimeDependencies:
     """The program imports no third-party module: scipy and numpy are test
-    dependencies, and the program reaches scipy only for the fibers of a
-    callable g. ctypes is imported only when a passage resolves the
-    compiled kernel, and subprocess only when it builds it; the kernel's
-    cache key takes the interpreter's own sha256, so neither hashlib nor
-    its OpenSSL module _hashlib is loaded.
+    dependencies, and the fibers of a callable g run on the package's own
+    DP45 driver. ctypes, which holds both kernels' node buffers, is
+    imported only with the integrator, and subprocess only when a passage
+    builds the compiled kernel; the kernel's cache key takes the
+    interpreter's own sha256, so neither hashlib nor its OpenSSL module
+    _hashlib is loaded.
     A subcommand loads only the turnpike layers it runs, and no command
     imports dataclasses or inspect: the records are NamedTuples."""
 
@@ -546,19 +547,24 @@ print(json.dumps({"codes": codes, "imported": sorted(
     "loaded": loaded}))
 """
 
+    @staticmethod
+    def run_script(script, *args):
+        """The JSON that script, run with args in a fresh interpreter,
+        prints last."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
     def run_calls(self, calls):
         """Exit codes of the calls, run in turn in one fresh interpreter,
         the third-party packages it imported, which of the modules that
         bind, key and build the compiled kernel it imported, and for each
         call the turnpike modules loaded once it has returned."""
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(calls)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.strip().splitlines()[-1])
+        return self.run_script(self.SCRIPT, json.dumps(calls))
 
     def test_commands_never_import_scipy(self, models_dir, tmp_path):
         ddr, quartic, canard = (str(models_dir / f"{m}.model")
@@ -576,6 +582,28 @@ print(json.dumps({"codes": codes, "imported": sorted(
         report = self.run_calls(calls)
         assert report["codes"] == [0] * len(calls)
         assert report["imported"] == []
+
+    def test_fibers_of_a_callable_g_import_nothing_third_party(self):
+        script = """
+import json, sys
+before = set(sys.modules)
+from turnpike.entryexit import BasePointMap, base_point, solve_delta0_n1
+from turnpike.model import ddr_model
+ddr = ddr_model()
+ode = ddr._replace(g=lambda x, y, eps: -1.0)
+pairs = [(base_point(m, 1.016), solve_delta0_n1(m, 1.016).x_out,
+          *BasePointMap(m).trace(1.016, [0.5, 0.3, 0.1, 0.0]))
+         for m in (ddr, ode)]
+print(json.dumps({"gaps": [abs(a - b) for a, b in zip(*pairs)],
+                  "imported": sorted(
+    {m.split(".")[0] for m in set(sys.modules) - before}
+    - set(sys.stdlib_module_names) - {"turnpike"})}))
+"""
+        report = self.run_script(script)
+        assert report["imported"] == []
+        base, x_out, *trace = report["gaps"]
+        assert max(base, *trace) < 1e-12
+        assert x_out < 1e-11  # the relation's root is solved to xtol 1e-12
 
     def test_theory_commands_never_import_numpy(self, models_dir):
         ddr = str(models_dir / "ddr.model")

@@ -60,7 +60,8 @@ def backend(request, monkeypatch) -> str:
 
 @functools.lru_cache(maxsize=1)
 def _decay_traj() -> Trajectory:
-    return integrate(decay_model(), StateXZ(x=1.0, z=2.0, eps=0.0), t_max=1.0)
+    return integrate(decay_model(), StateXZ(x=1.0, z=2.0, eps=0.0),
+                     config=IntegratorConfig(max_time=1.0))
 
 
 def _z_exact(t: float) -> float:
@@ -98,7 +99,7 @@ class TestDecayOracle:
         ev = EventSpec(kind="z_reaches_value", value=1.0, direction="down",
                        terminal=True)
         traj = integrate(decay_model(), StateXZ(x=1.0, z=2.0, eps=0.0),
-                         [ev], t_max=1.0)
+                         [ev], config=IntegratorConfig(max_time=1.0))
         assert traj.status == "event"
         hit, = traj.events_of("z_reaches_value")
         assert hit.t == pytest.approx(0.5, abs=1e-10)
@@ -107,7 +108,7 @@ class TestDecayOracle:
     def test_nonterminal_event_does_not_stop(self):
         ev = EventSpec(kind="z_reaches_value", value=1.0, direction="down")
         traj = integrate(decay_model(), StateXZ(x=1.0, z=2.0, eps=0.0),
-                         [ev], t_max=1.0)
+                         [ev], config=IntegratorConfig(max_time=1.0))
         assert traj.status == "t_end"
         assert len(traj.events_of("z_reaches_value")) == 1
         assert traj.t[-1] == 1.0
@@ -123,10 +124,12 @@ class TestDecayOracle:
         start = StateXZ(x=1.0, z=2.0, eps=0.0)
         ev = EventSpec(kind="z_reaches_value", value=1.0, direction="up",
                        terminal=True)
-        traj = integrate(decay_model(), start, [ev], t_max=1.0)
+        traj = integrate(decay_model(), start, [ev],
+                         config=IntegratorConfig(max_time=1.0))
         assert len(stops) == 1
         assert traj.status == "t_end" and traj.events == []
-        plain = integrate(decay_model(), start, t_max=1.0)
+        plain = integrate(decay_model(), start,
+                          config=IntegratorConfig(max_time=1.0))
         assert _fingerprint(traj) == _fingerprint(plain)
 
 
@@ -181,12 +184,13 @@ class TestTrajectoryStructure:
     def test_trajectory_pickles(self, ddr, backend):
         import pickle
         traj = integrate(ddr, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
-                         t_max=100.0)
+                         config=IntegratorConfig(max_time=100.0))
         mids = [0.5 * (a + b) for a, b in zip(traj.t[:-1], traj.t[1:])]
         assert pickle.loads(pickle.dumps(traj))(mids) == traj(mids)
 
     def test_zero_step_trajectory_returns_initial_state(self, ddr, backend):
-        traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01), t_max=0.0)
+        traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
+                         config=IntegratorConfig(max_time=0.0))
         assert traj.status == "t_end" and traj.t == [0.0]
         assert traj(0.0) == (1.0, 0.5)
         assert traj([0.0, 1e-13]) == [(1.0, 0.5)] * 2
@@ -249,7 +253,7 @@ class TestBackends:
         soft = ddr._replace(zeta=lambda x, eps: -1.0 + x)
         assert active_backend(soft) == "python"
         traj = integrate(soft, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
-                         t_max=1.0)
+                         config=IntegratorConfig(max_time=1.0))
         assert traj.status == "t_end"
 
     def test_compiled_rejects_callable_zeta(self, ddr, monkeypatch,
@@ -306,7 +310,7 @@ class TestBackends:
         for backend in ("python", "compiled"):
             monkeypatch.setenv("TURNPIKE_KERNEL", backend)
             traj = integrate(decay_model(), StateXZ(x=1.0, z=2.0, eps=0.0),
-                             specs, t_max=1.0)
+                             specs, config=IntegratorConfig(max_time=1.0))
             assert traj.status == "event" and traj.n_steps == 1
             assert 1.0 / 1.997 - 0.5 < traj.step_sizes[0]  # z = 1.997 in it
             assert [e.index for e in traj.events] == [2, 1]
@@ -401,8 +405,12 @@ class TestBackends:
     def test_full_buffers_rerun_to_the_same_result(self, compiled_kernel,
                                                    monkeypatch):
         # start from one-entry buffers, which the passage doubles many times
-        from turnpike.integrate import _dp45_ctypes
-        monkeypatch.setattr(_dp45_ctypes, "_FIRST_NODE_CAP", 1)
+        monkeypatch.setattr(_dp45_py, "_FIRST_NODE_CAP", 1)
+        caps = []
+        grow = _dp45_py.Run._grow
+        monkeypatch.setattr(_dp45_py.Run, "_grow",
+                            lambda run, cap: caps.append(cap)
+                            or grow(run, cap))
         ddr = ddr_model()
         levels = {"x_crosses_zero": 0.0, "x_reaches_value": 0.5,
                   "y_reaches_delta_with_x_negative": ddr.z_delta,
@@ -413,8 +421,14 @@ class TestBackends:
                  for direction in ("any", "up", "down")]
         args = _kernel_args(events=specs, zeta=(-1.0, 1.0), eps=0.05,
                             x0=1.016, w0=ddr.z_delta, t_max=1e3)
-        runs = [Trajectory("xz", 0.05, k.integrate_kernel(*args), specs)
-                for k in (_dp45_py, compiled_kernel)]
+        runs, grown = [], []
+        for k in (_dp45_py, compiled_kernel):
+            caps.clear()
+            runs.append(Trajectory("xz", 0.05, k.integrate_kernel(*args),
+                                   specs))
+            grown.append(caps[:])
+        assert grown[0] == grown[1]
+        assert grown[0][0] == 1 and grown[0][-1] > runs[0].n_steps
         assert runs[0].status == "event"
         assert {e.spec.kind for e in runs[0].events} == set(levels)
         assert _fingerprint(runs[0]) == _fingerprint(runs[1])
@@ -479,7 +493,7 @@ class TestOverflowingField:
         state = (StateXY if kw.get("mode") else StateXZ)(
             kw["x0"], kw["w0"], kw.get("eps", 0.01))
         with pytest.raises(IntegrationError, match="underflow") as ei:
-            integrate(model, state, t_max=1.0)
+            integrate(model, state, config=IntegratorConfig(max_time=1.0))
         assert ei.value.status == "step_underflow"
         assert ei.value.t == 0.0
 
@@ -493,15 +507,16 @@ class TestOverflowingField:
 
     def test_kernels_agree_when_stages_overflow(self, compiled_kernel):
         # from a finite start and trial step, y' = -x y at x = -10 carries
-        # y = 1e307 past double range within a few steps: the step loop
-        # itself meets inf and NaN stages (compared up to NaN sign bits)
+        # the stage sums past double range at every step size: each step's
+        # error norm is NaN, and a NaN error norm rejects the step
         args = _kernel_args(mode=1, zeta=(-1.0, 1.0), g=0.0, x0=-10.0,
                             w0=1e307, t_max=10.0)
-        runs = [k.integrate_kernel(*args) for k in (_dp45_py, compiled_kernel)]
-        assert runs[0]["n_rhs"] > 2 and math.isnan(runs[0]["w"][-1])
-        py, c = ([r[k] for k in ("status", "t", "n_steps", "n_rejected",
-                                 "n_rhs")] for r in runs)
-        assert py == c
+        runs = [Trajectory("xy", 0.01, k.integrate_kernel(*args), [])
+                for k in (_dp45_py, compiled_kernel)]
+        assert runs[0].status == "step_underflow" and runs[0].n_steps == 0
+        assert runs[0].n_rejected > 0
+        assert all(map(math.isfinite, runs[0].x + runs[0].w))
+        assert _fingerprint(runs[0]) == _fingerprint(runs[1])
 
 
 _SPECIAL_X = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300)
@@ -553,8 +568,8 @@ class TestValidation:
         start[name] = value
         state = (StateXY if "y" in start else StateXZ)(**start)
         with pytest.raises(ModelError, match=f"{name} must be finite"):
-            integrate(ddr, state, config=IntegratorConfig(max_steps=100),
-                      t_max=1.0)
+            integrate(ddr, state,
+                      config=IntegratorConfig(max_steps=100, max_time=1.0))
 
     def test_passages_from_non_finite_inputs_fail_at_once(self, ddr, backend):
         # dulac_map_numeric(ddr, 1.01, nan) took 1.75 s and 642 MB on the
@@ -581,7 +596,7 @@ class TestValidation:
         # through max_steps NaN steps (compiled)
         with pytest.raises(ModelError, match="abs_tol"):
             integrate(ddr, StateXZ(x=0.0, z=0.0, eps=0.01),
-                      config=IntegratorConfig(abs_tol=abs_tol), t_max=1.0)
+                      config=IntegratorConfig(abs_tol=abs_tol, max_time=1.0))
 
     @pytest.mark.parametrize("rel_tol", [-1.0, math.nan])
     def test_rel_tol_must_not_be_negative(self, ddr, backend, rel_tol):
@@ -589,7 +604,7 @@ class TestValidation:
         # run after 2 steps, against 57 at rel_tol = 0
         with pytest.raises(ModelError, match="rel_tol"):
             integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
-                      config=IntegratorConfig(rel_tol=rel_tol), t_max=1.0)
+                      config=IntegratorConfig(rel_tol=rel_tol, max_time=1.0))
 
     @pytest.mark.parametrize("max_steps", [-3, 1000.0, math.nan])
     def test_max_steps_must_be_a_count(self, ddr, backend, max_steps):
@@ -597,7 +612,8 @@ class TestValidation:
         # here, while the Python kernel ran
         with pytest.raises(ModelError, match="max_steps"):
             integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
-                      config=IntegratorConfig(max_steps=max_steps), t_max=1.0)
+                      config=IntegratorConfig(max_steps=max_steps,
+                                              max_time=1.0))
 
     @pytest.mark.parametrize("kernel", ["python", "compiled"])
     def test_max_steps_minus_one_is_rejected(self, request, kernel):
@@ -616,7 +632,8 @@ class TestValidation:
             "print(active_backend(ddr_model()))\n"
             "try:\n"
             "    integrate(ddr_model(), StateXZ(1.0, 0.5, 0.01),\n"
-            "              config=IntegratorConfig(max_steps=-1), t_max=1.0)\n"
+            "              config=IntegratorConfig(max_steps=-1,\n"
+            "                                      max_time=1.0))\n"
             "except ModelError as exc:\n"
             "    print(exc)\n")
         src = os.pathsep.join(p for p in (str(REPO_ROOT / "src"),
@@ -656,15 +673,13 @@ class TestValidation:
         assert _fingerprint(runs[0]) == _fingerprint(runs[1])
 
     @pytest.mark.parametrize("value", [math.nan, -1.0])
-    @pytest.mark.parametrize("name", ["t_max", "max_time"])
+    @pytest.mark.parametrize("name", ["max_time"])
     def test_end_time_must_not_be_negative(self, ddr, backend, name, value):
-        # a NaN t_max ran past the exit until "step size underflow at t =
-        # 23090.3"; a negative one returned a trajectory of no step
+        # a NaN end time ran past the exit until "step size underflow at
+        # t = 23090.3"; a negative one returned a trajectory of no step
         def run(end):
-            return integrate(
-                ddr, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
-                **({"t_max": end} if name == "t_max" else
-                   {"config": IntegratorConfig(max_time=end)}))
+            return integrate(ddr, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
+                             config=IntegratorConfig(max_time=end))
 
         with pytest.raises(ModelError, match=f"{name} must be >= 0"):
             run(value)
@@ -679,7 +694,7 @@ class TestValidation:
 
     def test_zero_rel_tol_is_legal(self, ddr, backend):
         traj = integrate(ddr, StateXZ(x=1.0, z=0.5, eps=0.01),
-                         config=IntegratorConfig(rel_tol=0.0), t_max=1.0)
+                         config=IntegratorConfig(rel_tol=0.0, max_time=1.0))
         assert traj.status == "t_end"
 
     def test_z_event_needs_xz_state(self, ddr):

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from turnpike import integrate
-from turnpike.integrate import _dp45_ctypes
+from turnpike.integrate import _dp45_ctypes, _dp45_py
 from turnpike.model import ddr_model
 
 from conftest import REPO_ROOT
@@ -63,12 +63,12 @@ def test_source_builds_clean_with_the_kernel_flags(tmp_path):
 
 
 @needs_cc
-def test_state_layout_matches_the_c_struct(tmp_path, compiled_kernel):
+def test_state_layout_matches_the_c_struct(tmp_path):
     # the library reads and writes the ctypes copy of struct dp45_state in
     # place, so a field at a different offset would corrupt it silently
     from ctypes import sizeof
 
-    state = compiled_kernel.State
+    state = _dp45_py.State
     names = [name for name, _ in state._fields_]
     harness = tmp_path / "layout.c"
     harness.write_text(
@@ -99,7 +99,7 @@ def test_advance_parameters_match_the_argtypes(compiled_kernel):
                        _dp45_ctypes.SOURCE.read_text(), re.M | re.S)[1]
     kinds = {"int": c_int, "int64_t": c_int64, "double": c_double,
              "double *": POINTER(c_double), "int *": POINTER(c_int),
-             "struct dp45_state *": POINTER(compiled_kernel.State)}
+             "struct dp45_state *": POINTER(_dp45_py.State)}
     declared = []
     for param in params.split(","):
         ctype, star = re.fullmatch(r"(?:const )?([\w ]+?) ?(\*?)\w+",

@@ -1,5 +1,6 @@
 """The package surface: every public name resolves, on first use, to the
 object its submodule defines."""
+import ast
 import importlib
 import os
 import subprocess
@@ -70,3 +71,20 @@ def test_import_loads_a_layer_on_first_use():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["['turnpike']", "True", "True"]
+
+
+def test_no_module_imports_scipy_or_numpy():
+    # the program runs on the standard library alone; scipy and numpy are
+    # test dependencies
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "turnpike").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in ("scipy", "numpy")]
+    assert found == []

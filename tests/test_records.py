@@ -35,7 +35,8 @@ RECORDS = {
     DulacDiagnostics: (dulac_map_numeric(MODEL, 1.01, 0.01)[1],
                        "z_min", -1.0),
     QuadResult: (adaptive_quad(math.exp, 0.0, 1.0), "subdivisions", 99),
-    BasePointMap: (BasePointMap(MODEL), "tol", 1e-10),
+    BasePointMap: (BasePointMap(MODEL), "model",
+                   MODEL._replace(delta=0.25)),
     EntryExitResult: (solve_delta0_n1(MODEL, 1.01), "x_out", -2.0),
     DelayPrediction: (DelayPrediction(n=2, eps=0.01, z_in_leading=1.0,
                                       z_out_leading=2.0,
