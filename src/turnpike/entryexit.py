@@ -82,7 +82,8 @@ class BasePointMap(NamedTuple):
             return x_at(y1) if ys is None else [x_at(y) for y in ys]
 
         # only callable g gets here, so delta0 never loads the integrator
-        from .integrate import IntegratorConfig, Trajectory
+        from .integrate import (EventSpec, IntegratorConfig, Trajectory,
+                                _kernel_events)
         from .integrate._dp45_py import solve
 
         g, sigma = self.model.g, math.copysign(1.0, y1 - y0)
@@ -90,18 +91,18 @@ class BasePointMap(NamedTuple):
         def rhs(x, y):
             return -sigma * g(x, y, 0.0) / x, sigma
 
-        # a decoded terminal event, in either direction, on x = +-_X_FLOOR
-        floor = (True, math.copysign(_X_FLOOR, x0), 0, True, False)
-        raw = solve(rhs, 1, x0, y0, abs(y1 - y0), [floor],
+        floor = [EventSpec("x_reaches_value", math.copysign(_X_FLOOR, x0),
+                           terminal=True)]
+        run = solve(rhs, 1, x0, y0, abs(y1 - y0), _kernel_events(floor, 1),
                     IntegratorConfig(rel_tol=_FIBER_RTOL, abs_tol=1e-15))
-        if raw["status"] == "event":
+        if run.status == "event":
             raise self._floor_error(x0, y1)
-        if raw["status"] != "t_end":
+        if run.status != "t_end":
             raise EntryExitError(
-                f"fiber integration failed: status {raw['status']!r}")
+                f"fiber integration failed: status {run.status!r}")
         if ys is None:
-            return raw["x"][-1]
-        fiber = Trajectory("xy", 0.0, raw, [])
+            return run.state.x
+        fiber = Trajectory("xy", 0.0, run, floor)
         return [fiber(abs(y - y0))[0] for y in ys]
 
     def _check_start(self, what: str, x: float) -> None:

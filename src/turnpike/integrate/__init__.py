@@ -12,7 +12,8 @@ overrides the choice; 'python' never builds or loads the library.
 integrate() decodes the model and the events once: the model into one
 `_dp45_py.Field`, in which a builtin zeta is its polynomial coefficients
 and a constant g its value, and each EventSpec into a tuple. Both kernels
-take them through the same integrate_kernel(field, x0, w0, t_max, evs, cfg).
+take them through the same integrate_kernel(field, x0, w0, t_max, evs, cfg)
+and return the passage's `_dp45_py.Run`, of which a Trajectory is a copy.
 """
 from __future__ import annotations
 
@@ -101,28 +102,30 @@ class EventHit(NamedTuple):
 class Trajectory:
     """Accepted nodes, dense interpolant, and localized events of one run.
 
-    t, x, w and step_sizes are lists of floats, w being z or y depending on
-    mode; states, the list of (x, w) pairs, is built when first read. The
-    object is callable: traj(t) evaluates the quartic dense output, whose
-    rows it reads through the kernel's "dense" accessor: either kernel
-    keeps each step's stage slopes, and `_dp45_py.dense_row` forms a row.
+    A copy of a kernel's `_dp45_py.Run`, so it pickles. t, x, w and
+    step_sizes are lists of floats, w being z or y depending on mode;
+    states, the list of (x, w) pairs, is built when first read. The object
+    is callable: traj(t) evaluates the quartic dense output, whose rows
+    `_dp45_py.dense_row` forms from a copy of the run's stage slopes.
     """
 
-    def __init__(self, mode: str, eps: float, raw: dict,
+    def __init__(self, mode: str, eps: float, run: _dp45_py.Run,
                  specs: Sequence[EventSpec]):
+        s = run.state
+        nn = s.n_steps + 1
         self.mode = mode
         self.eps = eps
-        self.status: str = raw["status"]
-        self.t: list[float] = raw["t"]
-        self.x: list[float] = raw["x"]
-        self.w: list[float] = raw["w"]
-        self.step_sizes: list[float] = raw["h"]
-        self._dense = raw["dense"]  # step index -> 8-tuple row
+        self.status: str = run.status
+        self.t: list[float] = run.t[:nn]
+        self.x: list[float] = run.x[:nn]
+        self.w: list[float] = run.w[:nn]
+        self.step_sizes: list[float] = run.h[:nn - 1]
+        self._dense = run.rows()  # step index -> 8-tuple row
         self.events = [EventHit(index=ie, spec=specs[ie], t=te, x=xe, w=we)
-                       for (ie, te, xe, we) in raw["events"]]
-        self.n_steps: int = raw["n_steps"]
-        self.n_rejected: int = raw["n_rejected"]
-        self.n_rhs: int = raw["n_rhs"]
+                       for (ie, te, xe, we) in run.events]
+        self.n_steps: int = s.n_steps
+        self.n_rejected: int = s.n_rejected
+        self.n_rhs: int = s.n_rhs
 
     @cached_property
     def states(self) -> list[tuple[float, float]]:
@@ -174,8 +177,8 @@ def _field(model: SlowFastModel, mode: int, eps: float,
     A builtin zeta becomes its coefficients and a constant g its value."""
     zeta = zeta_coeffs(model.zeta)
     g = model.g_params[0] if model.g_kind == "constant" else model.g
-    return _dp45_py.Field(mode, 2 * model.n, weighted_lam(model.p.lam, eps),
-                          eps, model.zeta if zeta is None else zeta, g, sign)
+    return _dp45_py.Field(mode, weighted_lam(model.p.lam, eps), eps,
+                          model.zeta if zeta is None else zeta, g, sign)
 
 
 def _kernel_events(events: Sequence[EventSpec], mode: int) -> list[tuple]:
@@ -252,7 +255,7 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
         max_steps = operator.index(cfg.max_steps)
     except TypeError:
         max_steps = -1
-    if max_steps < 0:  # a count: the compiled kernel sizes its buffers by it
+    if max_steps < 0:  # a count: the Run sizes its buffers by it
         raise ModelError(
             f"max_steps must be an integer >= 0, got {cfg.max_steps!r}")
 
@@ -272,21 +275,20 @@ def integrate(model: SlowFastModel, initial: StateXZ | StateXY,
     evs = _kernel_events(events, mode)
     field = _field(model, mode, eps, float(time_direction))
     kernel = _dp45_c if active_backend(model) == "compiled" else _dp45_py
-    raw = kernel.integrate_kernel(field, x0, w0, float(t_max), evs,
+    run = kernel.integrate_kernel(field, x0, w0, float(t_max), evs,
                                   cfg._replace(max_steps=max_steps))
 
-    specs = list(events)
-    traj = Trajectory("xz" if mode == 0 else "xy", eps, raw, specs)
-    t_end = traj.t[-1]
-    if traj.status == "step_underflow":
-        raise IntegrationError(f"step size underflow at t = {t_end:.6g}",
-                               t=t_end, state=traj.final_state,
+    # a failed run's last node is its state: raise before any copy
+    s = run.state
+    if run.status == "step_underflow":
+        raise IntegrationError(f"step size underflow at t = {s.t:.6g}",
+                               t=s.t, state=(s.x, s.w),
                                status="step_underflow")
-    if traj.status == "max_steps":
+    if run.status == "max_steps":
         raise IntegrationError(
-            f"exceeded max_steps = {cfg.max_steps} at t = {t_end:.6g}",
-            t=t_end, state=traj.final_state, status="max_steps")
-    return traj
+            f"exceeded max_steps = {cfg.max_steps} at t = {s.t:.6g}",
+            t=s.t, state=(s.x, s.w), status="max_steps")
+    return Trajectory("xz" if mode == 0 else "xy", eps, run, list(events))
 
 
 class DulacDiagnostics(NamedTuple):

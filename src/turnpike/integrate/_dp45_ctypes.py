@@ -14,9 +14,10 @@ on several threads run in parallel.
 
 The library only steps. `CompiledKernel.integrate_kernel` takes what the
 Python kernel takes, the Field and the events integrate() has decoded, and
-passes their fields to the library as they are. Its step(run) closure
-resumes the passage in the library, on the `_dp45_py.Run` that the Python
-kernel runs on too, and `_dp45_py.drive` drives both.
+passes their fields to the library as they are, with 2n as the length of
+the field's wlam. Its step(run) closure resumes the passage in the
+library, on the `_dp45_py.Run` that the Python kernel runs on too;
+`_dp45_py.drive` drives both, holds the step cap, and returns the Run.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from ctypes import CDLL, POINTER, c_double as dbl, c_int as int_, c_int64 as i64
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
-from ._dp45_py import Run, State, _make_rhs, drive, first_state
+from ._dp45_py import State, _make_rhs, drive
 
 __all__ = ["CompiledKernel", "build", "load", "why_unavailable"]
 
@@ -34,7 +35,8 @@ SOURCE = Path(__file__).with_name("dp45.c")
 FLAGS = ("-shared", "-fPIC", "-O3", "-ffp-contract=off")
 _EXT = EXTENSION_SUFFIXES[0]
 
-_STATUS = ("t_end", "crossing", "max_steps", "step_underflow", "buffer_full")
+# dp45.c's status enum, in order
+_STATUS = ("t_end", "crossing", "step_underflow", "buffer_full")
 
 
 class CompiledKernel:
@@ -47,7 +49,7 @@ class CompiledKernel:
         fn.argtypes = [
             int_, int_, pd, dbl,            # mode, two_n, wlam, eps
             pd, int_, dbl, dbl,             # zeta, its length, g, sign
-            dbl, dbl, dbl, i64,             # t_max, rtol, atol, max_steps
+            dbl, dbl, dbl,                  # t_max, rtol, atol
             int_, pi, pd,                   # events: count, on_x, level
             i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, k
             POINTER(State),                 # state
@@ -59,11 +61,11 @@ class CompiledKernel:
         """Integrate the Field from (x0, w0) at t = 0 until a terminal
         event or t_max, as _dp45_py.integrate_kernel does; the field's zeta
         must be coefficients and its g a float."""
-        mode, two_n, wlam, eps, zeta, g, sign = field
+        mode, wlam, eps, zeta, g, sign = field
         nev = len(evs)
-        args = (mode, two_n, (dbl * two_n)(*wlam), eps,
+        args = (mode, len(wlam), (dbl * len(wlam))(*wlam), eps,
                 (dbl * len(zeta))(*zeta), len(zeta), g, sign,
-                t_max, cfg.rel_tol, cfg.abs_tol, cfg.max_steps,
+                t_max, cfg.rel_tol, cfg.abs_tol,
                 nev, (int_ * nev)(*(ev[0] for ev in evs)),
                 (dbl * nev)(*(ev[1] for ev in evs)))
         fn = self._fn
@@ -72,8 +74,7 @@ class CompiledKernel:
             return _STATUS[fn(*args, run.cap, run.t, run.x, run.w, run.h,
                               run.k, run.state)]
 
-        state = first_state(_make_rhs(field), x0, w0, t_max, cfg)
-        return drive(Run(step, state, cfg.max_steps), evs)
+        return drive(step, _make_rhs(field), x0, w0, t_max, evs, cfg)
 
 
 def _paths() -> tuple[Path, Path]:

@@ -16,16 +16,18 @@ this kernel also accepts Python callables for zeta and g.
 Each kernel only steps: its step(run) goes on from the resumable `State`
 (`first_state` makes the first) until the passage ends, the node buffers
 are full or after an accepted step over which an event function changes
-sign, in either direction. Both kernels write into one `Run`, whose
-buffers and state have dp45.c's layout, and whose advance() grows the
-buffers and resumes. `solve` runs any right-hand side on the Python
-kernel: the passage's field (`integrate_kernel`) and the fast fibres of a
-callable g (`entryexit.BasePointMap`). Every event rule is written here
-once and drives both kernels (`drive`, `step_hits`): a sign change
-against the event's direction is dropped, the others are localized on
-the step's dense polynomial by the package's Brent solver (`localize`),
-the return section is kept only where x < 0, and the step's hits are
-taken in (theta, index) order up to the first terminal one.
+sign, in either direction. `drive` runs both kernels on one `Run`, the
+passage's only record, whose buffers and state have dp45.c's layout, and
+returns it; its advance() grows the buffers up to the max_steps + 1 nodes
+a passage may have and resumes, so the step cap is a full buffer of that
+size. `solve` runs any right-hand side on the Python kernel: the
+passage's field (`integrate_kernel`) and the fast fibres of a callable g
+(`entryexit.BasePointMap`). Every event rule is written here once and
+drives both kernels (`drive`, `step_hits`): a sign change against the
+event's direction is dropped, the others are localized on the step's
+dense polynomial by the package's Brent solver (`localize`), the return
+section is kept only where x < 0, and the step's hits are taken in
+(theta, index) order up to the first terminal one.
 
 Implements: FSAL stepping from the trial step of Hairer, Norsett & Wanner,
 PI step-size control (0.9 safety, exponents 0.7/5 and 0.4/5, factor
@@ -33,7 +35,7 @@ clamped to [0.2, 10]), a quartic dense output and rejection of steps that
 would take z below 0 in the transformed system. Each kernel keeps the
 stage slopes of every accepted step; `dense_row`, the one place a
 dense-output row is formed, turns them into the step's row only when the
-row is read, by `step_hits` or through the result's "dense" accessor.
+row is read, by `step_hits` or through a Trajectory.
 """
 from __future__ import annotations
 
@@ -92,14 +94,13 @@ class Field(NamedTuple):
     """The vector field of one run, as integrate() hands it to a kernel.
 
     mode 0 is the (x, z) system, y = exp(-1/z), and mode 1 the raw (x, y)
-    one; wlam holds lam_i eps^(2n - i), i < two_n. zeta is the ascending
-    coefficients of a builtin zeta (`model.zeta_coeffs`), else the
+    one; wlam, of length 2n, holds lam_i eps^(2n - i). zeta is the
+    ascending coefficients of a builtin zeta (`model.zeta_coeffs`), else the
     callable; g is the value of a constant g, else the callable. sign is
     +1 forward and -1 time-reversed. Only this kernel takes callables.
     """
 
     mode: int
-    two_n: int
     wlam: tuple[float, ...]
     eps: float
     zeta: tuple[float, ...] | Callable[[float, float], float]
@@ -109,8 +110,8 @@ class Field(NamedTuple):
 
 def _make_rhs(field):
     """The signed right-hand side (x, w) -> (x', w') of the field."""
-    mode, two_n, wlam, eps, zeta, g, sign = field
-    rlam = wlam[::-1]
+    mode, wlam, eps, zeta, g, sign = field
+    two_n, rlam = len(wlam), wlam[::-1]
     zfn = zeta if callable(zeta) else None
     if zfn is None:
         ztop, zrest = zeta[-1], tuple(reversed(zeta[:-1]))
@@ -182,15 +183,17 @@ class State(Structure):
 
 
 class Run:
-    """A passage on either kernel: its State, and ctypes node buffers of cap
+    """A passage on either kernel: its State, ctypes node buffers of cap
     nodes in dp45.c's layout, t, x, w, the step sizes h and the 14 stage
-    slopes k of each accepted step. advance() calls the kernel's
-    step(run) again, with buffers twice as large, for as long as it
-    returns 'buffer_full', and returns its status."""
+    slopes k of each accepted step, and the status and events `drive` sets.
+    advance() calls the kernel's step(run) again, with buffers twice as
+    large up to limit = max_steps + 1 nodes, for as long as it returns
+    'buffer_full', which at cap == limit is 'max_steps'."""
 
     def __init__(self, step, state, max_steps):
         self._step, self.state, self.cap = step, state, 0
-        self._grow(min(max(max_steps, 0) + 1, _FIRST_NODE_CAP))
+        self.limit = max(max_steps, 0) + 1
+        self._grow(min(self.limit, _FIRST_NODE_CAP))
         self.x[0], self.w[0] = state.x, state.w
 
     def _grow(self, cap):
@@ -203,16 +206,15 @@ class Run:
             setattr(self, name, new)
         self.cap = cap
 
-    def row(self, i):
-        return _row_at(self.k, i)
-
     def rows(self):
         return partial(_row_at,
                        bytes(memoryview(self.k)[:14 * self.state.n_steps]))
 
     def advance(self):
         while (status := self._step(self)) == "buffer_full":
-            self._grow(2 * self.cap)
+            if self.cap == self.limit:
+                return "max_steps"
+            self._grow(min(2 * self.cap, self.limit))
         return status
 
 
@@ -274,7 +276,7 @@ def step_hits(run, evs):
         if d and (d > 0) != (g0 < 0.0):
             continue  # crossing against the event's direction
         if q is None:
-            q = run.row(i)
+            q = _row_at(run.k, i)
         th = localize(x if on_x else w, h, q[:4] if on_x else q[4:], level)
         x_ev = _dense(x, h, q[:4], th)
         w_ev = _dense(w, h, q[4:], th)
@@ -291,31 +293,25 @@ def step_hits(run, evs):
     return events, False
 
 
-def drive(run, evs):
-    """The result dict of the passage in the Run `run`, whose advance()
-    steps on and returns 'crossing', 't_end', 'max_steps' or
-    'step_underflow': the status, node lists t, x, w and h, "dense", the
-    accessor of the dense-output rows, the counters and the events of each
-    crossing step, up to a terminal one."""
-    events = []
-    while True:
-        status = run.advance()
-        if status != "crossing":
-            break
+def drive(step, rhs, x0, w0, t_max, evs, cfg):
+    """The Run of the passage from (x0, w0) at t = 0 on the kernel whose
+    step(run) is `step`, rhs being its field in Python (for the first
+    step), evs the decoded events and cfg an IntegratorConfig. Its status
+    is 'event', 't_end', 'max_steps' or 'step_underflow', and its events
+    the (index, t, x, w) of each crossing step, up to a terminal one."""
+    run = Run(step, first_state(rhs, x0, w0, t_max, cfg), cfg.max_steps)
+    run.events = []
+    while (status := run.advance()) == "crossing":
         hits, terminal = step_hits(run, evs)
-        events += hits
+        run.events += hits
         if terminal:
             status = "event"
             break
-    s = run.state
-    nn = s.n_steps + 1
-    return {"status": status, "t": run.t[:nn], "x": run.x[:nn],
-            "w": run.w[:nn], "h": run.h[:nn - 1], "dense": run.rows(),
-            "events": events, "n_steps": s.n_steps,
-            "n_rejected": s.n_rejected, "n_rhs": s.n_rhs}
+    run.status = status
+    return run
 
 
-def _step(rhs, mode, t_max, rtol, atol, max_steps, evs, run):
+def _step(rhs, mode, t_max, rtol, atol, evs, run):
     """step(run) of the Python kernel, as dp45_advance: step on until the
     passage ends, the buffers are full or after an accepted step over which
     an event function, (x if on_x else w) - level for (on_x, level) in evs,
@@ -333,9 +329,6 @@ def _step(rhs, mode, t_max, rtol, atol, max_steps, evs, run):
     while True:
         if t >= t_max:
             status = "t_end"
-            break
-        if n_steps >= max_steps:
-            status = "max_steps"
             break
         if n_steps + 1 >= cap:
             status = "buffer_full"
@@ -448,12 +441,10 @@ def solve(rhs, mode, x0, w0, t_max, evs, cfg):
     t = 0 until a terminal event or t_max; mode 0 rejects a step that takes
     w below 0, mode 1 does not. evs are decoded events, each (on_x, level,
     direction, terminal, needs_x_negative), and cfg an IntegratorConfig;
-    returns `drive`'s dict, whose status is 'event', 't_end', 'max_steps'
-    or 'step_underflow'."""
+    returns `drive`'s Run."""
     step = partial(_step, rhs, mode, t_max, cfg.rel_tol, cfg.abs_tol,
-                   cfg.max_steps, [ev[:2] for ev in evs])
-    state = first_state(rhs, x0, w0, t_max, cfg)
-    return drive(Run(step, state, cfg.max_steps), evs)
+                   [ev[:2] for ev in evs])
+    return drive(step, rhs, x0, w0, t_max, evs, cfg)
 
 
 def integrate_kernel(field, x0, w0, t_max, evs, cfg):

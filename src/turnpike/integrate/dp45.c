@@ -12,7 +12,8 @@
  * accepted step over which an event function changes sign, in either
  * direction, with the state of the passage in a caller-owned struct, so the
  * next call resumes it. _dp45_py drives both kernels through that protocol:
- * it takes the first step, grows the buffers (its Run), forms
+ * it takes the first step, grows the buffers (its Run) up to the most nodes
+ * a passage may have, so a full buffer at that size is its step cap, forms
  * dense-output rows from the stage slopes kept here, and applies every
  * event rule: the direction filter, localization, the x < 0 test and the
  * terminal rule.
@@ -31,9 +32,8 @@
 enum {
     DP45_T_END = 0,
     DP45_CROSSING = 1, /* an event function changed sign over the last step */
-    DP45_MAX_STEPS = 2,
-    DP45_STEP_UNDERFLOW = 3,
-    DP45_BUFFER_FULL = 4 /* enlarge the node buffers and call again */
+    DP45_STEP_UNDERFLOW = 2,
+    DP45_BUFFER_FULL = 3 /* enlarge the node buffers and call again */
 };
 
 #define EXP_UNDERFLOW 745.0
@@ -121,18 +121,18 @@ struct dp45_state {
     int last_rejected;
 };
 
-/* Step the passage in *st on until t_max, max_steps, a step size underflow,
- * a full node buffer (node_cap nodes) or an accepted step over which an
- * event function, (ev_on_x[ie] ? x : w) - ev_level[ie], changes sign in
- * either direction. Node i goes to ts, xs, ws[i], and step i's size and
- * stage slopes (k1x..k7x, k1w..k7w) to hs[i] and ks[14 i .. 14 i + 13]. The
- * caller writes node 0 and fills *st first. *st is valid on every return, so
- * the next call, with the buffers enlarged after DP45_BUFFER_FULL, goes on
- * where this one stopped.
+/* Step the passage in *st on until t_max, a step size underflow, a full
+ * node buffer (node_cap nodes, so at most node_cap - 1 steps) or an accepted
+ * step over which an event function, (ev_on_x[ie] ? x : w) - ev_level[ie],
+ * changes sign in either direction. Node i goes to ts, xs, ws[i], and step
+ * i's size and stage slopes (k1x..k7x, k1w..k7w) to hs[i] and
+ * ks[14 i .. 14 i + 13]. The caller writes node 0 and fills *st first. *st
+ * is valid on every return, so the next call, with the buffers enlarged
+ * after DP45_BUFFER_FULL, goes on where this one stopped.
  */
 int dp45_advance(int mode, int two_n, const double *wlam, double eps,
                  const double *zeta, int n_zeta, double g, double sign,
-                 double t_max, double rtol, double atol, int64_t max_steps,
+                 double t_max, double rtol, double atol,
                  int n_ev, const int *ev_on_x, const double *ev_level,
                  int64_t node_cap, double *ts, double *xs, double *ws,
                  double *hs, double *ks,
@@ -153,10 +153,6 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
 
         if (t >= t_max) {
             status = DP45_T_END;
-            break;
-        }
-        if (n_steps >= max_steps) {
-            status = DP45_MAX_STEPS;
             break;
         }
         if (n_steps + 1 >= node_cap) {

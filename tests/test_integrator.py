@@ -25,12 +25,13 @@ from turnpike.model import (PolyP, StateXY, StateXZ, ddr_model, load_model,
 from conftest import REPO_ROOT, decay_model
 
 
-def _kernel_args(mode=0, n=1, lam=(-2.0, 1.0), eps=0.01, zeta=(-1.0,),
-                 g=-1.0, x0=1.0, w0=0.5, t_max=1.0, time_sign=1.0, rtol=1e-12,
+def _kernel_args(mode=0, lam=(-2.0, 1.0), eps=0.01, zeta=(-1.0,), g=-1.0,
+                 x0=1.0, w0=0.5, t_max=1.0, time_sign=1.0, rtol=1e-12,
                  atol=1e-12, events=(), max_steps=10_000):
-    """Arguments of integrate_kernel, in its order; zeta is the ascending
-    coefficients of the field's polynomial zeta and g its constant."""
-    field = _dp45_py.Field(mode, 2 * n, weighted_lam(lam, eps), eps, zeta, g,
+    """Arguments of integrate_kernel, in its order; lam holds the 2n
+    coefficients, zeta is the ascending coefficients of the field's
+    polynomial zeta and g its constant."""
+    field = _dp45_py.Field(mode, weighted_lam(lam, eps), eps, zeta, g,
                            time_sign)
     cfg = IntegratorConfig(rel_tol=rtol, abs_tol=atol, max_steps=max_steps)
     return field, x0, w0, t_max, _kernel_events(events, mode), cfg
@@ -232,6 +233,29 @@ class TestTolerances:
                       config=IntegratorConfig(max_steps=10))
         assert ei.value.status == "max_steps"
 
+    def test_long_passage_ends_at_max_steps(self, ddr, backend, monkeypatch):
+        # the ddr passage at eps = 1e-100 would run until t = 5e201: its
+        # buffers grow to max_steps + 1 nodes and no further, and the
+        # failure is reported from the run's last state before any copy
+        caps, built = [], []
+        grow, init = _dp45_py.Run._grow, Trajectory.__init__
+        monkeypatch.setattr(_dp45_py.Run, "_grow",
+                            lambda run, cap: caps.append(cap)
+                            or grow(run, cap))
+        monkeypatch.setattr(Trajectory, "__init__",
+                            lambda traj, *args: built.append(args)
+                            or init(traj, *args))
+        with pytest.raises(IntegrationError) as ei:
+            integrate(ddr, StateXZ(x=1.01, z=ddr.z_delta, eps=1e-100),
+                      config=IntegratorConfig(max_steps=5000))
+        assert str(ei.value) == "exceeded max_steps = 5000 at t = 6.43062e+18"
+        assert ei.value.status == "max_steps"
+        assert ei.value.t == float.fromhex("0x1.64f8a2bb95847p+62")
+        assert ei.value.state == (float.fromhex("0x1.225aa716d0809p-3"),
+                                  float.fromhex("0x1.17e28fea5d810p-46"))
+        assert caps == [4096, 5001]
+        assert built == []
+
 
 def test_subpackage_is_not_shadowed():
     import turnpike.integrate as m
@@ -366,7 +390,7 @@ class TestBackends:
                 2: tuple(data.draw(st.lists(coef, min_size=1, max_size=4),
                                    label="zeta_poly"))}[zk]
         kw = dict(
-            mode=mode, n=n, zeta=zeta,
+            mode=mode, zeta=zeta,
             lam=tuple(data.draw(st.lists(coef, min_size=2 * n,
                                          max_size=2 * n), label="lam")),
             eps=data.draw(st.floats(0.0, 0.3), label="eps"),
@@ -381,9 +405,10 @@ class TestBackends:
             max_steps=data.draw(st.sampled_from((300, 7)), label="max_steps"),
         )
         # event levels inside the range the event-free path sweeps
-        pilot = _dp45_py.integrate_kernel(*_kernel_args(**kw))
-        spans = {0: (min(pilot["x"]), max(pilot["x"])),
-                 1: (min(pilot["w"]), max(pilot["w"]))}
+        pilot = Trajectory("xz", kw["eps"],
+                           _dp45_py.integrate_kernel(*_kernel_args(**kw)), [])
+        spans = {0: (min(pilot.x), max(pilot.x)),
+                 1: (min(pilot.w), max(pilot.w))}
         specs = []
         for _ in range(data.draw(st.integers(0, 5), label="n_events")):
             kind = data.draw(st.sampled_from(
@@ -655,18 +680,18 @@ class TestValidation:
         code = (
             "import pickle, resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from turnpike.integrate import _dp45_ctypes\n"
+            "from turnpike.integrate import Trajectory, _dp45_ctypes\n"
             "args = pickle.load(sys.stdin.buffer)\n"
-            "raw = _dp45_ctypes.load().integrate_kernel(*args)\n"
-            "pickle.dump(raw, sys.stdout.buffer)\n")
+            "run = _dp45_ctypes.load().integrate_kernel(*args)\n"
+            "pickle.dump(Trajectory('xz', 0.01, run, []), sys.stdout.buffer)\n")
         src = os.pathsep.join(p for p in (str(REPO_ROOT / "src"),
                                           os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", code],
                               input=pickle.dumps(args), capture_output=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert proc.returncode == 0, proc.stderr.decode()
-        runs = [Trajectory("xz", 0.01, raw, []) for raw in
-                (_dp45_py.integrate_kernel(*args), pickle.loads(proc.stdout))]
+        runs = [Trajectory("xz", 0.01, _dp45_py.integrate_kernel(*args), []),
+                pickle.loads(proc.stdout)]
         for traj in runs:
             assert traj.status == "max_steps"
             assert traj.t == [0.0] and traj.states == [(1.0, 0.5)]

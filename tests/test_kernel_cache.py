@@ -110,6 +110,16 @@ def test_advance_parameters_match_the_argtypes(compiled_kernel):
     assert declared == argtypes
 
 
+def test_status_names_follow_the_c_enum():
+    # the binding names dp45_advance's return value by its index, so an
+    # enum member added, dropped or moved on one side renames every later one
+    body = re.search(r"^enum \{(.*?)\};", _dp45_ctypes.SOURCE.read_text(),
+                     re.M | re.S)[1]
+    members = re.findall(r"\bDP45_(\w+) = (\d+)", body)
+    assert [int(value) for _, value in members] == list(range(len(members)))
+    assert tuple(name.lower() for name, _ in members) == _dp45_ctypes._STATUS
+
+
 def _env(cache, path=None, **extra):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("TURNPIKE_")}
