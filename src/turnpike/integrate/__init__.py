@@ -10,10 +10,11 @@ The TURNPIKE_KERNEL environment variable ('auto', 'compiled', 'python')
 overrides the choice; 'python' never builds or loads the library.
 
 integrate() decodes the model and the events once: the model into one
-`_dp45_py.Field`, in which a builtin zeta is its polynomial coefficients
-and a constant g its value, and each EventSpec into a tuple. Both kernels
-take them through the same integrate_kernel(field, x0, w0, t_max, evs, cfg)
-and return the passage's `_dp45_py.Run`, of which a Trajectory is a copy.
+`_dp45_py.Field`, in which f is the coefficients `model.f_coeffs` builds
+for check_hypotheses too and a constant g its value, and each EventSpec
+into a tuple. Both kernels take them through the same
+integrate_kernel(field, x0, w0, t_max, evs, cfg) and return the passage's
+`_dp45_py.Run`, of which a Trajectory is a copy.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from numbers import Real
 from typing import NamedTuple, Sequence
 
 from ..errors import IntegrationError, ModelError
-from ..model import (SlowFastModel, StateXY, StateXZ, weighted_lam,
+from ..model import (SlowFastModel, StateXY, StateXZ, f_coeffs, f_split,
                      zeta_coeffs)
 
 from . import _dp45_ctypes, _dp45_py
@@ -174,11 +175,10 @@ def compiled_kernel_available() -> bool:
 def _field(model: SlowFastModel, mode: int, eps: float,
            sign: float = 1.0) -> _dp45_py.Field:
     """The kernels' Field of the model at eps: mode 0 (x, z), mode 1 (x, y).
-    A builtin zeta becomes its coefficients and a constant g its value."""
-    zeta = zeta_coeffs(model.zeta)
+    A builtin zeta makes f its coefficients, and a constant g is its value."""
+    f = f_coeffs(model, eps) or f_split(model, eps)
     g = model.g_params[0] if model.g_kind == "constant" else model.g
-    return _dp45_py.Field(mode, weighted_lam(model.p.lam, eps), eps,
-                          model.zeta if zeta is None else zeta, g, sign)
+    return _dp45_py.Field(mode, f, eps, g, sign)
 
 
 def _kernel_events(events: Sequence[EventSpec], mode: int) -> list[tuple]:

@@ -14,10 +14,11 @@ on several threads run in parallel.
 
 The library only steps. `CompiledKernel.integrate_kernel` takes what the
 Python kernel takes, the Field and the events integrate() has decoded, and
-passes their fields to the library as they are, with 2n as the length of
-the field's wlam. Its step(run) closure resumes the passage in the
-library, on the `_dp45_py.Run` that the Python kernel runs on too;
-`_dp45_py.drive` drives both, holds the step cap, and returns the Run.
+passes their fields to the library as they are, with the length of the
+field's f, the coefficient list of f(., eps). Its step(run) closure
+resumes the passage in the library, on the `_dp45_py.Run` that the Python
+kernel runs on too; `_dp45_py.drive` drives both, holds the step cap, and
+returns the Run.
 """
 from __future__ import annotations
 
@@ -47,8 +48,7 @@ class CompiledKernel:
         pd, pi = POINTER(dbl), POINTER(int_)
         fn = CDLL(str(path)).dp45_advance
         fn.argtypes = [
-            int_, int_, pd, dbl,            # mode, two_n, wlam, eps
-            pd, int_, dbl, dbl,             # zeta, its length, g, sign
+            int_, pd, int_, dbl, dbl, dbl,  # mode, f, len(f), eps, g, sign
             dbl, dbl, dbl,                  # t_max, rtol, atol
             int_, pi, pd,                   # events: count, on_x, level
             i64, pd, pd, pd, pd, pd,        # node_cap, t, x, w, h, k
@@ -59,12 +59,11 @@ class CompiledKernel:
 
     def integrate_kernel(self, field, x0, w0, t_max, evs, cfg):
         """Integrate the Field from (x0, w0) at t = 0 until a terminal
-        event or t_max, as _dp45_py.integrate_kernel does; the field's zeta
+        event or t_max, as _dp45_py.integrate_kernel does; the field's f
         must be coefficients and its g a float."""
-        mode, wlam, eps, zeta, g, sign = field
+        mode, f, eps, g, sign = field
         nev = len(evs)
-        args = (mode, len(wlam), (dbl * len(wlam))(*wlam), eps,
-                (dbl * len(zeta))(*zeta), len(zeta), g, sign,
+        args = (mode, (dbl * len(f))(*f), len(f), eps, g, sign,
                 t_max, cfg.rel_tol, cfg.abs_tol,
                 nev, (int_ * nev)(*(ev[0] for ev in evs)),
                 (dbl * nev)(*(ev[1] for ev in evs)))

@@ -3,15 +3,15 @@ and the one driver of every ODE the package solves.
 
 The compiled stepper `dp45.c` (bound by `_dp45_ctypes`) performs the same
 floating-point operations in the same order, so the two agree bit for
-bit; change both together. Squares and x^2n are written as products in
-both, since a C compiler folds pow(a, 2.0) into a*a while CPython's
-`a ** 2` calls libm pow.
+bit; change both together. Squares are written as products in both,
+since a C compiler folds pow(a, 2.0) into a*a while CPython's `a ** 2`
+calls libm pow.
 
 Both kernels take the same arguments (`integrate_kernel`): one `Field`,
 the start, t_max, the events that integrate() has checked and decoded
-once, and the IntegratorConfig. Every builtin zeta is a polynomial, given
-by its coefficients and evaluated by Horner's rule from the top one; only
-this kernel also accepts Python callables for zeta and g.
+once, and the IntegratorConfig. With a builtin zeta f is one polynomial,
+whose coefficients one Horner loop evaluates from the top, as
+check_hypotheses does; only this kernel also takes callables for f and g.
 
 Each kernel only steps: its step(run) goes on from the resumable `State`
 (`first_state` makes the first) until the passage ends, the node buffers
@@ -94,56 +94,41 @@ class Field(NamedTuple):
     """The vector field of one run, as integrate() hands it to a kernel.
 
     mode 0 is the (x, z) system, y = exp(-1/z), and mode 1 the raw (x, y)
-    one; wlam, of length 2n, holds lam_i eps^(2n - i). zeta is the
-    ascending coefficients of a builtin zeta (`model.zeta_coeffs`), else the
-    callable; g is the value of a constant g, else the callable. sign is
-    +1 forward and -1 time-reversed. Only this kernel takes callables.
+    one. f is the ascending coefficients of f(., eps) (`model.f_coeffs`),
+    else x -> f(x, eps) of a callable zeta (`model.f_split`); g is the value
+    of a constant g, else the callable. sign is +1 forward and -1
+    time-reversed. Only this kernel takes callables.
     """
 
     mode: int
-    wlam: tuple[float, ...]
+    f: tuple[float, ...] | Callable[[float], float]
     eps: float
-    zeta: tuple[float, ...] | Callable[[float, float], float]
     g: float | Callable[[float, float, float], float]
     sign: float
 
 
 def _make_rhs(field):
     """The signed right-hand side (x, w) -> (x', w') of the field."""
-    mode, wlam, eps, zeta, g, sign = field
-    two_n, rlam = len(wlam), wlam[::-1]
-    zfn = zeta if callable(zeta) else None
-    if zfn is None:
-        ztop, zrest = zeta[-1], tuple(reversed(zeta[:-1]))
+    mode, f, eps, g, sign = field
+    ffn = f if callable(f) else None
+    ftop, frest = (None, ()) if ffn else (f[-1], f[-2::-1])
     gfn = g if callable(g) else None
     exp = math.exp
 
     def rhs(x, w):
-        acc = 0.0
-        for c in rlam:
-            acc = acc * x + c
-        if zfn is None:  # Horner from the top coefficient, as dp45.c
-            zv = ztop
-            for c in zrest:
-                zv = zv * x + c
+        if ffn is None:  # Horner from the top coefficient, as dp45.c
+            fx = ftop
+            for c in frest:
+                fx = fx * x + c
         else:
-            zv = zfn(x, eps)
-        xp = xx = x * x  # x^2n by products as in dp45.c, inf on overflow
-        for _ in range(2, two_n, 2):
-            xp *= xx
-        f = acc + xp * zv
+            fx = ffn(x)
         if mode:  # raw (x, y)
-            return (sign * (eps * f + w * (g if gfn is None else gfn(x, w, eps))),
+            return (sign * (eps * fx + w * (g if gfn is None else gfn(x, w, eps))),
                     sign * (-x * w))
         # (x, z), y = exp(-1/z)
-        if w <= 0.0 or 1.0 / w > _EXP_UNDERFLOW:
-            return sign * (eps * f + 0.0), sign * (-x * w * w)
-        y = exp(-1.0 / w)
-        if y != 0.0:
-            dx = eps * f + y * (g if gfn is None else gfn(x, y, eps))
-        else:
-            dx = eps * f + 0.0
-        return sign * dx, sign * (-x * w * w)
+        y = 0.0 if w <= 0.0 or 1.0 / w > _EXP_UNDERFLOW else exp(-1.0 / w)
+        gy = 0.0 if y == 0.0 else y * (g if gfn is None else gfn(x, y, eps))
+        return sign * (eps * fx + gy), sign * (-x * w * w)
 
     return rhs
 

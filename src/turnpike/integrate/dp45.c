@@ -4,9 +4,9 @@
  * performs the same floating-point operations in the same order, so the two
  * agree bit for bit. Build it with -ffp-contract=off (no fused multiply-add)
  * and never with -ffast-math. Python's min/max keep the first argument on
- * ties and NaN, which py_min/py_max reproduce; squares and x^2n are
- * products in both files, because a compiler folds pow(a, 2.0) into a*a
- * while libm pow may round a*a differently.
+ * ties and NaN, which py_min/py_max reproduce; squares are products in
+ * both files, because a compiler folds pow(a, 2.0) into a*a while libm pow
+ * may round a*a differently.
  *
  * This file only steps. It returns when a node buffer is full and after an
  * accepted step over which an event function changes sign, in either
@@ -18,13 +18,14 @@
  * event rule: the direction filter, localization, the x < 0 test and the
  * terminal rule.
  *
- * Only the builtin forms are evaluated here: zeta as one polynomial, given
- * by its ascending coefficients (-1 + beta x and -1 are the ddr and the
- * constant forms), and a constant g. integrate() decodes the model and the
- * events once; the arguments are the fields of its Field and its decoded
- * events. The caller owns every buffer and the state; nothing is allocated
- * and nothing is kept between calls, so concurrent calls on different
- * states are safe.
+ * Only the builtin forms are evaluated here: f(., eps) as one polynomial,
+ * given by its ascending coefficients (model.f_coeffs: the eps-weighted
+ * lambda, then those of zeta), which one Horner loop evaluates as
+ * check_hypotheses does, and a constant g. integrate() decodes the model
+ * and the events once; the arguments are the fields of its Field and its
+ * decoded events. The caller owns every buffer and the state; nothing is
+ * allocated and nothing is kept between calls, so concurrent calls on
+ * different states are safe.
  */
 #include <math.h>
 #include <stdint.h>
@@ -74,11 +75,9 @@ enum {
 /* The vector field of one run, _dp45_py's Field. */
 struct field {
     int mode; /* 0: (x, z) with y = exp(-1/z); 1: raw (x, y) */
-    int two_n;
-    const double *wlam; /* lam[i] * eps^(2n - i), i < 2n */
+    const double *f; /* ascending coefficients of f(x, eps) */
+    int n_f;         /* >= 3: 2n weighted lambda, then zeta's */
     double eps;
-    const double *zeta; /* ascending coefficients of zeta(x) */
-    int n_zeta;         /* >= 1 */
     double g;
     double sign; /* +1 forward, -1 time-reversed */
 };
@@ -86,31 +85,22 @@ struct field {
 static double py_min(double a, double b) { return b < a ? b : a; }
 static double py_max(double a, double b) { return b > a ? b : a; }
 
-static void rhs(const struct field *f, double x, double w,
+static void rhs(const struct field *fld, double x, double w,
                 double *dx_out, double *dw_out)
 {
-    double acc = 0.0, zeta = f->zeta[f->n_zeta - 1], xp = x * x, fx, y, dx, dw;
-    for (int i = f->two_n - 1; i >= 0; i--)
-        acc = acc * x + f->wlam[i];
-    /* Horner from the top coefficient: exactly -1.0 + beta * x for ddr */
-    for (int i = f->n_zeta - 2; i >= 0; i--)
-        zeta = zeta * x + f->zeta[i];
-    for (int i = 2; i < f->two_n; i += 2) /* x^2n: ((x x) (x x)) (x x) ... */
-        xp *= x * x;
-    fx = acc + xp * zeta;
-    if (f->mode == 0) {
-        if (w <= 0.0 || 1.0 / w > EXP_UNDERFLOW)
-            y = 0.0;
-        else
-            y = exp(-1.0 / w);
-        dx = f->eps * fx + (y != 0.0 ? y * f->g : 0.0);
+    double fx = fld->f[fld->n_f - 1], y, dx, dw;
+    for (int i = fld->n_f - 2; i >= 0; i--) /* Horner from the top one */
+        fx = fx * x + fld->f[i];
+    if (fld->mode == 0) {
+        y = (w <= 0.0 || 1.0 / w > EXP_UNDERFLOW) ? 0.0 : exp(-1.0 / w);
+        dx = fld->eps * fx + (y != 0.0 ? y * fld->g : 0.0);
         dw = -x * w * w;
     } else {
-        dx = f->eps * fx + w * f->g;
+        dx = fld->eps * fx + w * fld->g;
         dw = -x * w;
     }
-    *dx_out = f->sign * dx;
-    *dw_out = f->sign * dw;
+    *dx_out = fld->sign * dx;
+    *dw_out = fld->sign * dw;
 }
 
 /* A passage's resumable state, owned by the caller; the passage has
@@ -121,24 +111,25 @@ struct dp45_state {
     int last_rejected;
 };
 
-/* Step the passage in *st on until t_max, a step size underflow, a full
- * node buffer (node_cap nodes, so at most node_cap - 1 steps) or an accepted
- * step over which an event function, (ev_on_x[ie] ? x : w) - ev_level[ie],
- * changes sign in either direction. Node i goes to ts, xs, ws[i], and step
- * i's size and stage slopes (k1x..k7x, k1w..k7w) to hs[i] and
- * ks[14 i .. 14 i + 13]. The caller writes node 0 and fills *st first. *st
- * is valid on every return, so the next call, with the buffers enlarged
- * after DP45_BUFFER_FULL, goes on where this one stopped.
+/* Step the passage in *st, on the struct field of the first six arguments
+ * (f being the n_f ascending coefficients of f(x, eps)), on until t_max, a
+ * step size underflow, a full node buffer (node_cap nodes, so at most
+ * node_cap - 1 steps) or an accepted step over which an event function,
+ * (ev_on_x[ie] ? x : w) - ev_level[ie], changes sign in either direction.
+ * Node i goes to ts, xs, ws[i], and step i's size and stage slopes
+ * (k1x..k7x, k1w..k7w) to hs[i] and ks[14 i .. 14 i + 13]. The caller
+ * writes node 0 and fills *st first. *st is valid on every return, so the
+ * next call, with the buffers enlarged after DP45_BUFFER_FULL, goes on
+ * where this one stopped.
  */
-int dp45_advance(int mode, int two_n, const double *wlam, double eps,
-                 const double *zeta, int n_zeta, double g, double sign,
-                 double t_max, double rtol, double atol,
+int dp45_advance(int mode, const double *f, int n_f, double eps, double g,
+                 double sign, double t_max, double rtol, double atol,
                  int n_ev, const int *ev_on_x, const double *ev_level,
                  int64_t node_cap, double *ts, double *xs, double *ws,
                  double *hs, double *ks,
                  struct dp45_state *st)
 {
-    const struct field f = {mode, two_n, wlam, eps, zeta, n_zeta, g, sign};
+    const struct field fld = {mode, f, n_f, eps, g, sign};
     double t = st->t, x = st->x, w = st->w, h = st->h, fx = st->fx;
     double fw = st->fw, err_prev = st->err_prev;
     int64_t n_steps = st->n_steps, n_rejected = st->n_rejected;
@@ -173,22 +164,22 @@ int dp45_advance(int mode, int two_n, const double *wlam, double eps,
         k1w = fw;
         ax = x + h * A21 * k1x;
         aw = w + h * A21 * k1w;
-        rhs(&f, ax, aw, &k2x, &k2w);
+        rhs(&fld, ax, aw, &k2x, &k2w);
         ax = x + h * (A31 * k1x + A32 * k2x);
         aw = w + h * (A31 * k1w + A32 * k2w);
-        rhs(&f, ax, aw, &k3x, &k3w);
+        rhs(&fld, ax, aw, &k3x, &k3w);
         ax = x + h * (A41 * k1x + A42 * k2x + A43 * k3x);
         aw = w + h * (A41 * k1w + A42 * k2w + A43 * k3w);
-        rhs(&f, ax, aw, &k4x, &k4w);
+        rhs(&fld, ax, aw, &k4x, &k4w);
         ax = x + h * (A51 * k1x + A52 * k2x + A53 * k3x + A54 * k4x);
         aw = w + h * (A51 * k1w + A52 * k2w + A53 * k3w + A54 * k4w);
-        rhs(&f, ax, aw, &k5x, &k5w);
+        rhs(&fld, ax, aw, &k5x, &k5w);
         ax = x + h * (A61 * k1x + A62 * k2x + A63 * k3x + A64 * k4x + A65 * k5x);
         aw = w + h * (A61 * k1w + A62 * k2w + A63 * k3w + A64 * k4w + A65 * k5w);
-        rhs(&f, ax, aw, &k6x, &k6w);
+        rhs(&fld, ax, aw, &k6x, &k6w);
         x_new = x + h * (B1 * k1x + B3 * k3x + B4 * k4x + B5 * k5x + B6 * k6x);
         w_new = w + h * (B1 * k1w + B3 * k3w + B4 * k4w + B5 * k5w + B6 * k6w);
-        rhs(&f, x_new, w_new, &k7x, &k7w);
+        rhs(&fld, x_new, w_new, &k7x, &k7w);
         n_rhs += 6;
 
         err_x = h * (E1 * k1x + E3 * k3x + E4 * k4x + E5 * k5x

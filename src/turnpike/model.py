@@ -7,6 +7,8 @@ The systems handled here have the form
 
 with  f(x, eps) = sum_i eps^(2n-i) * lam_i * x^i  +  x^(2n) * zeta(x, eps),
 zeta(0, 0) = -1, so the slow drift degenerates like -x^(2n) at the origin.
+With a builtin zeta f is one polynomial, whose coefficients `f_coeffs`
+builds for check_hypotheses and both integration kernels alike.
 The singular coordinate y = exp(-1/z) turns the y equation into z' = -x z^2,
 which is what makes passages with exponentially small y computable.
 """
@@ -240,26 +242,47 @@ class SlowFastModel(_SlowFastModel):
         return -1.0 / math.log(self.delta)
 
 
-def weighted_lam(lam: Sequence[float], eps: float) -> tuple[float, ...]:
-    """The eps-weighted coefficients lam_i * eps^(2n - i), i < 2n, of f."""
-    two_n = len(lam)
-    return tuple(lam[i] * eps ** (two_n - i) for i in range(two_n))
+def f_coeffs(model: SlowFastModel, eps: float) -> tuple[float, ...] | None:
+    """Ascending coefficients in x of f(., eps), lam_i eps^(2n - i) for
+    i < 2n and then those of a builtin zeta (`zeta_coeffs`), which Horner's
+    rule evaluates from the top one; None for a callable zeta (`f_split`)."""
+    zeta = zeta_coeffs(model.zeta)
+    if zeta is None:
+        return None
+    lam = model.p.lam
+    return tuple(c * eps ** (len(lam) - i) for i, c in enumerate(lam)) + zeta
+
+
+def f_split(model: SlowFastModel, eps: float) -> Callable[[float], float]:
+    """x -> f(x, eps) for a callable zeta: Horner's rule from the top
+    coefficient zeta(x, eps) down the weighted lam, which are f_coeffs of
+    the model with zeta = -1 but for the top one."""
+    rlam = f_coeffs(model._replace(zeta=make_zeta("constant-minus-one")),
+                    eps)[-2::-1]
+
+    def f(x):
+        acc = float(model.zeta(x, eps))
+        for c in rlam:
+            acc = acc * x + c
+        return acc
+
+    return f
 
 
 def _f_values(model: SlowFastModel, xs: Sequence[float],
               eps: float) -> list[float]:
-    """f(x, eps) = sum_i eps^(2n-i) lam_i x^i + x^(2n) zeta(x, eps) at each
-    x of xs, the coefficients weighted once; exact at eps = 0 too."""
-    two_n = 2 * model.p.n
-    # Horner in x, highest coefficient first
-    wlam = weighted_lam(model.p.lam, eps)[::-1]
-    zeta = model.zeta
+    """f(x, eps) at each x of xs, the coefficients weighted once; exact at
+    eps = 0 too."""
+    cs = f_coeffs(model, eps)
+    if cs is None:
+        return list(map(f_split(model, eps), xs))
+    top, rest = cs[-1], cs[-2::-1]
     out = []
     for x in xs:
-        acc = 0.0
-        for c in wlam:
+        acc = top
+        for c in rest:
             acc = acc * x + c
-        out.append(acc + x ** two_n * float(zeta(x, eps)))
+        out.append(acc)
     return out
 
 
@@ -374,8 +397,7 @@ def zeta_coeffs(zeta: Callable[[float, float], float]
                 ) -> tuple[float, ...] | None:
     """Ascending coefficients in x of a builtin zeta, each form being a
     polynomial: 'ddr-beta' is (-1, beta), 'constant-minus-one' (-1,) and
-    'poly' its own. None for any other callable. Horner's rule from the
-    top coefficient on them gives each form's value bit for bit."""
+    'poly' its own; None for any other callable."""
     kind, params = _form(zeta)
     if kind == "ddr-beta":
         return (-1.0, params[0])

@@ -3,8 +3,9 @@
 Each test prints a single ACCEPT-NN PASS/FAIL line with the measured number
 before asserting, so a -v run reads as a checklist. Criterion 7a is expected
 to fail: the logarithmic cusp factor z2(x) log(1/x) is still 9% above its
-limit at x = 1e-8 and only enters the 1% window near x = 1e-240; the test
-states the requirement faithfully instead of widening it.
+limit at x = 1e-8 and enters the 1% window only below x = 2.3e-67 (at the
+base point of x_in = 1.016); the test states the requirement faithfully
+instead of widening it.
 """
 import math
 import time
@@ -179,7 +180,7 @@ def test_criterion_07a_log_cusp_window(ddr):
     ok = 0.99 <= val <= 1.01
     _report("07a", ok,
             f"z2(1e-8) log(1e8) = {val:.10f}, required in [0.99, 1.01]; "
-            "the log cusp enters that window only near x = 1e-240")
+            "the log cusp enters that window only below x = 2.3e-67")
 
 
 def test_criterion_07b_power_cusp_window():

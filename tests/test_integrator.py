@@ -19,8 +19,8 @@ from turnpike.integrate import (EventSpec, IntegratorConfig, Trajectory,
                                 dulac_map_numeric, integrate, log_y_at_x0,
                                 z_at_x0)
 from turnpike.integrate import _dp45_py, _field, _kernel_events
-from turnpike.model import (PolyP, StateXY, StateXZ, ddr_model, load_model,
-                            make_g, make_zeta, weighted_lam)
+from turnpike.model import (PolyP, StateXY, StateXZ, _f_values, ddr_model,
+                            f_coeffs, load_model, make_g, make_zeta)
 
 from conftest import REPO_ROOT, decay_model
 
@@ -29,10 +29,10 @@ def _kernel_args(mode=0, lam=(-2.0, 1.0), eps=0.01, zeta=(-1.0,), g=-1.0,
                  x0=1.0, w0=0.5, t_max=1.0, time_sign=1.0, rtol=1e-12,
                  atol=1e-12, events=(), max_steps=10_000):
     """Arguments of integrate_kernel, in its order; lam holds the 2n
-    coefficients, zeta is the ascending coefficients of the field's
-    polynomial zeta and g its constant."""
-    field = _dp45_py.Field(mode, weighted_lam(lam, eps), eps, zeta, g,
-                           time_sign)
+    coefficients and zeta the ascending ones of a polynomial zeta, which
+    make the field's f as model.f_coeffs does, and g is its constant."""
+    f = tuple(c * eps ** (len(lam) - i) for i, c in enumerate(lam)) + zeta
+    field = _dp45_py.Field(mode, f, eps, g, time_sign)
     cfg = IntegratorConfig(rel_tol=rtol, abs_tol=atol, max_steps=max_steps)
     return field, x0, w0, t_max, _kernel_events(events, mode), cfg
 
@@ -548,31 +548,59 @@ _SPECIAL_X = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300)
 
 
 class TestField:
-    """The kernels' field: every builtin zeta is one polynomial."""
+    """The kernels' field: f is one polynomial, the coefficient list of
+    model.f_coeffs, evaluated by one Horner loop from the top."""
 
-    @given(beta=st.floats(-1e3, 1e3),
-           x=st.one_of(st.sampled_from(_SPECIAL_X), st.floats()),
-           w=st.floats(0.0, 2.0), eps=st.floats(0.0, 0.3),
-           mode=st.sampled_from((0, 1)), sign=st.sampled_from((1.0, -1.0)))
+    @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_polynomial_zeta_is_the_old_zeta(self, beta, x, w, eps, mode,
-                                             sign):
-        # Horner from the top coefficient computes beta * x + -1.0, which
-        # is -1.0 + beta * x in every bit, NaN and the infinities included
-        def bits(rhs):
-            return struct.pack("2d", *rhs(x, w))
+    def test_kernels_step_the_checked_f(self, data):
+        n = data.draw(st.sampled_from((1, 2, 3)), label="n")
+        coef = st.floats(-2.0, 2.0)
+        lam = data.draw(st.lists(coef, min_size=2 * n, max_size=2 * n),
+                        label="lam")
+        kind = data.draw(st.sampled_from(
+            ("ddr-beta", "constant-minus-one", "poly")), label="zeta")
+        # zeta's ascending coefficients, and the parameters of its form
+        zcs = data.draw({"ddr-beta": st.tuples(st.just(-1.0), coef),
+                         "constant-minus-one": st.just((-1.0,)),
+                         "poly": st.lists(coef, max_size=3).map(
+                             lambda cs: (-1.0, *cs))}[kind], label="zcs")
+        params = zcs if kind == "poly" else zcs[1:]
+        model = ddr_model()._replace(p=PolyP(n, lam),
+                                     zeta=make_zeta(kind, params))
+        x = data.draw(st.one_of(st.sampled_from(_SPECIAL_X),
+                                st.floats(-10.0, 10.0)), label="x")
+        eps = data.draw(st.floats(0.0, 0.3), label="eps")
+        f = _f_values(model, (x,), eps)[0]
 
-        for zeta, old in ((make_zeta("ddr-beta", (beta,)),
-                           lambda x, e: -1.0 + beta * x),
-                          (make_zeta("constant-minus-one"),
-                           lambda x, e: -1.0)):
-            model = ddr_model()._replace(zeta=zeta)
-            field = _field(model, mode, eps, sign)
-            assert isinstance(field.zeta, tuple)
-            ref = _field(model._replace(zeta=old), mode, eps, sign)
-            assert ref.zeta is old
-            assert bits(_dp45_py._make_rhs(field)) == \
-                bits(_dp45_py._make_rhs(ref))
+        # (a) the rhs of the (x, y) field at y = 0 is eps f + 0 g: the f
+        # that check_hypotheses checks, bit for bit (g = -1 adds -0.0)
+        dx, _ = _dp45_py._make_rhs(_field(model, 1, eps))(x, 0.0)
+        assert struct.pack("d", dx) == struct.pack("d", eps * f)
+
+        # (b) against the split form sum_{i<2n} lam_i eps^(2n-i) x^i +
+        # x^2n zeta(x), in 300 bits. Horner's rounding error on the
+        # coefficients c_0 .. c_d of f_coeffs is at most
+        # gamma_2d sum |c_i| |x|^i (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., 5.1); rounding eps ** (2n - i) and
+        # its product with lam_i adds at most 4u |c_i| |x|^i, and a term
+        # that underflows a subnormal unit
+        if not math.isfinite(f):
+            return
+        cs = f_coeffs(model, eps)
+        d, u = len(cs) - 1, 2.0 ** -53
+        with mpmath.workprec(300):
+            xm, em = mpmath.mpf(x), mpmath.mpf(eps)
+            zeta = sum(mpmath.mpf(c) * xm ** j for j, c in enumerate(zcs))
+            exact = xm ** (2 * n) * zeta + sum(
+                mpmath.mpf(c) * em ** (2 * n - i) * xm ** i
+                for i, c in enumerate(lam))
+            terms = [abs(mpmath.mpf(c) * xm ** i) for i, c in enumerate(cs)]
+            bound = (2 * d * u / (1 - 2 * d * u) * sum(terms)
+                     + 4 * u * sum(terms[:2 * n])
+                     + 4 * mpmath.mpf(2) ** -1074
+                     * sum(abs(xm) ** i for i in range(d + 1)))
+            assert abs(mpmath.mpf(f) - exact) <= bound
 
 
 class TestValidation:
