@@ -287,7 +287,7 @@ def cmd_nge2(cfg: ExperimentConfig, model: SlowFastModel) -> int:
 
 
 def cmd_chart_view(cfg: ExperimentConfig, model: SlowFastModel) -> int:
-    from .blowup import theoretical_z2_curve
+    from .blowup import overlay_xz2, theoretical_z2_curve
     from .entryexit import base_point
     from .integrate import dulac_map_numeric
     x_in = cfg.x_in[0] if cfg.x_in else model.I_in[1]
@@ -301,13 +301,12 @@ def cmd_chart_view(cfg: ExperimentConfig, model: SlowFastModel) -> int:
             rows.append((eps, math.nan, math.nan, math.nan,
                          f"error: {exc}"))
             continue
-        traj = diag.trajectory
-        for x, z in traj.states:
+        for x, z2 in overlay_xz2(diag.trajectory):
             if 0.0 < x <= x_in_b - 2e-4:
                 z2_th = theoretical_z2_curve(model, x_in_b, x)
             else:
                 z2_th = math.nan
-            rows.append((eps, x, z / eps, z2_th, "ok"))
+            rows.append((eps, x, z2, z2_th, "ok"))
     write_rows(cfg.out, ("epsilon", "x", "z2_numeric", "z2_theory", "status"),
                rows)
     return 0 if all(r[4] == "ok" for r in rows) else 1

@@ -23,7 +23,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import EntryExitError
-from .model import PolyP, SlowFastModel
+from .model import PolyP, SlowFastModel, g_value, zeta_beta
 from .quadrature import (DEFAULT_TOL, adaptive_quad, brentq,
                          half_line_integral, pv_fast_half, pv_fast_quadratic,
                          pv_slow, regular_slow_part, whole_line_integral)
@@ -52,7 +52,7 @@ class BasePointMap(NamedTuple):
 
     The fibers solve dx/dy = -g(x, y, 0) / x, which is regular while
     |x| >= _X_FLOOR; crossing the floor aborts with a structured error. For
-    a constant g (g_kind == "constant") the fibers are exact: x^2 + 2 g y is
+    a builtin constant g (`g_value`) the fibers are exact: x^2 + 2 g y is
     conserved, so x(y1) = sign(x0) sqrt(x0^2 + 2 g (y0 - y1)). x^2 is then
     linear in y, so |x| can only reach the floor at the end of the run and
     one check there replaces the ODE's floor event. A callable g is
@@ -71,8 +71,9 @@ class BasePointMap(NamedTuple):
     def _solve(self, x0: float, y0: float, y1: float,
                ys: Sequence[float] | None = None):
         """x at y1 on the fiber through (x0, y0), or at the nodes ys on the way."""
-        if self.model.g_kind == "constant":
-            two_g = 2.0 * self.model.g_params[0]
+        g = g_value(self.model.g)
+        if g is not None:
+            two_g = 2.0 * g
 
             def x_at(y: float) -> float:
                 return math.copysign(math.sqrt(x0 * x0 + two_g * (y0 - y)), x0)
@@ -209,7 +210,8 @@ def solve_delta0_n1(model: SlowFastModel, x_in: float,
 
 
 def ddr_delta0_closed_form(model: SlowFastModel, x_in: float) -> float:
-    """Exit point for the worked model zeta = -1 + beta x, g = -1, n = 1.
+    """Exit point for n = 1, g = -1 and a builtin linear zeta = -1 + beta x
+    (`zeta_beta`, beta = 0 included), as in the worked model.
 
     x_in_b = sqrt(x_in^2 - 2 delta),
     x_out_b = e^K x_in_b / (beta (e^K + 1) x_in_b - 1),
@@ -217,12 +219,12 @@ def ddr_delta0_closed_form(model: SlowFastModel, x_in: float) -> float:
     """
     if model.n != 1:
         raise EntryExitError("closed form requires an n = 1 model")
-    if model.zeta_kind != "ddr-beta":
+    beta = zeta_beta(model.zeta)
+    if beta is None:
         raise EntryExitError(
-            f"closed form requires the 'ddr-beta' zeta, model has {model.zeta_kind!r}")
-    if model.g_kind != "constant" or model.g_params != (-1.0,):
+            "closed form requires a builtin linear zeta = -1 + beta x")
+    if g_value(model.g) != -1.0:
         raise EntryExitError("closed form requires the constant fast factor g = -1")
-    beta = model.zeta_params[0]
     under = x_in * x_in - 2.0 * model.delta
     if under <= 0.0:
         raise EntryExitError(

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from ..errors import IntegrationError, ModelError
 from ..model import (SlowFastModel, StateXY, StateXZ, f_coeffs, f_split,
-                     zeta_coeffs)
+                     g_value, zeta_coeffs)
 
 from . import _dp45_ctypes, _dp45_py
 
@@ -177,8 +177,8 @@ def _field(model: SlowFastModel, mode: int, eps: float,
     """The kernels' Field of the model at eps: mode 0 (x, z), mode 1 (x, y).
     A builtin zeta makes f its coefficients, and a constant g is its value."""
     f = f_coeffs(model, eps) or f_split(model, eps)
-    g = model.g_params[0] if model.g_kind == "constant" else model.g
-    return _dp45_py.Field(mode, f, eps, g, sign)
+    g = g_value(model.g)
+    return _dp45_py.Field(mode, f, eps, model.g if g is None else g, sign)
 
 
 def _kernel_events(events: Sequence[EventSpec], mode: int) -> list[tuple]:
@@ -208,7 +208,7 @@ def active_backend(model: SlowFastModel | None = None) -> str:
     if forced not in ("auto", "compiled"):
         raise IntegrationError(f"unknown TURNPIKE_KERNEL value {forced!r}")
     builtin = model is None or (zeta_coeffs(model.zeta) is not None
-                                and model.g_kind == "constant")
+                                and g_value(model.g) is not None)
     if forced == "auto":
         return "compiled" if builtin and _compiled() is not None else "python"
     if _compiled() is None:

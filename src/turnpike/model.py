@@ -7,8 +7,10 @@ The systems handled here have the form
 
 with  f(x, eps) = sum_i eps^(2n-i) * lam_i * x^i  +  x^(2n) * zeta(x, eps),
 zeta(0, 0) = -1, so the slow drift degenerates like -x^(2n) at the origin.
-With a builtin zeta f is one polynomial, whose coefficients `f_coeffs`
-builds for check_hypotheses and both integration kernels alike.
+A builtin zeta or g is its numbers (`zeta_coeffs`, `g_value`); only this
+module knows their model-file spellings. With a builtin zeta f is one
+polynomial, whose coefficients `f_coeffs` builds for check_hypotheses and
+both integration kernels alike.
 The singular coordinate y = exp(-1/z) turns the y equation into z' = -x z^2,
 which is what makes passages with exponentially small y computable.
 """
@@ -43,9 +45,9 @@ class _PolyP(NamedTuple):
 class PolyP(_PolyP):
     """Rescaled turning-point polynomial P(v) = sum_i lam_i v^i - v^(2n).
 
-    `lam` holds the 2n free coefficients lam_0 .. lam_{2n-1}; the leading
-    coefficient is fixed at -1. Construction and `_replace` validate n and
-    lam and store lam as a tuple of floats.
+    `lam` holds the 2n finite free coefficients lam_0 .. lam_{2n-1}; the
+    leading coefficient is fixed at -1. Construction and `_replace`
+    validate n and lam and store lam as a tuple of floats.
     """
 
     __slots__ = ()
@@ -55,7 +57,10 @@ class PolyP(_PolyP):
             raise ModelError(f"n must be >= 1, got {n}")
         if len(lam) != 2 * n:
             raise ModelError(f"lam must have 2n = {2 * n} entries, got {len(lam)}")
-        return super().__new__(cls, n, tuple(float(c) for c in lam))
+        lam = tuple(float(c) for c in lam)
+        if not all(map(math.isfinite, lam)):
+            raise ModelError(f"lam must be finite, got {lam}")
+        return super().__new__(cls, n, lam)
 
     @classmethod
     def _make(cls, fields):  # _replace builds through here: validate again
@@ -165,11 +170,6 @@ def _two_ends(name: str, value: Sequence[float]) -> tuple[float, float]:
     return ends
 
 
-def _form(fn) -> tuple[str | None, tuple[float, ...]]:
-    """The (kind, params) a builtin zeta or g carries; (None, ()) otherwise."""
-    return getattr(fn, "form", (None, ()))
-
-
 class _SlowFastModel(NamedTuple):
     p: PolyP
     zeta: Callable[[float, float], float]
@@ -188,10 +188,10 @@ class SlowFastModel(_SlowFastModel):
     base points; I_in/I_out are the entry/exit section intervals in x.
     Construction and `_replace` validate these.
 
-    zeta_kind/zeta_params and g_kind/g_params are read off the `form` that
-    the callables from make_zeta/make_g carry, so the compiled kernel and the
-    exact fibers see the same functions as everything else; other callables
-    leave the kinds None and run on the general paths.
+    The numbers of a builtin zeta or g are read off the `form` that the
+    callables from make_zeta/make_g carry (`zeta_coeffs`, `g_value`), so the
+    compiled kernel and the exact fibers see the same functions as
+    everything else; other callables run on the general paths.
     """
 
     __slots__ = ()
@@ -217,22 +217,6 @@ class SlowFastModel(_SlowFastModel):
         return cls(*fields)
 
     @property
-    def zeta_kind(self) -> str | None:
-        return _form(self.zeta)[0]
-
-    @property
-    def zeta_params(self) -> tuple[float, ...]:
-        return _form(self.zeta)[1]
-
-    @property
-    def g_kind(self) -> str | None:
-        return _form(self.g)[0]
-
-    @property
-    def g_params(self) -> tuple[float, ...]:
-        return _form(self.g)[1]
-
-    @property
     def n(self) -> int:
         return self.p.n
 
@@ -242,23 +226,35 @@ class SlowFastModel(_SlowFastModel):
         return -1.0 / math.log(self.delta)
 
 
+def _weighted_lam(model: SlowFastModel, eps: float) -> tuple[float, ...]:
+    """lam_i eps^(2n - i) for i < 2n, the lower coefficients of f(., eps).
+
+    Raises rather than let a weight overflow: an inf or NaN coefficient
+    makes f NaN, and a NaN f value would pass the f < 0 scan unchecked.
+    """
+    lam = model.p.lam
+    try:
+        w = tuple(c * eps ** (len(lam) - i) for i, c in enumerate(lam))
+    except OverflowError:
+        w = None
+    if w is None or not all(map(math.isfinite, w)):
+        raise ModelError(f"eps = {eps!r} overflows the weights "
+                         f"lam_i eps^({len(lam)} - i) of f")
+    return w
+
+
 def f_coeffs(model: SlowFastModel, eps: float) -> tuple[float, ...] | None:
     """Ascending coefficients in x of f(., eps), lam_i eps^(2n - i) for
     i < 2n and then those of a builtin zeta (`zeta_coeffs`), which Horner's
     rule evaluates from the top one; None for a callable zeta (`f_split`)."""
     zeta = zeta_coeffs(model.zeta)
-    if zeta is None:
-        return None
-    lam = model.p.lam
-    return tuple(c * eps ** (len(lam) - i) for i, c in enumerate(lam)) + zeta
+    return None if zeta is None else _weighted_lam(model, eps) + zeta
 
 
 def f_split(model: SlowFastModel, eps: float) -> Callable[[float], float]:
     """x -> f(x, eps) for a callable zeta: Horner's rule from the top
-    coefficient zeta(x, eps) down the weighted lam, which are f_coeffs of
-    the model with zeta = -1 but for the top one."""
-    rlam = f_coeffs(model._replace(zeta=make_zeta("constant-minus-one")),
-                    eps)[-2::-1]
+    coefficient zeta(x, eps) down the weighted lam."""
+    rlam = _weighted_lam(model, eps)[::-1]
 
     def f(x):
         acc = float(model.zeta(x, eps))
@@ -335,6 +331,7 @@ def check_hypotheses(model: SlowFastModel, eps_max: float = 0.05,
     """
     if not 0.0 < eps_max < math.inf:
         raise ModelError(f"eps_max must be finite and > 0, got {eps_max:g}")
+    _weighted_lam(model, eps_max)  # they grow with eps: name the caller's eps
     xs = _linspace(model.I[0], model.I[1], grid)
     zmax, iz = _peak([float(model.zeta(x, 0.0)) for x in xs])
     witness = None
@@ -362,52 +359,58 @@ def check_hypotheses(model: SlowFastModel, eps_max: float = 0.05,
 # ---------------------------------------------------------------------------
 # builtin zeta / g factories and the model-file loader
 
-def _with_form(fn, kind: str, params: tuple[float, ...] = ()):
-    """Tag a builtin callable with the (kind, params) it was made from."""
+def _with_form(fn, kind: str, params: tuple[float, ...]):
+    """Tag a builtin callable with the (kind, params) of the one form it is."""
     fn.form = (kind, params)
     return fn
 
 
 def make_zeta(kind: str, params: Sequence[float] = ()) -> Callable[[float, float], float]:
-    """Builtin zeta forms: 'ddr-beta' (-1 + beta x), 'constant-minus-one', 'poly'."""
+    """Builtin zeta, one form: 'poly' with coefficients (c0, c1, ...),
+    c0 = -1, evaluated by Horner's rule. 'ddr-beta' with (beta,) spells
+    poly (-1, beta) and 'constant-minus-one' spells poly (-1,)."""
     if kind == "ddr-beta":
         if len(params) != 1:
             raise ModelError("zeta 'ddr-beta' needs exactly one parameter beta")
-        beta = float(params[0])
-        return _with_form(lambda x, eps: -1.0 + beta * x, kind, (beta,))
-    if kind == "constant-minus-one":
+        params = (-1.0, params[0])
+    elif kind == "constant-minus-one":
         if params:
             raise ModelError("zeta 'constant-minus-one' takes no parameters")
-        return _with_form(lambda x, eps: -1.0, kind)
-    if kind == "poly":
-        if not params:
-            raise ModelError("zeta 'poly' needs coefficients (c0, c1, ...)")
-        cs = tuple(float(c) for c in params)
-        if abs(cs[0] + 1.0) > 1e-12:
-            raise ModelError("zeta 'poly' must have c0 = -1")
+        params = (-1.0,)
+    elif kind != "poly":
+        raise ModelError(f"unknown zeta kind {kind!r}")
+    if not params:
+        raise ModelError("zeta 'poly' needs coefficients (c0, c1, ...)")
+    cs = tuple(float(c) for c in params)
+    if abs(cs[0] + 1.0) > 1e-12:
+        raise ModelError("zeta 'poly' must have c0 = -1")
 
-        def zpoly(x, eps):
-            return _horner(cs, x)
+    def zpoly(x, eps):
+        return _horner(cs, x)
 
-        return _with_form(zpoly, kind, cs)
-    raise ModelError(f"unknown zeta kind {kind!r}")
+    return _with_form(zpoly, "poly", cs)
 
 
 def zeta_coeffs(zeta: Callable[[float, float], float]
                 ) -> tuple[float, ...] | None:
-    """Ascending coefficients in x of a builtin zeta, each form being a
-    polynomial: 'ddr-beta' is (-1, beta), 'constant-minus-one' (-1,) and
-    'poly' its own; None for any other callable."""
-    kind, params = _form(zeta)
-    if kind == "ddr-beta":
-        return (-1.0, params[0])
-    if kind == "constant-minus-one":
-        return (-1.0,)
-    return params if kind == "poly" else None
+    """Ascending coefficients in x of a builtin zeta; None for any other
+    callable."""
+    kind, cs = getattr(zeta, "form", (None, ()))
+    return cs if kind == "poly" else None
+
+
+def zeta_beta(zeta: Callable[[float, float], float]) -> float | None:
+    """beta when zeta is the builtin -1 + beta x (beta = 0 included);
+    None for any other zeta."""
+    cs = zeta_coeffs(zeta)
+    if cs is None or len(cs) > 2 or cs[0] != -1.0:
+        return None
+    return cs[1] if len(cs) == 2 else 0.0
 
 
 def make_g(kind: str, params: Sequence[float] = ()) -> Callable[[float, float, float], float]:
-    """Builtin g forms: 'constant' (needs g_value) and 'ddr' (constant -1)."""
+    """Builtin g, one form: 'constant' (needs g_value); 'ddr' spells the
+    constant -1."""
     if kind == "ddr":
         if params:
             raise ModelError("g 'ddr' takes no parameters")
@@ -418,6 +421,12 @@ def make_g(kind: str, params: Sequence[float] = ()) -> Callable[[float, float, f
         v = float(params[0])
         return _with_form(lambda x, y, eps: v, kind, (v,))
     raise ModelError(f"unknown g kind {kind!r}")
+
+
+def g_value(g: Callable[[float, float, float], float]) -> float | None:
+    """The constant of a builtin g; None for any other callable."""
+    kind, params = getattr(g, "form", (None, ()))
+    return params[0] if kind == "constant" else None
 
 
 def ddr_model(lam0: float = -2.0, lam1: float = 1.0, beta: float = 1.0,

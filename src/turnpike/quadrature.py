@@ -24,7 +24,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .errors import QuadratureError, RootError
-from .model import PolyP, zeta_coeffs
+from .model import PolyP, zeta_beta
 
 __all__ = [
     "QuadResult",
@@ -114,29 +114,19 @@ def _qk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 
 def adaptive_quad(f: Callable[[float], float], a: float, b: float,
-                  tol: float = DEFAULT_TOL, *, initial_panels: int = 1) -> QuadResult:
+                  tol: float = DEFAULT_TOL) -> QuadResult:
     """Adaptive integral of f over [a, b] with |error| <= tol (absolute).
 
     Globally adaptive Gauss-Kronrod 7/15 (QUADPACK qag): the panel with the
     largest error estimate is bisected until the estimates sum to at most
     tol, the partition reaches _SUBDIV_CAP panels, or the worst panel is
     too narrow to bisect; the last two raise. f is called on floats only.
-    b < a gives the negated integral. initial_panels splits [a, b] evenly
-    before adapting; results are invariant (to tol) under panel refinement,
-    which the tests exercise. `subdivisions` counts the final panels.
+    b < a gives the negated integral. `subdivisions` counts the final panels.
     """
-    if initial_panels < 1:
-        raise QuadratureError("initial_panels must be >= 1")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
-    edges = [a + (b - a) * k / initial_panels for k in range(initial_panels)] + [b]
-    heap = []  # (-error, start, end, value) of each panel
-    errsum = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _qk15(f, lo, hi)
-        heap.append((-err, lo, hi, val))
-        errsum += err
-    heapq.heapify(heap)
+    val, errsum = _qk15(f, a, b)
+    heap = [(-errsum, a, b, val)]  # (-error, start, end, value) of each panel
     while math.isfinite(errsum):
         if errsum <= tol:
             # the running sum drifts by rounding: confirm it before stopping
@@ -298,11 +288,10 @@ def regular_slow_part(zeta: Callable[[float, float], float], a: float, b: float,
         r = regular_slow_part(zeta, b, a, tol, power=power)
         return QuadResult(-r.value, r.abs_error_estimate, r.subdivisions)
 
-    cs = zeta_coeffs(zeta)
-    if cs is None or len(cs) > 2 or cs[0] != -1.0:  # not -1 + beta s
+    beta = zeta_beta(zeta)
+    if beta is None:
         _zeta_guard(zeta, a, b)
     else:
-        beta = cs[1] if len(cs) == 2 else 0.0
         za, zb = -1.0 + beta * a, -1.0 + beta * b
         if not (max(za, zb) < -_ZETA_FLOOR or min(za, zb) > _ZETA_FLOOR):
             raise _ill_posed(1.0 / beta)  # beta != 0: zeta = -1 never fails

@@ -181,6 +181,15 @@ class TestDulac:
             ",integration-error: eps = 1e-200 overflows the default passage"
             " time 50 * eps^(-2); set IntegratorConfig.max_time")
 
+    def test_overflowing_eps_is_an_error(self, ddr_path, capsys):
+        # 1e200^2 once raised OverflowError out of the f weights
+        assert main(["dulac", "--model", ddr_path, "--eps", "1e200",
+                     "--x-in", "1.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: eps = 1e+200 overflows the weights "
+                                "lam_i eps^(2 - i) of f\n")
+
     @pytest.mark.parametrize("eps", ["nan,50", "50,nan", "inf,50"])
     def test_nonfinite_eps_does_not_skip_the_hypotheses(self, ddr_path, capsys,
                                                         eps):
@@ -413,6 +422,15 @@ class TestHypothesesCommand:
         assert main(["hypotheses", "--model", ddr_path,
                      "--eps-max", eps_max]) == 2
         assert "--eps-max must be finite and > 0" in capsys.readouterr().err
+
+    def test_overflowing_eps_max_is_an_error(self, ddr_path, capsys):
+        # 1e200^2 once raised OverflowError out of the f weights
+        assert main(["hypotheses", "--model", ddr_path,
+                     "--eps-max", "1e200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: eps = 1e+200 overflows the weights "
+                                "lam_i eps^(2 - i) of f\n")
 
 
 class TestConfigFile:

@@ -15,7 +15,7 @@ from turnpike.entryexit import (BasePointMap, base_point, canard_slope,
                                 solve_canard_parameter, solve_delta0_n1)
 from turnpike.errors import EntryExitError, QuadratureError
 from turnpike.integrate import log_y_at_x0, z_at_x0
-from turnpike.model import (PolyP, SlowFastModel, ddr_model, make_g,
+from turnpike.model import (PolyP, SlowFastModel, ddr_model, g_value, make_g,
                             make_zeta)
 from turnpike.quadrature import pv_fast_quadratic, whole_line_integral
 
@@ -76,7 +76,7 @@ class TestBasePointMap:
 def _ode_fibers(model):
     """The same model with g as a plain callable, so its fibers are
     integrated."""
-    g = model.g_params[0]
+    g = g_value(model.g)
     return model._replace(g=lambda x, y, eps: g)
 
 
@@ -137,12 +137,15 @@ class TestEntryExitConstant:
 
 class TestSolveDelta0:
     def test_matches_closed_form(self, ddr):
-        for x_in in (1.004, 1.01, 1.016):
-            r = solve_delta0_n1(ddr, x_in)
-            assert r.x_out == pytest.approx(ddr_delta0_closed_form(ddr, x_in),
-                                            abs=1e-9)
-            assert r.relation_residual < 1e-9
-            assert r.x_in_b > 0.0 > r.x_out_b
+        # beta = 1 and, spelled constant-minus-one, beta = 0
+        flat = ddr._replace(zeta=make_zeta("constant-minus-one"))
+        for m in (ddr, flat):
+            for x_in in (1.004, 1.01, 1.016):
+                r = solve_delta0_n1(m, x_in)
+                assert r.x_out == pytest.approx(
+                    ddr_delta0_closed_form(m, x_in), abs=1e-9)
+                assert r.relation_residual < 1e-9
+                assert r.x_in_b > 0.0 > r.x_out_b
 
     def test_worked_point(self, ddr):
         r = solve_delta0_n1(ddr, 1.016)
@@ -178,10 +181,11 @@ class TestSolveDelta0:
 def _admissible_ddr(draw):
     """A ddr model and an entry point whose closed-form exit is admissible.
 
-    P is negative definite (4 lam_0 + lam_1^2 < 0), zeta = -1 + beta x stays
-    negative on I (1 - beta max I > 0), the entry fiber reaches y = 0
-    (x_in^2 > 2 delta), the exit exists (beta (e^K + 1) x_in_b < 1), and
-    I, I_out contain the closed-form exit with room to spare.
+    zeta = -1 + beta x, spelled 'ddr-beta' or poly (-1, beta). P is
+    negative definite (4 lam_0 + lam_1^2 < 0), zeta stays negative on I
+    (1 - beta max I > 0), the entry fiber reaches y = 0 (x_in^2 > 2 delta),
+    the exit exists (beta (e^K + 1) x_in_b < 1), and I, I_out contain the
+    closed-form exit with room to spare.
     """
     lam1 = draw(st.floats(-1.5, 1.5))
     lam0 = -lam1 * lam1 / 4.0 - draw(st.floats(0.25, 3.0))
@@ -199,6 +203,8 @@ def _admissible_ddr(draw):
                   I=(2.0 * x_out_b - 1.0, (x_in_b + 1.0 / beta) / 2.0),
                   I_in=(x_in, x_in),
                   I_out=(lift(1.25 * x_out_b), lift(0.8 * x_out_b)))
+    if draw(st.booleans()):
+        m = m._replace(zeta=make_zeta("poly", (-1.0, beta)))
     return m, x_in
 
 
@@ -218,8 +224,9 @@ class TestClosedFormGuards:
             ddr_delta0_closed_form(quartic, 1.2)
 
     def test_requires_ddr_zeta(self, ddr):
-        bad = ddr._replace(zeta=make_zeta("constant-minus-one"))
-        with pytest.raises(EntryExitError, match="ddr-beta"):
+        # the formula holds for -1 + beta x only: a quadratic zeta is refused
+        bad = ddr._replace(zeta=make_zeta("poly", (-1.0, 1.0, 0.5)))
+        with pytest.raises(EntryExitError, match=r"linear zeta = -1 \+ beta x"):
             ddr_delta0_closed_form(bad, 1.016)
 
     def test_requires_g_minus_one(self, ddr):

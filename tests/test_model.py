@@ -13,8 +13,9 @@ from turnpike.errors import EntryExitError, ModelError
 from turnpike.integrate import _field, active_backend, dulac_map_numeric
 from turnpike.integrate._dp45_py import _make_rhs
 from turnpike.model import (PolyP, SlowFastModel, StateXY, StateXZ, _f_values,
-                            _linspace, check_hypotheses, ddr_model, load_model,
-                            make_g, make_zeta)
+                            _linspace, check_hypotheses, ddr_model, f_coeffs,
+                            f_split, g_value, load_model, make_g, make_zeta,
+                            zeta_coeffs)
 
 from conftest import DDR_KV, build_n2
 
@@ -195,7 +196,8 @@ class TestSlowFastModel:
 
 
 class TestBuiltinForms:
-    """zeta_kind/g_kind and their params come only from the callables."""
+    """A builtin zeta's coefficients and g's constant come only from the
+    callables."""
 
     def test_direct_construction_reports_kinds(self, use_compiled,
                                                monkeypatch):
@@ -205,15 +207,19 @@ class TestBuiltinForms:
                           g=make_g("constant", (-2.0,)), delta=0.5,
                           I=(-3.0, 0.9), I_in=(1.004, 1.016),
                           I_out=(-2.8, -1.01))
-        assert (m.zeta_kind, m.zeta_params) == ("poly", (-1.0, 0.5))
-        assert (m.g_kind, m.g_params) == ("constant", (-2.0,))
+        assert zeta_coeffs(m.zeta) == (-1.0, 0.5)
+        assert g_value(m.g) == -2.0
         assert active_backend(m) == "compiled"
 
     def test_ddr_g_is_constant_minus_one(self):
         assert make_g("ddr").form == ("constant", (-1.0,))
-        assert make_zeta("ddr-beta", (2,)).form == ("ddr-beta", (2.0,))
-        assert make_zeta("constant-minus-one").form == \
-            ("constant-minus-one", ())
+        # every zeta spelling is the one polynomial form, with the values
+        # the spelled-out -1 + beta x has
+        beta = make_zeta("ddr-beta", (2,))
+        assert beta.form == ("poly", (-1.0, 2.0))
+        assert make_zeta("constant-minus-one").form == ("poly", (-1.0,))
+        for x in (-3.0, -0.1, 0.0, 1e-300, 0.3, 0.9, 7.5e12):
+            assert beta(x, 0.0) == -1.0 + 2.0 * x
 
     def test_parameterless_kinds_reject_parameters(self):
         with pytest.raises(ModelError, match="takes no parameters"):
@@ -226,8 +232,7 @@ class TestBuiltinForms:
     def test_plain_callables_have_no_kind(self, ddr):
         m = ddr._replace(zeta=lambda x, eps: -1.0 + x,
                          g=lambda x, y, eps: -1.0)
-        assert (m.zeta_kind, m.zeta_params, m.g_kind, m.g_params) == \
-            (None, (), None, ())
+        assert zeta_coeffs(m.zeta) is None and g_value(m.g) is None
 
     def test_kinds_are_not_settable(self, ddr):
         with pytest.raises(TypeError):
@@ -245,7 +250,7 @@ class TestBuiltinForms:
         fresh = SlowFastModel(p=ddr.p, zeta=zeta, g=make_g("ddr"),
                               delta=ddr.delta, I=ddr.I, I_in=ddr.I_in,
                               I_out=ddr.I_out)
-        assert replaced.zeta_kind == "constant-minus-one"
+        assert zeta_coeffs(replaced.zeta) == (-1.0,)
         assert dulac_map_numeric(replaced, 1.016, 0.005)[0] == \
             dulac_map_numeric(fresh, 1.016, 0.005)[0]
 
@@ -281,6 +286,17 @@ class TestVectorFields:
         dxy, dy = _rhs(m, 1, eps)(x, y)
         assert dxz == pytest.approx(dxy, rel=1e-12, abs=1e-300)
         assert dy == pytest.approx(y / z ** 2 * dz, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("eps", [1e200, 1.2e154, math.inf, math.nan])
+    def test_overflowing_weights_are_named(self, ddr, eps):
+        # 1e200^2 raises OverflowError; at 1.2e154 the weight -2 eps^2 is
+        # -inf and at inf or nan a weight is NaN, which would make every f
+        # NaN and pass the f < 0 scan unchecked
+        callable_zeta = ddr._replace(zeta=lambda x, e: -1.0 + x)
+        for build, model in ((f_coeffs, ddr), (f_split, callable_zeta)):
+            with pytest.raises(ModelError, match=r"eps = .* overflows the "
+                               r"weights lam_i eps\^\(2 - i\) of f"):
+                build(model, eps)
 
     def test_z_field_ignores_y_when_underflowed(self, ddr):
         dx, dz = _rhs(ddr, 0, 0.01)(0.5, 1e-4)
@@ -440,6 +456,9 @@ class TestLoader:
 
     @pytest.mark.parametrize("key, value, message", [
         ("lambda", "-2, 1, 3", "lam must have 2n = 2 entries, got 3"),
+        # a NaN or inf lam once made every f value NaN or -inf, and the
+        # f < 0 scan passed with f_margin = inf
+        ("lambda", "-inf, 1", "lam must be finite, got (-inf, 1.0)"),
         ("I_in", "1.004", "I_in must have exactly two ends, got (1.004,)"),
         ("zeta_coeffs", "-0.5, 1", "zeta 'poly' must have c0 = -1"),
     ])
@@ -462,7 +481,7 @@ class TestLoader:
 
     def test_ddr_g_kind(self, write_model):
         m = load_model(write_model({**DDR_KV, "g": "ddr"}))
-        assert (m.g_kind, m.g_params) == ("constant", (-1.0,))
+        assert m.g.form == ("constant", (-1.0,)) and g_value(m.g) == -1.0
 
     def test_shipped_models_load(self, models_dir):
         assert load_model(models_dir / "ddr.model").n == 1

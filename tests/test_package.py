@@ -88,3 +88,21 @@ def test_no_module_imports_scipy_or_numpy():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] in ("scipy", "numpy")]
     assert found == []
+
+
+def test_builtin_forms_are_known_only_to_the_model():
+    # a builtin zeta or g is its numbers, read through model.zeta_coeffs and
+    # model.g_value; the spellings of the model file stay in model.py
+    removed = {"zeta_kind", "zeta_params", "g_kind", "g_params"}
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "turnpike").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in removed:
+                found.append(f"{path.name}:{node.lineno}: reads {name}")
+            if (path.name != "model.py" and isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and (node.value == "constant" or "ddr-beta" in node.value
+                         or "constant-minus-one" in node.value)):
+                found.append(f"{path.name}:{node.lineno}: holds {node.value!r}")
+    assert found == []
