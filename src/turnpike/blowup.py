@@ -122,15 +122,12 @@ def chart1_exit(model: SlowFastModel, x_in_b: float, eps1: float,
     return brentq(R, lo, hi, xtol=1e-15)
 
 
-def overlay_xz2(traj, eps: float | None = None) -> list[tuple[float, float]]:
-    """Trajectory nodes rescaled to the epsbar chart: pairs (x, z/eps).
-
-    eps defaults to the trajectory's own; eps = 1 returns the raw (x, z)
-    nodes unchanged.
-    """
+def overlay_xz2(traj) -> list[tuple[float, float]]:
+    """Trajectory nodes rescaled to the epsbar chart: pairs (x, z/eps), eps
+    being the trajectory's own; its raw nodes are `traj.states`."""
     if getattr(traj, "mode", None) != "xz":
         raise ChartError("overlay_xz2 needs an (x, z) trajectory")
-    e = traj.eps if eps is None else eps
+    e = traj.eps
     if e <= 0.0:
         raise ChartError(f"eps must be positive, got {e}")
     return [(x, z / e) for x, z in traj.states]

@@ -158,6 +158,14 @@ def cmd_delta0(cfg: ExperimentConfig, model: SlowFastModel) -> int:
 
 def _dulac_rows(cfg: ExperimentConfig, model: SlowFastModel):
     """Shared sweep for dulac/converge: rows over the (eps, x_in) grid."""
+    # checked up to the largest finite eps; a NaN or inf eps gets its own
+    # error row from the integrator
+    finite = [e for e in cfg.eps if math.isfinite(e)]
+    if finite:
+        rep = check_hypotheses(model, eps_max=max(finite))
+        if not rep.passed:
+            raise TurnpikeError(
+                f"model fails the standing hypotheses (witness: {rep.witness})")
     from .entryexit import solve_delta0_n1
     from .integrate import dulac_map_numeric
     xs = _x_in_grid(cfg, model)
@@ -186,14 +194,6 @@ def _dulac_rows(cfg: ExperimentConfig, model: SlowFastModel):
 
 
 def cmd_dulac(cfg: ExperimentConfig, model: SlowFastModel) -> int:
-    # checked up to the largest finite eps; a NaN or inf eps gets its own
-    # error row from the integrator
-    finite = [e for e in cfg.eps if math.isfinite(e)]
-    if finite:
-        rep = check_hypotheses(model, eps_max=max(finite))
-        if not rep.passed:
-            raise TurnpikeError(
-                f"model fails the standing hypotheses (witness: {rep.witness})")
     _, rows = _dulac_rows(cfg, model)
     write_rows(cfg.out, ("epsilon", "x_in", "x_out_numeric", "x_out_theory",
                          "abs_error", "status"), rows)

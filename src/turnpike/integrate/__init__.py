@@ -5,9 +5,10 @@ The stepping kernel is specified by the pure-Python `._dp45_py`; the C file
 floating-point operations and agrees with it bit for bit. The compiled
 kernel is used automatically when its library can be had and the model's
 zeta/g are builtin forms: the first passage that asks for it builds it with
-`cc` into a per-user cache, or loads it from there (see `._dp45_ctypes`).
-The TURNPIKE_KERNEL environment variable ('auto', 'compiled', 'python')
-overrides the choice; 'python' never builds or loads the library.
+`cc` into a per-user cache, or loads it from there; `._dp45_ctypes.load()`
+gives the kernel or the reason there is none. The TURNPIKE_KERNEL
+environment variable ('auto', 'compiled', 'python') overrides the choice:
+'python' never builds or loads the library, 'compiled' raises that reason.
 
 integrate() decodes the model and the events once: the model into one
 `_dp45_py.Field`, in which f is the coefficients `model.f_coeffs` builds
@@ -33,10 +34,10 @@ from ..model import (SlowFastModel, StateXY, StateXZ, f_coeffs, f_split,
 
 from . import _dp45_ctypes, _dp45_py
 
-# The compiled kernel, resolved by _compiled() on first use; None while
-# unresolved and when no library can be had.
+# _compiled() resolves the compiled kernel on first use: into _dp45_c, or,
+# when no library can be had, into _unavailable, the reason load() gave.
 _dp45_c = None
-_resolved = False
+_unavailable = None
 _resolve_lock = threading.Lock()
 
 __all__ = [
@@ -159,12 +160,15 @@ class Trajectory:
 def _compiled():
     """The compiled kernel, built or loaded once per process; None if
     there is none. A kernel already set in _dp45_c is used as it is."""
-    global _dp45_c, _resolved
-    if _dp45_c is None and not _resolved:
+    global _dp45_c, _unavailable
+    if _dp45_c is None and _unavailable is None:
         with _resolve_lock:
-            if _dp45_c is None and not _resolved:
-                _dp45_c = _dp45_ctypes.load()
-                _resolved = True
+            if _dp45_c is None and _unavailable is None:
+                got = _dp45_ctypes.load()
+                if isinstance(got, str):
+                    _unavailable = got
+                else:
+                    _dp45_c = got
     return _dp45_c
 
 
@@ -213,7 +217,7 @@ def active_backend(model: SlowFastModel | None = None) -> str:
         return "compiled" if builtin and _compiled() is not None else "python"
     if _compiled() is None:
         raise IntegrationError("compiled kernel requested but not available: "
-                               f"{_dp45_ctypes.why_unavailable()}")
+                               f"{_unavailable}")
     if not builtin:
         raise IntegrationError(
             "compiled kernel cannot evaluate Python-callable zeta/g")

@@ -8,9 +8,11 @@ is never loaded. A missing library is compiled with `cc` into a temporary
 file of that directory and renamed into place, which keeps concurrent first
 calls, from threads or processes, safe. A failed build leaves
 `<key>.failed` holding the compiler's message and is never retried;
-deleting the directory forces a rebuild. The library takes no Python
-objects and ctypes releases the interpreter lock for the call, so passages
-on several threads run in parallel.
+deleting the directory forces a rebuild. Without a kernel `load()` returns
+why: the record's first line, no `cc`, a cache that cannot be written, or
+a cached library that does not load (left in place). The library takes no
+Python objects and ctypes releases the interpreter lock for the call, so
+passages on several threads run in parallel.
 
 The library only steps. `CompiledKernel.integrate_kernel` takes what the
 Python kernel takes, the Field and the events integrate() has decoded, and
@@ -29,7 +31,7 @@ from pathlib import Path
 
 from ._dp45_py import State, _make_rhs, drive
 
-__all__ = ["CompiledKernel", "build", "load", "why_unavailable"]
+__all__ = ["CompiledKernel", "build", "load"]
 
 SOURCE = Path(__file__).with_name("dp45.c")
 # no fused multiply-adds: the compiled arithmetic stays that of _dp45_py
@@ -103,54 +105,47 @@ def build(dest: Path | str) -> None:
                    check=True, capture_output=True, text=True)
 
 
-def load() -> CompiledKernel | None:
-    """The kernel of the cached library, built first if it is missing.
+def _open(lib: Path) -> CompiledKernel | str:
+    try:
+        return CompiledKernel(lib)
+    except OSError as exc:
+        return f"the cached library does not load: {exc}"  # exc names lib
 
-    None when there is no `cc` on PATH, the cache directory cannot be
-    written, or the build failed (now or before); why_unavailable() says
-    which. Only a build attempt writes to the cache.
-    """
+
+def load() -> CompiledKernel | str:
+    """The kernel of the cached library, built first if it is missing, or
+    why there is none. Only a build attempt writes to the cache."""
     lib, failed = _paths()
     if lib.exists():
-        return CompiledKernel(lib)
+        return _open(lib)
     import shutil  # the build path's modules: a warm cache loads none
     import subprocess
     import tempfile
 
-    if failed.exists() or shutil.which("cc") is None:
-        return None
     try:
-        lib.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=_EXT, dir=lib.parent)
+        record = failed.read_text()
     except OSError:
-        return None
-    os.close(fd)
-    try:
-        build(tmp)
-        os.replace(tmp, lib)  # atomic: a reader sees no library or all of it
-    except (subprocess.CalledProcessError, OSError) as exc:
+        record = None
+    if record is None:  # no build has failed: try one
+        if shutil.which("cc") is None:
+            return "no C compiler (cc) on PATH"
         try:
-            failed.write_text(getattr(exc, "stderr", None) or f"{exc}\n")
+            lib.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=_EXT, dir=lib.parent)
         except OSError:
-            pass
-        return None
-    finally:
-        Path(tmp).unlink(missing_ok=True)
-    return CompiledKernel(lib)
-
-
-def why_unavailable() -> str:
-    """Why load() returns None: the first line of the build-failure record,
-    no `cc` on PATH, or a cache directory that cannot be written."""
-    lib, failed = _paths()
-    try:
-        first = (failed.read_text().splitlines() or [""])[0]
-    except OSError:
-        pass
-    else:
-        return f"building dp45.c failed, see {failed}: {first}"
-    import shutil
-
-    if shutil.which("cc") is None:
-        return "no C compiler (cc) on PATH"
-    return f"the kernel cache {lib.parent} cannot be written"
+            return f"the kernel cache {lib.parent} cannot be written"
+        os.close(fd)
+        try:
+            build(tmp)
+            os.replace(tmp, lib)  # atomic: a reader sees no library or all
+            return _open(lib)
+        except (subprocess.CalledProcessError, OSError) as exc:
+            record = getattr(exc, "stderr", None) or f"{exc}\n"
+            try:
+                failed.write_text(record)
+            except OSError:
+                pass
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+    first = (record.splitlines() or [""])[0]
+    return f"building dp45.c failed, see {failed}: {first}"

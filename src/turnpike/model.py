@@ -57,10 +57,7 @@ class PolyP(_PolyP):
             raise ModelError(f"n must be >= 1, got {n}")
         if len(lam) != 2 * n:
             raise ModelError(f"lam must have 2n = {2 * n} entries, got {len(lam)}")
-        lam = tuple(float(c) for c in lam)
-        if not all(map(math.isfinite, lam)):
-            raise ModelError(f"lam must be finite, got {lam}")
-        return super().__new__(cls, n, lam)
+        return super().__new__(cls, n, _finite("lam", lam))
 
     @classmethod
     def _make(cls, fields):  # _replace builds through here: validate again
@@ -83,21 +80,18 @@ class PolyP(_PolyP):
         return _horner((-1.0,) + self.lam[::-1], u)
 
     def is_negative_definite(self) -> bool:
-        """True iff P(v) < 0 for all real v.
-
-        For n = 1 this is the exact discriminant test 4 lam_0 + lam_1^2 < 0;
-        for n >= 2 the real critical points of P are found numerically.
-        """
-        if self.n == 1:
-            return 4.0 * self.lam[0] + self.lam[1] ** 2 < 0.0
+        """True iff P(v) < 0 for all real v: iff max_over_reals() < 0."""
         return self.max_over_reals() < 0.0
 
     def max_over_reals(self) -> float:
         """Global maximum of P over the reals (finite: leading term -v^2n).
 
-        P peaks where P' changes sign; P' has odd degree 2n - 1, so there is
-        at least one such point. For n = 1 it is exactly lam_1 / 2.
+        For n = 1 it is lam_0 + lam_1^2 / 4, at v = lam_1 / 2, with lam_1^2 a
+        product: -4 times it is exactly the discriminant pv_fast_quadratic
+        tests. For n >= 2 root isolation finds where P' changes sign.
         """
+        if self.n == 1:
+            return self.lam[0] + 0.25 * (self.lam[1] * self.lam[1])
         return _max_over_reals(self.coeffs())
 
 
@@ -163,8 +157,16 @@ class StateXZ(NamedTuple):
     eps: float
 
 
+def _finite(name: str, value: Sequence[float]) -> tuple[float, ...]:
+    """value as a tuple of floats; a NaN or infinite one is a ModelError."""
+    cs = tuple(float(v) for v in value)
+    if not all(map(math.isfinite, cs)):
+        raise ModelError(f"{name} must be finite, got {cs}")
+    return cs
+
+
 def _two_ends(name: str, value: Sequence[float]) -> tuple[float, float]:
-    ends = tuple(float(v) for v in value)
+    ends = _finite(name, value)
     if len(ends) != 2:
         raise ModelError(f"{name} must have exactly two ends, got {ends}")
     return ends
@@ -208,7 +210,7 @@ class SlowFastModel(_SlowFastModel):
         if not (I_out[0] <= I_out[1] < 0.0):
             raise ModelError(f"I_out must be a subinterval of (-inf, 0): {I_out}")
         z00 = float(zeta(0.0, 0.0))
-        if abs(z00 + 1.0) > 1e-12:
+        if not abs(z00 + 1.0) <= 1e-12:  # a NaN one too
             raise ModelError(f"zeta(0, 0) must equal -1, got {z00}")
         return super().__new__(cls, p, zeta, g, delta, I, I_in, I_out)
 
@@ -381,7 +383,7 @@ def make_zeta(kind: str, params: Sequence[float] = ()) -> Callable[[float, float
         raise ModelError(f"unknown zeta kind {kind!r}")
     if not params:
         raise ModelError("zeta 'poly' needs coefficients (c0, c1, ...)")
-    cs = tuple(float(c) for c in params)
+    cs = _finite("zeta coefficients", params)
     if abs(cs[0] + 1.0) > 1e-12:
         raise ModelError("zeta 'poly' must have c0 = -1")
 
@@ -418,7 +420,7 @@ def make_g(kind: str, params: Sequence[float] = ()) -> Callable[[float, float, f
     if kind == "constant":
         if len(params) != 1:
             raise ModelError("g 'constant' needs exactly one parameter g_value")
-        v = float(params[0])
+        (v,) = _finite("g_value", params)
         return _with_form(lambda x, y, eps: v, kind, (v,))
     raise ModelError(f"unknown g kind {kind!r}")
 

@@ -13,8 +13,7 @@ removed analytically before any quadrature runs:
 The adaptive rule (globally adaptive Gauss-Kronrod 7/15, as QUADPACK's qag)
 and the bracketed root finder the solvers share (Brent's method, ported
 from SciPy's brentq.c) live here, in pure Python: the package runs on
-floats alone, and only the fibers of a callable g import a third-party
-module (SciPy).
+floats alone and imports no third-party module.
 """
 from __future__ import annotations
 
@@ -81,19 +80,20 @@ _UFLOW = sys.float_info.min
 
 def _qk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Kronrod 15-point value on [a, b] (b < a allowed) and QUADPACK's error
-    estimate: |K15 - G7| scaled by the integrand's variation over the panel."""
+    estimate: |K15 - G7| scaled by the integrand's variation over the panel.
+    A division by zero in f raises QuadratureError naming the panel."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fc = f(centr)
+    try:
+        fc = f(centr)
+        fvals = [(f(centr - hlgth * x), f(centr + hlgth * x)) for x in _XGK]
+    except ZeroDivisionError:
+        raise QuadratureError(
+            f"integrand divides by zero on [{a}, {b}]") from None
     resg = fc * _WG_CENTRE
     resk = fc * _WGK_CENTRE
     resabs = abs(resk)
-    fvals = []
-    for j in range(7):
-        absc = hlgth * _XGK[j]
-        f1 = f(centr - absc)
-        f2 = f(centr + absc)
-        fvals.append((f1, f2))
+    for j, (f1, f2) in enumerate(fvals):
         resk += _WGK[j] * (f1 + f2)
         resabs += _WGK[j] * (abs(f1) + abs(f2))
         if j % 2:
@@ -120,7 +120,8 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float,
     Globally adaptive Gauss-Kronrod 7/15 (QUADPACK qag): the panel with the
     largest error estimate is bisected until the estimates sum to at most
     tol, the partition reaches _SUBDIV_CAP panels, or the worst panel is
-    too narrow to bisect; the last two raise. f is called on floats only.
+    too narrow to bisect; the last two raise, as does a division by zero in
+    f (see _qk15). f is called on floats only.
     b < a gives the negated integral. `subdivisions` counts the final panels.
     """
     if a == b:

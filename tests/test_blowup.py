@@ -164,17 +164,18 @@ class TestOverlay:
                          IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
 
     def test_identity_at_eps_one(self, ddr):
-        traj = self._traj(ddr, 0.01)
-        raw = overlay_xz2(traj, 1.0)
-        assert np.array_equal(raw, traj.states)
+        # the chart's z2 = z / eps is z itself on a trajectory at eps = 1
+        traj = self._traj(ddr, 1.0)
+        assert overlay_xz2(traj) == traj.states
 
     def test_rescaling(self, ddr):
+        # the raw nodes are traj.states; the overlay divides z by the
+        # trajectory's own eps and keeps x
         traj = self._traj(ddr, 0.01)
         own = np.asarray(overlay_xz2(traj))
-        half = np.asarray(overlay_xz2(traj, 0.005))
         states = np.asarray(traj.states)
-        assert np.allclose(own[:, 1], states[:, 1] / 0.01, rtol=1e-15)
-        assert np.allclose(half[:, 1], 2.0 * own[:, 1], rtol=1e-15)
+        assert np.array_equal(own[:, 0], states[:, 0])
+        assert np.array_equal(own[:, 1], states[:, 1] / 0.01)
 
     def test_needs_xz_mode(self, ddr):
         traj = integrate(ddr, StateXY(x=1.016, y=0.5, eps=0.05),
@@ -184,9 +185,9 @@ class TestOverlay:
             overlay_xz2(traj)
 
     def test_rejects_nonpositive_eps(self, ddr):
-        traj = self._traj(ddr, 0.01)
-        with pytest.raises(ChartError, match="positive"):
-            overlay_xz2(traj, 0.0)
+        traj = self._traj(ddr, 0.0)  # eps = 0 has no epsbar chart
+        with pytest.raises(ChartError, match="eps must be positive, got 0.0"):
+            overlay_xz2(traj)
 
     def test_trajectory_approaches_limit_curve(self, ddr):
         xs = np.linspace(0.05, 0.12, 12)

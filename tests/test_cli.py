@@ -51,6 +51,17 @@ class TestPvCheck:
         assert main(["pv-check", "1", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_boundary_pair_is_a_quadrature_error(self, capsys):
+        # P's maximum is -4.4e-16 < 0, so the closed form and the
+        # definiteness test accept it; the tail's Q(u) then rounds to 0
+        assert main(["pv-check", "--", "-2.005631341312703",
+                     "2.8324062853430494"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: integrand divides by zero on [")
+        assert len(captured.err.splitlines()) == 1
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as ei:
             main([])
@@ -266,6 +277,17 @@ class TestConverge:
             assert main(args + extra + ["--out", str(out)]) == 0
             assert len(read_csv(out)[1]) == nrows
 
+    def test_refuses_what_dulac_refuses(self, ddr_path, capsys):
+        # f(0.9, 0.249) > 0: both sweeps check the hypotheses at their
+        # largest finite eps, and say so the same way
+        args = ["--model", ddr_path, "--eps", "50,25,12.5", "--x-in", "1.01"]
+        assert main(["dulac", *args]) == 2
+        refusal = capsys.readouterr()
+        assert refusal.err.startswith(
+            "error: model fails the standing hypotheses (witness: ('f', 0.9,")
+        assert main(["converge", *args]) == 2
+        assert capsys.readouterr() == refusal
+
     def test_needs_three_eps(self, ddr_path, capsys):
         assert main(["converge", "--model", ddr_path,
                      "--eps", "0.01,0.005"]) == 2
@@ -422,6 +444,20 @@ class TestHypothesesCommand:
         assert main(["hypotheses", "--model", ddr_path,
                      "--eps-max", eps_max]) == 2
         assert "--eps-max must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta", "nan"), ("g_value", "nan"), ("I", "-inf, 0.9")])
+    def test_non_finite_number_is_a_model_error(self, write_model, capsys,
+                                                key, value):
+        # each once printed a verdict: passed = True, or c = nan and no
+        # witness
+        path = str(write_model({**DDR_KV, key: value}))
+        assert main(["hypotheses", "--model", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "must be finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_overflowing_eps_max_is_an_error(self, ddr_path, capsys):
         # 1e200^2 once raised OverflowError out of the f weights

@@ -16,6 +16,7 @@ import pytest
 
 from turnpike import integrate
 from turnpike.integrate import _dp45_ctypes, _dp45_py
+from turnpike.integrate._dp45_ctypes import CompiledKernel
 from turnpike.model import ddr_model
 
 from conftest import REPO_ROOT
@@ -193,12 +194,12 @@ def test_cold_build_then_warm_load_without_cc(tmp_path, monkeypatch):
 @needs_cc
 def test_edited_source_gets_a_new_library(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    assert _dp45_ctypes.load() is not None
+    assert isinstance(_dp45_ctypes.load(), CompiledKernel)
     (first,) = listing(tmp_path / "xdg")
     edited = tmp_path / "dp45.c"
     edited.write_bytes(_dp45_ctypes.SOURCE.read_bytes() + b"/* edited */\n")
     monkeypatch.setattr(_dp45_ctypes, "SOURCE", edited)
-    assert _dp45_ctypes.load() is not None
+    assert isinstance(_dp45_ctypes.load(), CompiledKernel)
     libs = listing(tmp_path / "xdg")
     assert len(libs) == 2 and first in libs
 
@@ -263,7 +264,7 @@ def test_threads_resolve_the_kernel_once(monkeypatch):
         return kernel
 
     monkeypatch.setattr(integrate, "_dp45_c", None)
-    monkeypatch.setattr(integrate, "_resolved", False)
+    monkeypatch.setattr(integrate, "_unavailable", None)
     monkeypatch.setattr(_dp45_ctypes, "load", slow_load)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -280,3 +281,31 @@ def test_threads_resolve_the_kernel_once(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1
     assert seen == [kernel] * 8
+
+
+def test_library_that_does_not_load_runs_python(tmp_path, monkeypatch):
+    # a cached library that CDLL refuses ("file too short") is a reason,
+    # not a traceback, and it stays in place as a failed build's record does
+    cache = tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    lib, _failed = _dp45_ctypes._paths()
+    lib.parent.mkdir(parents=True)
+    lib.write_bytes(b"\x7fELF junk")
+    reason = _dp45_ctypes.load()
+    assert isinstance(reason, str)
+    assert reason.startswith("the cached library does not load: ")
+    assert str(lib) in reason
+    args = ["-m", "turnpike.cli", "dulac", "--model", "models/ddr.model",
+            "--eps", "0.01", "--x-in", "1.006,1.016"]
+    auto = _python(args, cache)
+    assert auto == _python(args, cache, TURNPIKE_KERNEL="python")
+    proc = subprocess.run([sys.executable, *args], cwd=REPO_ROOT,
+                          env=_env(cache, TURNPIKE_KERNEL="compiled"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stderr == ""
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 2 and all(
+        "compiled kernel requested but not available: the cached library"
+        in row and "does not load" in row for row in rows)
+    assert listing(cache) == [lib.name]
+    assert lib.read_bytes() == b"\x7fELF junk"

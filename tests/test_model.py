@@ -1,21 +1,23 @@
 """Model layer: P polynomial, the kernels' field and its guarded
 exponential, hypotheses, loader."""
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnpike.entryexit import base_point
-from turnpike.errors import EntryExitError, ModelError
+from turnpike.errors import EntryExitError, ModelError, QuadratureError
 from turnpike.integrate import _field, active_backend, dulac_map_numeric
 from turnpike.integrate._dp45_py import _make_rhs
 from turnpike.model import (PolyP, SlowFastModel, StateXY, StateXZ, _f_values,
                             _linspace, check_hypotheses, ddr_model, f_coeffs,
                             f_split, g_value, load_model, make_g, make_zeta,
                             zeta_coeffs)
+from turnpike.quadrature import pv_fast_quadratic
 
 from conftest import DDR_KV, build_n2
 
@@ -94,6 +96,36 @@ class TestPolyP:
         assert not PolyP(n=1, lam=(-1.0, 2.0)).is_negative_definite()
         assert PolyP(n=1, lam=(-1.0000001, 2.0)).is_negative_definite()
         assert not PolyP(n=1, lam=(1.0, 0.0)).is_negative_definite()
+
+    # 4 lam0 + lam1 lam1 = -8.9e-16, where libm's lam1 ** 2 rounds one ulp
+    # up and once made the discriminant test refuse what the maximum passed
+    BOUNDARY_PAIR = (-2.005631341312703, 2.8324062853430494)
+
+    def test_definiteness_is_the_sign_of_the_maximum(self):
+        p = PolyP(n=1, lam=self.BOUNDARY_PAIR)
+        assert p.max_over_reals() == -4.440892098500626e-16
+        assert p.is_negative_definite()
+        assert math.isfinite(pv_fast_quadratic(*self.BOUNDARY_PAIR))
+
+    @example(*BOUNDARY_PAIR, 0)
+    @given(st.floats(-1e3, 0.0), st.floats(-40.0, 40.0),
+           st.integers(-3, 3))
+    @settings(max_examples=500, deadline=None)
+    def test_near_the_boundary_three_answers_agree(self, lam0, lam1, ulps):
+        # lam0 within a few ulps of -lam1^2 / 4, where P's maximum, the
+        # definiteness test and the closed form's guard must not disagree
+        if ulps:  # else lam0 as drawn (or as the example gives it)
+            lam0 = -0.25 * (lam1 * lam1)
+            for _ in range(abs(ulps)):
+                lam0 = math.nextafter(lam0, math.copysign(math.inf, ulps))
+        p = PolyP(n=1, lam=(lam0, lam1))
+        try:
+            pv_fast_quadratic(lam0, lam1)
+            closed_accepts = True
+        except QuadratureError:
+            closed_accepts = False
+        assert p.is_negative_definite() == (p.max_over_reals() < 0.0) \
+            == closed_accepts
 
     def test_negative_definite_quartic(self):
         assert PolyP(n=2, lam=(-1.0, 0.5, 0.0, 0.0)).is_negative_definite()
@@ -259,6 +291,37 @@ class TestBuiltinForms:
         steep = ddr._replace(g=make_g("constant", (-2.0,)))
         with pytest.raises(EntryExitError, match="no base point"):
             base_point(steep, 1.3)
+
+
+class TestNumbersAreFinite:
+    """A NaN or infinite number of a model is refused where the callable
+    or the model is made, and the error names it."""
+
+    @pytest.mark.parametrize("kind, params, cs", [
+        ("poly", (-1.0, math.nan), "(-1.0, nan)"), ("poly", (math.nan,), "(nan,)"),
+        ("ddr-beta", (math.inf,), "(-1.0, inf)")])
+    def test_make_zeta(self, kind, params, cs):
+        with pytest.raises(ModelError, match=re.escape(
+                f"zeta coefficients must be finite, got {cs}")):
+            make_zeta(kind, params)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_make_g(self, value):
+        with pytest.raises(ModelError, match=re.escape(
+                f"g_value must be finite, got ({value},)")):
+            make_g("constant", (value,))
+
+    @pytest.mark.parametrize("name, ends", [
+        ("I", (-math.inf, 0.9)), ("I_in", (1.004, math.nan)),
+        ("I_out", (-math.inf, -1.01))])
+    def test_model_intervals(self, ddr, name, ends):
+        with pytest.raises(ModelError, match=re.escape(
+                f"{name} must be finite, got {ends}")):
+            ddr._replace(**{name: ends})
+
+    def test_nan_zeta_at_the_origin(self, ddr):
+        with pytest.raises(ModelError, match="zeta\\(0, 0\\) must equal -1"):
+            ddr._replace(zeta=lambda x, eps: math.nan)
 
 
 class TestVectorFields:
@@ -461,6 +524,11 @@ class TestLoader:
         ("lambda", "-inf, 1", "lam must be finite, got (-inf, 1.0)"),
         ("I_in", "1.004", "I_in must have exactly two ends, got (1.004,)"),
         ("zeta_coeffs", "-0.5, 1", "zeta 'poly' must have c0 = -1"),
+        # a NaN or inf number once passed `hypotheses` or made it print
+        # c = nan with no witness
+        ("beta", "nan", "zeta coefficients must be finite, got (-1.0, nan)"),
+        ("g_value", "nan", "g_value must be finite, got (nan,)"),
+        ("I", "-inf, 0.9", "I must be finite, got (-inf, 0.9)"),
     ])
     def test_errors_name_the_file(self, write_model, key, value, message):
         kv = {**DDR_KV, key: value}

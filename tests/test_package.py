@@ -106,3 +106,33 @@ def test_builtin_forms_are_known_only_to_the_model():
                          or "constant-minus-one" in node.value)):
                 found.append(f"{path.name}:{node.lineno}: holds {node.value!r}")
     assert found == []
+
+
+def _names(node) -> set[str]:
+    """The identifiers a node binds or reads, and the words of a string."""
+    names = {getattr(node, field, None)
+             for field in ("id", "attr", "name", "asname", "arg")}
+    if isinstance(node, (ast.Global, ast.Nonlocal)):
+        names.update(node.names)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names.update(node.value.replace(".", " ").split())
+    return names
+
+
+def test_kernel_availability_has_one_producer():
+    # _dp45_ctypes.load() alone says whether there is a compiled kernel and
+    # why not: no second account of the cache, no flag beside its answer,
+    # and no library opened anywhere else
+    removed = {"why_unavailable", "_resolved"}
+    root = REPO_ROOT / "src" / "turnpike"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            found += [f"{rel}:{node.lineno}: names {name}"
+                      for name in sorted(_names(node) & removed)]
+            if (isinstance(node, ast.Call)
+                    and "CDLL" in _names(node.func)
+                    and rel != "integrate/_dp45_ctypes.py"):
+                found.append(f"{rel}:{node.lineno}: calls CDLL")
+    assert found == []

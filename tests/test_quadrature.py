@@ -49,6 +49,14 @@ class TestAdaptiveQuad:
         r = adaptive_quad(f, 0.0, 2.0, 1e-11)
         assert r.value == pytest.approx(_simpson(f, 0.0, 2.0, 8192), abs=1e-9)
 
+    @pytest.mark.parametrize("b", [1.0, 3.0])
+    def test_division_by_zero_names_the_panel(self, b):
+        # 1/s at the centre of [-1, 1]: the first panel, or the left half
+        # of [-1, 3]
+        with pytest.raises(QuadratureError, match=re.escape(
+                "integrand divides by zero on [-1.0, 1.0]")):
+            adaptive_quad(lambda s: 1.0 / s, -1.0, b)
+
     def test_empty_interval(self):
         r = adaptive_quad(math.exp, 1.0, 1.0)
         assert r.value == 0.0 and r.abs_error_estimate == 0.0
