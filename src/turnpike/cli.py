@@ -127,9 +127,6 @@ def cmd_pv_check(cfg: ExperimentConfig, _model: None, lambda0: float,
 
 
 def cmd_hypotheses(cfg: ExperimentConfig, model: SlowFastModel) -> int:
-    if not 0.0 < cfg.eps_max < math.inf:
-        raise TurnpikeError(
-            f"--eps-max must be finite and > 0, got {cfg.eps_max:g}")
     rep = check_hypotheses(model, eps_max=cfg.eps_max, grid=max(cfg.grid, 101))
     print(f"passed   = {rep.passed}")
     print(f"c        = {fmt(rep.c)}")

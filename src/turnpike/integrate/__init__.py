@@ -15,7 +15,7 @@ integrate() decodes the model and the events once: the model into one
 for check_hypotheses too and a constant g its value, and each EventSpec
 into a tuple. Both kernels take them through the same
 integrate_kernel(field, x0, w0, t_max, evs, cfg) and return the passage's
-`_dp45_py.Run`, of which a Trajectory is a copy.
+`_dp45_py.Run`, which a Trajectory keeps as its only store.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import threading
 from bisect import bisect_right
 from functools import cached_property
 from numbers import Real
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from ..errors import IntegrationError, ModelError
@@ -104,34 +105,40 @@ class EventHit(NamedTuple):
 class Trajectory:
     """Accepted nodes, dense interpolant, and localized events of one run.
 
-    A copy of a kernel's `_dp45_py.Run`, so it pickles. t, x, w and
-    step_sizes are lists of floats, w being z or y depending on mode;
-    states, the list of (x, w) pairs, is built when first read. The object
-    is callable: traj(t) evaluates the quartic dense output, whose rows
-    `_dp45_py.dense_row` forms from a copy of the run's stage slopes.
+    Keeps the kernel's `_dp45_py.Run`, trimmed to its n_steps + 1 nodes;
+    t, x, w (z or y by mode), step_sizes and states, the (x, w) pairs, are
+    lists built from it when first read. traj(t) evaluates the quartic
+    dense output that `_dp45_py.dense_row` forms from the stage slopes.
     """
 
     def __init__(self, mode: str, eps: float, run: _dp45_py.Run,
                  specs: Sequence[EventSpec]):
         s = run.state
-        nn = s.n_steps + 1
+        run._grow(s.n_steps + 1)
+        run._step = None  # a kept run steps no more: drop its field's refs
         self.mode = mode
         self.eps = eps
         self.status: str = run.status
-        self.t: list[float] = run.t[:nn]
-        self.x: list[float] = run.x[:nn]
-        self.w: list[float] = run.w[:nn]
-        self.step_sizes: list[float] = run.h[:nn - 1]
-        self._dense = run.rows()  # step index -> 8-tuple row
+        self._run = run
         self.events = [EventHit(index=ie, spec=specs[ie], t=te, x=xe, w=we)
                        for (ie, te, xe, we) in run.events]
         self.n_steps: int = s.n_steps
         self.n_rejected: int = s.n_rejected
         self.n_rhs: int = s.n_rhs
 
-    @cached_property
-    def states(self) -> list[tuple[float, float]]:
-        return list(zip(self.x, self.w))
+    t = cached_property(lambda self: self._run.t[:self.n_steps + 1])
+    x = cached_property(lambda self: self._run.x[:self.n_steps + 1])
+    w = cached_property(lambda self: self._run.w[:self.n_steps + 1])
+    step_sizes = cached_property(lambda self: self._run.h[:self.n_steps])
+    states = cached_property(lambda self: list(zip(self.x, self.w)))
+
+    def _dense(self, i):
+        return _dp45_py._row_at(self._run.k, i)
+
+    def __getstate__(self):  # ctypes arrays do not pickle; lists, bytes do
+        return dict(self.__dict__, _run=SimpleNamespace(
+            t=self.t, x=self.x, w=self.w, h=self.step_sizes,
+            k=bytes(self._run.k)[:112 * self.n_steps]))
 
     @property
     def final_state(self) -> tuple[float, float]:

@@ -17,17 +17,17 @@ Each kernel only steps: its step(run) goes on from the resumable `State`
 (`first_state` makes the first) until the passage ends, the node buffers
 are full or after an accepted step over which an event function changes
 sign, in either direction. `drive` runs both kernels on one `Run`, the
-passage's only record, whose buffers and state have dp45.c's layout, and
-returns it; its advance() grows the buffers up to the max_steps + 1 nodes
-a passage may have and resumes, so the step cap is a full buffer of that
-size. `solve` runs any right-hand side on the Python kernel: the
-passage's field (`integrate_kernel`) and the fast fibres of a callable g
-(`entryexit.BasePointMap`). Every event rule is written here once and
-drives both kernels (`drive`, `step_hits`): a sign change against the
-event's direction is dropped, the others are localized on the step's
-dense polynomial by the package's Brent solver (`localize`), the return
-section is kept only where x < 0, and the step's hits are taken in
-(theta, index) order up to the first terminal one.
+passage's only record, which a Trajectory keeps, and returns it; its
+buffers and state have dp45.c's layout, and its advance() grows the
+buffers up to the max_steps + 1 nodes a passage may have and resumes, so
+the step cap is a full buffer of that size. `solve` runs any right-hand
+side on the Python kernel: the passage's field (`integrate_kernel`) and
+the fast fibres of a callable g (`entryexit.BasePointMap`). Every event
+rule is written here once and drives both kernels (`drive`, `step_hits`):
+a sign change against the event's direction is dropped, the others are
+localized on the step's dense polynomial by the package's Brent solver
+(`localize`), the return section is kept only where x < 0, and the step's
+hits are taken in (theta, index) order up to the first terminal one.
 
 Implements: FSAL stepping from the trial step of Hairer, Norsett & Wanner,
 PI step-size control (0.9 safety, exponents 0.7/5 and 0.4/5, factor
@@ -148,8 +148,8 @@ def dense_row(k):
 
 
 def _row_at(buf, i):
-    """Row i of a run's dense output from its buffer of stage slopes (a
-    module function, so results pickle)."""
+    """Row i of a run's dense output from its stage slopes: the Run's
+    buffer, or the bytes of it that a pickled Trajectory holds."""
     return dense_row(unpack_from("14d", buf, 112 * i))
 
 
@@ -168,12 +168,12 @@ class State(Structure):
 
 
 class Run:
-    """A passage on either kernel: its State, ctypes node buffers of cap
-    nodes in dp45.c's layout, t, x, w, the step sizes h and the 14 stage
-    slopes k of each accepted step, and the status and events `drive` sets.
-    advance() calls the kernel's step(run) again, with buffers twice as
-    large up to limit = max_steps + 1 nodes, for as long as it returns
-    'buffer_full', which at cap == limit is 'max_steps'."""
+    """A passage on either kernel: its State, ctypes buffers of cap nodes in
+    dp45.c's layout (t, x, w, the step sizes h and the 14 stage slopes k of
+    each accepted step), and the status and events `drive` sets. advance()
+    calls the kernel's step(run) again, with buffers twice as large up to
+    limit = max_steps + 1 nodes, for as long as it returns 'buffer_full',
+    which at cap == limit is 'max_steps'. A Trajectory trims them."""
 
     def __init__(self, step, state, max_steps):
         self._step, self.state, self.cap = step, state, 0
@@ -182,18 +182,14 @@ class Run:
         self.x[0], self.w[0] = state.x, state.w
 
     def _grow(self, cap):
-        """Buffers of cap nodes that begin with the current ones."""
+        """Buffers of cap nodes, their first nodes the current ones'."""
         for name, width in (("t", 1), ("x", 1), ("w", 1), ("h", 1), ("k", 14)):
             new = (c_double * (width * cap))()
             if self.cap:
                 old = getattr(self, name)
-                memmove(new, old, sizeof(old))
+                memmove(new, old, min(sizeof(old), sizeof(new)))
             setattr(self, name, new)
         self.cap = cap
-
-    def rows(self):
-        return partial(_row_at,
-                       bytes(memoryview(self.k)[:14 * self.state.n_steps]))
 
     def advance(self):
         while (status := self._step(self)) == "buffer_full":

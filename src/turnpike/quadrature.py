@@ -78,9 +78,11 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
 
-def _qk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Kronrod 15-point value on [a, b] (b < a allowed) and QUADPACK's error
-    estimate: |K15 - G7| scaled by the integrand's variation over the panel.
+def _qk15(f: Callable[[float], float], a: float, b: float
+          ) -> tuple[float, float, float]:
+    """Kronrod 15-point value on [a, b] (b < a allowed), QUADPACK's error
+    estimate, |K15 - G7| scaled by the integrand's variation over the panel
+    and at least 50 eps resabs, and resabs, the K15 value of int |f|.
     A division by zero in f raises QuadratureError naming the panel."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
@@ -110,7 +112,7 @@ def _qk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > _UFLOW / (50.0 * _EPMACH):
         err = max(50.0 * _EPMACH * resabs, err)
-    return resk * hlgth, err
+    return resk * hlgth, err, resabs
 
 
 def adaptive_quad(f: Callable[[float], float], a: float, b: float,
@@ -121,12 +123,18 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float,
     largest error estimate is bisected until the estimates sum to at most
     tol, the partition reaches _SUBDIV_CAP panels, or the worst panel is
     too narrow to bisect; the last two raise, as does a division by zero in
-    f (see _qk15). f is called on floats only.
+    f (see _qk15) and, as QUADPACK's ier = 2, a first estimate above tol
+    that is already the round-off floor 50 eps int |f|, which no bisection
+    lowers. f is called on floats only.
     b < a gives the negated integral. `subdivisions` counts the final panels.
     """
     if a == b:
         return QuadResult(0.0, 0.0, 0)
-    val, errsum = _qk15(f, a, b)
+    val, errsum, resabs = _qk15(f, a, b)
+    if tol < errsum <= 50.0 * _EPMACH * resabs:
+        raise QuadratureError(
+            f"integral on [{a}, {b}] cannot reach tol={tol:g}: the first "
+            f"estimate {errsum:g} is the round-off floor 50 eps int |f|")
     heap = [(-errsum, a, b, val)]  # (-error, start, end, value) of each panel
     while math.isfinite(errsum):
         if errsum <= tol:
@@ -141,8 +149,8 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float,
         if (max(abs(lo), abs(hi))
                 <= (1.0 + 100.0 * _EPMACH) * (abs(mid) + 1000.0 * _UFLOW)):
             break  # QUADPACK's ier = 3: width at the rounding level of the ends
-        v1, e1 = _qk15(f, lo, mid)
-        v2, e2 = _qk15(f, mid, hi)
+        v1, e1, _ = _qk15(f, lo, mid)
+        v2, e2, _ = _qk15(f, mid, hi)
         heapq.heapreplace(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
         errsum += e1 + e2 + neg_err

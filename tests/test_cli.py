@@ -443,7 +443,8 @@ class TestHypothesesCommand:
                                                  eps_max):
         assert main(["hypotheses", "--model", ddr_path,
                      "--eps-max", eps_max]) == 2
-        assert "--eps-max must be finite and > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: eps_max must be finite and > 0, got {float(eps_max):g}\n"
 
     @pytest.mark.parametrize("key, value", [
         ("beta", "nan"), ("g_value", "nan"), ("I", "-inf, 0.9")])

@@ -1,11 +1,13 @@
 """Stepper kernel: exact decay oracle, events, dense output, backends, failures."""
 import functools
+import gc
 import math
 import os
 import pickle
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -197,6 +199,64 @@ class TestTrajectoryStructure:
         assert traj([0.0, 1e-13]) == [(1.0, 0.5)] * 2
         with pytest.raises(ValueError, match="outside"):
             traj(1e-3)
+
+
+def _dulac_events(model) -> list[EventSpec]:
+    """The events dulac_map_numeric integrates with."""
+    return [EventSpec("x_crosses_zero", direction="down"),
+            EventSpec("y_reaches_delta_with_x_negative", model.z_delta,
+                      "up", terminal=True),
+            EventSpec("x_reaches_value", model.I[0], "down", terminal=True)]
+
+
+class TestTrajectoryStore:
+    """A Trajectory keeps its Run, trimmed, as the passage's only store."""
+
+    def test_lists_are_the_runs_nodes(self, ddr, compiled_kernel):
+        args = _kernel_args(zeta=(-1.0, 1.0), x0=1.016, w0=ddr.z_delta,
+                            t_max=1e3, events=_dulac_events(ddr))
+        for k in (_dp45_py, compiled_kernel):
+            run = k.integrate_kernel(*args)
+            n = run.state.n_steps
+            nodes = [buf[:n + 1] for buf in (run.t, run.x, run.w)]
+            nodes.append(run.h[:n])
+            traj = Trajectory("xz", 0.01, run, [])
+            assert traj._run is run and run.cap == n + 1 < 4096
+            assert [traj.t, traj.x, traj.w, traj.step_sizes] == nodes
+            assert traj.states == list(zip(nodes[1], nodes[2]))
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_pickle_round_trip(self, ddr, backend, read):
+        traj = integrate(ddr, StateXZ(x=1.016, z=ddr.z_delta, eps=0.01),
+                         _dulac_events(ddr))
+        if read:
+            _fingerprint(traj)
+        copy = pickle.loads(pickle.dumps(traj))
+        assert _fingerprint(copy) == _fingerprint(traj)
+        assert _fingerprint(pickle.loads(pickle.dumps(copy))) == \
+            _fingerprint(traj)
+
+    def test_kept_trajectories_hold_one_copy(self, ddr, backend):
+        # 18 doubles a node (t, x, w, h and 14 stage slopes) in the trimmed
+        # Run, and 12 KiB a run of objects around them, of which the two
+        # ctypes array types of buffers trimmed to a length no other kept
+        # run has take about 6 KiB; lists of the nodes would take 32 bytes
+        # a value more
+        events = _dulac_events(ddr)
+        integrate(ddr, StateXZ(x=1.0, z=ddr.z_delta, eps=0.01), events)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [integrate(ddr, StateXZ(x=x, z=ddr.z_delta, eps=0.01),
+                              events) for x in (1.01, 1.013, 1.016, 1.019)]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        nodes = [traj.n_steps + 1 for traj in kept]
+        assert len(set(nodes)) == len(kept) and min(nodes) > 500
+        assert held <= 8 * 18 * sum(nodes) + 12 * 1024 * len(kept)
 
 
 class TestReverseTime:

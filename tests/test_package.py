@@ -136,3 +136,29 @@ def test_kernel_availability_has_one_producer():
                     and rel != "integrate/_dp45_ctypes.py"):
                 found.append(f"{rel}:{node.lineno}: calls CDLL")
     assert found == []
+
+
+
+def _defs(path, name: str) -> dict[str, ast.AST]:
+    """The functions and classes that class `name` of path defines."""
+    tree = ast.parse(path.read_text(), str(path))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    return {node.name: node for node in cls.body if hasattr(node, "name")}
+
+
+def test_a_passage_is_stored_once():
+    # a Trajectory keeps its Run as the passage's only store: the Run makes
+    # no second copy of its slopes, and the Trajectory copies none of the
+    # Run's buffers when it is made
+    root = REPO_ROOT / "src" / "turnpike" / "integrate"
+    found = [f"_dp45_py.py:{node.lineno}: Run defines rows"
+             for name, node in _defs(root / "_dp45_py.py", "Run").items()
+             if name == "rows"]
+    init = _defs(root / "__init__.py", "Trajectory")["__init__"]
+    found += [f"__init__.py:{node.lineno}: Trajectory.__init__ subscripts "
+              f"{node.value.attr}" for node in ast.walk(init)
+              if isinstance(node, ast.Subscript)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr in ("t", "x", "w", "h", "k")]
+    assert found == []

@@ -95,6 +95,23 @@ class TestAdaptiveQuad:
         with pytest.raises(QuadratureError, match="did not reach"):
             adaptive_quad(lambda s: math.nan, 0.0, 1.0)
 
+    def test_round_off_floor_stops_at_the_first_panel(self):
+        # the first estimate for ((s + 1)^3 - s) e^(0.3 s) on [0, 5] is
+        # already the floor 50 eps int |f|, which no bisection lowers: the
+        # rule once bisected on to the subdivision cap, 299,985 calls
+        calls = []
+
+        def f(s):
+            calls.append(s)
+            return ((s + 1.0) ** 3 - s) * math.exp(0.3 * s)
+
+        with pytest.raises(QuadratureError, match=re.escape(
+                "integral on [0.0, 5.0] cannot reach tol=1e-11: the first "
+                "estimate 1.12922e-11 is the round-off floor 50 eps int |f|")):
+            adaptive_quad(f, 0.0, 5.0, 1e-11)
+        assert len(calls) == 15
+        assert adaptive_quad(f, 0.0, 5.0, 2e-11).subdivisions == 1
+
     def test_subdivisions_count_final_panels(self):
         assert adaptive_quad(lambda s: s * s, 0.0, 1.0).subdivisions == 1
         assert adaptive_quad(math.sqrt, 0.0, 1.0, 1e-12).subdivisions > 3
